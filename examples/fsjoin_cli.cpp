@@ -56,20 +56,26 @@
 // Internal: --worker-serve HOST:PORT turns the process into a cluster
 // worker dialing that coordinator (spawn-local mode; see net/worker.h).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/fsjoin.h"
 #include "mr/worker.h"
 #include "net/worker.h"
 #include "text/corpus_io.h"
 #include "text/tokenizer.h"
+#include "util/string_util.h"
 
 namespace {
+
+// Upper bound on --threads and --spawn-local-workers: each is a thread or a
+// process, so a typo like 40000 should fail here, not exhaust the machine.
+constexpr int64_t kMaxThreads = 1024;
 
 struct CliOptions {
   std::string input;
@@ -157,12 +163,40 @@ fsjoin::Result<std::unique_ptr<fsjoin::Tokenizer>> MakeTokenizer(
         new fsjoin::WhitespaceTokenizer());
   }
   if (name.rfind("qgram", 0) == 0) {
-    int q = std::atoi(name.c_str() + 5);
-    if (q < 1) return fsjoin::Status::InvalidArgument("bad qgram size");
+    auto q = fsjoin::ParseInt64(std::string_view(name).substr(5), 1, 1024);
+    if (!q.ok()) {
+      return fsjoin::Status::InvalidArgument("bad qgram size: " +
+                                             q.status().message());
+    }
     return std::unique_ptr<fsjoin::Tokenizer>(
-        new fsjoin::QGramTokenizer(static_cast<size_t>(q)));
+        new fsjoin::QGramTokenizer(static_cast<size_t>(*q)));
   }
   return fsjoin::Status::InvalidArgument("unknown tokenizer: " + name);
+}
+
+// Parses flag `flag`'s value with `parse`, a checked parser returning a
+// Result, into *out. On a missing or bad value it prints which flag and
+// why and returns false; the caller then exits 2.
+template <typename T, typename Parse>
+bool ParseFlag(const std::string& flag, const char* value, Parse parse,
+               T* out) {
+  if (value == nullptr) {
+    std::fprintf(stderr, "%s needs a value\n", flag.c_str());
+    return false;
+  }
+  auto parsed = parse(value);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "bad %s value: %s\n", flag.c_str(),
+                 parsed.status().message().c_str());
+    return false;
+  }
+  *out = static_cast<T>(*parsed);
+  return true;
+}
+
+// A checked parser of integers in [min, max], for ParseFlag.
+auto IntIn(int64_t min, int64_t max) {
+  return [=](std::string_view v) { return fsjoin::ParseInt64(v, min, max); };
 }
 
 }  // namespace
@@ -211,9 +245,9 @@ int main(int argc, char** argv) {
       if (!v) return Usage(argv[0]);
       opts.output = v;
     } else if (arg == "--theta") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.theta = std::atof(v);
+      if (!ParseFlag(arg, next(), fsjoin::ParseFraction, &opts.theta)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--function") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
@@ -230,17 +264,17 @@ int main(int argc, char** argv) {
     } else if (arg == "--auto") {
       opts.auto_tune = true;
     } else if (arg == "--sample-rate") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.sample_rate = std::atof(v);
+      if (!ParseFlag(arg, next(), fsjoin::ParseFraction, &opts.sample_rate)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--fragments") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.fragments = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseFlag(arg, next(), IntIn(1, UINT32_MAX), &opts.fragments)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--horizontal") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.horizontal = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseFlag(arg, next(), IntIn(0, UINT32_MAX), &opts.horizontal)) {
+        return Usage(argv[0]);
+      }
       opts.horizontal_set = true;
     } else if (arg == "--backend") {
       const char* v = next();
@@ -252,15 +286,15 @@ int main(int argc, char** argv) {
       opts.kernel = v;
       opts.kernel_set = true;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.threads = static_cast<size_t>(std::atoi(v));
+      if (!ParseFlag(arg, next(), IntIn(0, kMaxThreads), &opts.threads)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--parallel-join") {
       opts.parallel_join = true;
     } else if (arg == "--morsel") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.morsel = static_cast<size_t>(std::atoi(v));
+      if (!ParseFlag(arg, next(), IntIn(1, UINT32_MAX), &opts.morsel)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--shuffle-mem") {
       const char* v = next();
       if (!v || !ParseByteSize(v, &opts.shuffle_mem)) {
@@ -276,21 +310,22 @@ int main(int argc, char** argv) {
       if (!v) return Usage(argv[0]);
       opts.runner = v;
     } else if (arg == "--task-retries") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.task_retries = std::atoi(v);
+      if (!ParseFlag(arg, next(), IntIn(0, INT32_MAX), &opts.task_retries)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--workers") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
       opts.workers = v;
     } else if (arg == "--spawn-local-workers") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.spawn_local_workers = std::atoi(v);
+      if (!ParseFlag(arg, next(), IntIn(0, kMaxThreads),
+                     &opts.spawn_local_workers)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--heartbeat-ms") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.heartbeat_ms = std::atoi(v);
+      if (!ParseFlag(arg, next(), IntIn(1, INT32_MAX), &opts.heartbeat_ms)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--aggressive") {
       opts.aggressive = true;
     } else if (arg == "--report") {
@@ -314,8 +349,9 @@ int main(int argc, char** argv) {
 
   auto tokenizer_result = MakeTokenizer(opts.tokenizer);
   if (!tokenizer_result.ok()) {
-    std::fprintf(stderr, "%s\n", tokenizer_result.status().ToString().c_str());
-    return 1;
+    std::fprintf(stderr, "bad --tokenizer value: %s\n",
+                 tokenizer_result.status().message().c_str());
+    return Usage(argv[0]);
   }
   std::unique_ptr<fsjoin::Tokenizer> tokenizer =
       std::move(tokenizer_result).value();

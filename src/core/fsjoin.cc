@@ -74,7 +74,14 @@ std::string FsJoinReport::Summary() const {
 Result<FsJoinOutput> FsJoin::Run(const Corpus& corpus) const {
   FSJOIN_RETURN_NOT_OK(config_.Validate());
   WallTimer timer;
+  // The backend and its runner are released inside RunPlans, so their
+  // teardown (a cluster runner's worker shutdown) is inside the wall.
+  FSJOIN_ASSIGN_OR_RETURN(FsJoinOutput output, RunPlans(corpus));
+  output.report.total_wall_ms = timer.ElapsedMillis();
+  return output;
+}
 
+Result<FsJoinOutput> FsJoin::RunPlans(const Corpus& corpus) const {
   std::unique_ptr<exec::ExecutionBackend> backend =
       exec::MakeBackend(config_.exec);
 
@@ -273,7 +280,6 @@ Result<FsJoinOutput> FsJoin::Run(const Corpus& corpus) const {
                 return x.size_b < y.size_b;
               });
   }
-  output.report.total_wall_ms = timer.ElapsedMillis();
   return output;
 }
 
@@ -314,7 +320,14 @@ Corpus MergeJoinInput(const JoinInput& input) {
 Result<FsJoinOutput> FsJoin::Run(const JoinInput& input) const {
   FsJoinConfig config = config_;
   config.rs_boundary = static_cast<RecordId>(input.r.records.size());
-  return FsJoin(std::move(config)).Run(MergeJoinInput(input));
+  FSJOIN_RETURN_NOT_OK(config.Validate());
+  // The wall covers the merge and the merged corpus's release too.
+  WallTimer timer;
+  FSJOIN_ASSIGN_OR_RETURN(
+      FsJoinOutput output,
+      FsJoin(std::move(config)).RunPlans(MergeJoinInput(input)));
+  output.report.total_wall_ms = timer.ElapsedMillis();
+  return output;
 }
 
 Result<FsJoinOutput> FsJoinRS(const Corpus& r, const Corpus& s,

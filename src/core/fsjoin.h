@@ -125,6 +125,9 @@ class FsJoin {
   const FsJoinConfig& config() const { return config_; }
 
  private:
+  /// Run's body on a validated config, minus the wall timer.
+  Result<FsJoinOutput> RunPlans(const Corpus& corpus) const;
+
   FsJoinConfig config_;
 };
 

@@ -1,11 +1,10 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 #include <utility>
 
 #ifndef _WIN32
@@ -15,6 +14,8 @@
 #endif
 
 #include "mr/runner.h"
+#include "util/child_process.h"
+#include "util/string_util.h"
 
 namespace fsjoin::mr {
 
@@ -57,14 +58,17 @@ Status WriteFileBytes(const std::string& path, const std::string& bytes) {
 /// first task instruction; a blocking waitpid would then wedge the whole job.
 /// Past the ceiling the child is killed and the attempt fails over to the
 /// scheduler's retry budget — the subprocess twin of the cluster runner's
-/// heartbeat death detection.
-int64_t AttemptTimeoutMs() {
+/// heartbeat death detection. A malformed FSJOIN_TASK_TIMEOUT_MS is an error,
+/// not a silent fall-back to the default.
+Result<int64_t> AttemptTimeoutMs() {
   const char* env = std::getenv("FSJOIN_TASK_TIMEOUT_MS");
-  if (env != nullptr && *env != '\0') {
-    const long long ms = std::atoll(env);
-    if (ms > 0) return static_cast<int64_t>(ms);
+  if (env == nullptr || *env == '\0') return int64_t{60'000};
+  Result<int64_t> ms = ParseInt64(env, 1, INT32_MAX);
+  if (!ms.ok()) {
+    return Status::InvalidArgument("FSJOIN_TASK_TIMEOUT_MS: " +
+                                   ms.status().message());
   }
-  return 60'000;
+  return ms;
 }
 
 std::string DescribeWaitStatus(int status) {
@@ -130,6 +134,7 @@ Status SubprocessRunner::RunAttempt(const TaskSpec& spec_in,
     return Status::Internal("subprocess task '" + spec_in.job_name +
                             "' has no output_base");
   }
+  FSJOIN_ASSIGN_OR_RETURN(const int64_t timeout_ms, AttemptTimeoutMs());
   TaskSpec spec = spec_in;
   // Per-attempt file namespace: a retried attempt never reads the torn
   // leftovers of its predecessor.
@@ -182,31 +187,12 @@ Status SubprocessRunner::RunAttempt(const TaskSpec& spec_in,
                             "': " + std::strerror(errno));
   }
 
-  const int64_t timeout_ms = AttemptTimeoutMs();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   int status = 0;
-  pid_t waited = 0;
-  bool timed_out = false;
-  for (int64_t poll_us = 200;;) {
-    waited = waitpid(pid, &status, WNOHANG);
-    if (waited < 0 && errno == EINTR) continue;
-    if (waited != 0) break;  // Reaped, or a real waitpid error.
-    if (std::chrono::steady_clock::now() >= deadline) {
-      timed_out = true;
-      kill(pid, SIGKILL);
-      do {
-        waited = waitpid(pid, &status, 0);
-      } while (waited < 0 && errno == EINTR);
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(poll_us));
-    if (poll_us < 20'000) poll_us *= 2;
-  }
-  if (waited < 0) {
-    return Status::Internal("waitpid failed: " + std::string(std::strerror(errno)));
-  }
-  if (timed_out) {
+  FSJOIN_ASSIGN_OR_RETURN(ChildWait waited,
+                          WaitChildUntil(pid, deadline, &status));
+  if (waited == ChildWait::kTimedOut) {
     return Status::Internal(
         "task '" + spec.job_name + "/" + TaskKindName(spec.kind) +
         std::to_string(spec.task_index) + "' attempt " +

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
 #ifndef _WIN32
 #include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 #endif
 
@@ -15,6 +15,7 @@
 #include "net/stream.h"
 #include "net/worker.h"
 #include "store/run_file.h"
+#include "util/child_process.h"
 #include "util/serde.h"
 
 namespace fsjoin::net {
@@ -25,6 +26,10 @@ std::string TaskLabel(const mr::TaskSpec& spec) {
   return spec.job_name + "/" + mr::TaskKindName(spec.kind) +
          std::to_string(spec.task_index);
 }
+
+/// How long the destructor waits for spawned workers to exit after
+/// kShutdown before it SIGKILLs the rest.
+constexpr std::chrono::seconds kWorkerReapTimeout{5};
 
 }  // namespace
 
@@ -128,13 +133,13 @@ ClusterTaskRunner::~ClusterTaskRunner() {
       wc.alive = false;
     }
   }
+  // A worker that ignores kShutdown must not hang the coordinator: one
+  // shared deadline bounds the whole reap, then stragglers are killed.
+  const auto deadline = std::chrono::steady_clock::now() + kWorkerReapTimeout;
   for (const WorkerConn& wc : workers_) {
     if (wc.child_pid < 0) continue;
     int status = 0;
-    pid_t waited;
-    do {
-      waited = waitpid(static_cast<pid_t>(wc.child_pid), &status, 0);
-    } while (waited < 0 && errno == EINTR);
+    (void)WaitChildUntil(static_cast<int>(wc.child_pid), deadline, &status);
   }
 }
 

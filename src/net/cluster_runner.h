@@ -63,7 +63,8 @@ class ClusterTaskRunner : public mr::TaskRunner {
   static Result<std::unique_ptr<ClusterTaskRunner>> Create(
       const ClusterOptions& options);
 
-  /// Sends kShutdown to live workers and reaps spawned ones.
+  /// Sends kShutdown to live workers and reaps spawned ones, killing any
+  /// still running 5 s later.
   ~ClusterTaskRunner() override;
 
   const char* name() const override { return "cluster"; }

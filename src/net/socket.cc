@@ -48,6 +48,7 @@ Result<Listener> Listener::Listen(const std::string&, uint16_t, int) {
 Result<Socket> Listener::Accept(int) {
   return Status::Unimplemented("cluster sockets require POSIX");
 }
+void Listener::Interrupt() {}
 void Listener::Close() {}
 
 #else  // !_WIN32
@@ -204,13 +205,17 @@ Status Socket::WaitReadable(int timeout_ms, bool* readable) {
 
 Listener::Listener(Listener&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      port_(std::exchange(other.port_, 0)) {}
+      port_(std::exchange(other.port_, 0)),
+      wake_read_(std::exchange(other.wake_read_, -1)),
+      wake_write_(std::exchange(other.wake_write_, -1)) {}
 
 Listener& Listener::operator=(Listener&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = std::exchange(other.fd_, -1);
     port_ = std::exchange(other.port_, 0);
+    wake_read_ = std::exchange(other.wake_read_, -1);
+    wake_write_ = std::exchange(other.wake_write_, -1);
   }
   return *this;
 }
@@ -218,10 +223,19 @@ Listener& Listener::operator=(Listener&& other) noexcept {
 Listener::~Listener() { Close(); }
 
 void Listener::Close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
+  for (int* fd : {&fd_, &wake_read_, &wake_write_}) {
+    if (*fd >= 0) {
+      ::close(*fd);
+      *fd = -1;
+    }
   }
+}
+
+void Listener::Interrupt() {
+  if (wake_write_ < 0) return;
+  // Non-blocking write end: once the pipe holds a byte, more are moot.
+  const char byte = 1;
+  (void)!::write(wake_write_, &byte, 1);
 }
 
 Result<Listener> Listener::Listen(const std::string& host, uint16_t port,
@@ -267,6 +281,12 @@ Result<Listener> Listener::Listen(const std::string& host, uint16_t port,
     Listener listener;
     listener.fd_ = fd;
     listener.port_ = bound;
+    int wake[2];
+    if (::pipe(wake) != 0) return Errno("pipe failed");
+    listener.wake_read_ = wake[0];
+    listener.wake_write_ = wake[1];
+    for (int end : wake) fcntl(end, F_SETFD, FD_CLOEXEC);
+    fcntl(wake[1], F_SETFL, fcntl(wake[1], F_GETFL, 0) | O_NONBLOCK);
     return listener;
   }
   freeaddrinfo(result);
@@ -275,12 +295,14 @@ Result<Listener> Listener::Listen(const std::string& host, uint16_t port,
 
 Result<Socket> Listener::Accept(int timeout_ms) {
   if (fd_ < 0) return Status::IoError("accept on closed listener");
-  pollfd pfd{fd_, POLLIN, 0};
+  pollfd pfds[2] = {{fd_, POLLIN, 0}, {wake_read_, POLLIN, 0}};
   int rc;
   do {
-    rc = ::poll(&pfd, 1, timeout_ms);
+    rc = ::poll(pfds, 2, timeout_ms);
   } while (rc < 0 && errno == EINTR);
   if (rc < 0) return Errno("poll failed");
+  // The wake byte is never drained, so an interrupt is sticky.
+  if (pfds[1].revents != 0) return Status::IoError("accept interrupted");
   if (rc == 0) {
     return Status::IoError("accept timed out after " +
                            std::to_string(timeout_ms) + " ms");

@@ -84,14 +84,22 @@ class Listener {
   uint16_t port() const { return port_; }
 
   /// Accepts one connection, waiting at most `timeout_ms` (< 0 = forever).
-  /// Timeout surfaces as IoError("accept timed out ...").
+  /// Timeout surfaces as IoError("accept timed out ..."), an Interrupt()
+  /// as IoError("accept interrupted").
   Result<Socket> Accept(int timeout_ms);
+
+  /// Makes a blocked Accept, and every later one, return at once. Safe to
+  /// call from another thread while Accept waits: it writes one byte to a
+  /// wake pipe that Accept polls beside the listening socket.
+  void Interrupt();
 
   void Close();
 
  private:
   int fd_ = -1;
   uint16_t port_ = 0;
+  int wake_read_ = -1;
+  int wake_write_ = -1;
 };
 
 }  // namespace fsjoin::net

@@ -115,6 +115,7 @@ class ShuffleServer {
 
   void Stop() {
     if (stop_.exchange(true)) return;
+    listener_.Interrupt();
     if (accept_thread_.joinable()) accept_thread_.join();
     listener_.Close();
     std::vector<std::thread> conns;
@@ -129,9 +130,10 @@ class ShuffleServer {
 
  private:
   void AcceptLoop() {
+    // No timeout: Stop() interrupts the wait, so exit is immediate.
     while (!stop_.load()) {
-      Result<Socket> conn = listener_.Accept(/*timeout_ms=*/200);
-      if (!conn.ok()) continue;  // timeout or transient error; poll stop flag
+      Result<Socket> conn = listener_.Accept(/*timeout_ms=*/-1);
+      if (!conn.ok()) continue;  // interrupted, or a transient accept error
       std::lock_guard<std::mutex> lock(mu_);
       conn_threads_.emplace_back(
           [this, sock = std::make_shared<Socket>(std::move(*conn))]() mutable {

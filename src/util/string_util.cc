@@ -1,8 +1,10 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <system_error>
 
 namespace fsjoin {
 
@@ -83,6 +85,50 @@ std::string StrFormat(const char* fmt, ...) {
   }
   va_end(args_copy);
   return out;
+}
+
+namespace {
+
+/// from_chars over all of `text`: false on no number or trailing bytes. A
+/// whole but unrepresentable number returns true with *ec set.
+template <typename T>
+bool FromCharsWhole(std::string_view text, T* value, std::errc* ec) {
+  const char* end = text.data() + text.size();
+  const std::from_chars_result r = std::from_chars(text.data(), end, *value);
+  *ec = r.ec;
+  return r.ptr == end && r.ptr != text.data();
+}
+
+}  // namespace
+
+Result<int64_t> ParseInt64(std::string_view text, int64_t min, int64_t max) {
+  int64_t value = 0;
+  std::errc ec{};
+  if (!FromCharsWhole(text, &value, &ec)) {
+    return Status::InvalidArgument("'" + std::string(text) +
+                                   "' is not an integer");
+  }
+  if (ec != std::errc{} || value < min || value > max) {
+    return Status::InvalidArgument(
+        "'" + std::string(text) + "' is out of range [" +
+        std::to_string(min) + ", " + std::to_string(max) + "]");
+  }
+  return value;
+}
+
+Result<double> ParseFraction(std::string_view text) {
+  double value = 0;
+  std::errc ec{};
+  if (!FromCharsWhole(text, &value, &ec)) {
+    return Status::InvalidArgument("'" + std::string(text) +
+                                   "' is not a number");
+  }
+  // The negated test also rejects NaN.
+  if (ec != std::errc{} || !(value > 0.0 && value <= 1.0)) {
+    return Status::InvalidArgument("'" + std::string(text) +
+                                   "' is out of range (0, 1]");
+  }
+  return value;
 }
 
 }  // namespace fsjoin

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <optional>
@@ -516,6 +517,41 @@ TEST(ClusterRunnerTest, NetworkShuffleMatchesInlineEngineByteForByte) {
   EXPECT_EQ(cluster_metrics.reduce_output_records,
             inline_metrics.reduce_output_records);
   EXPECT_EQ((*runner)->alive_workers(), 4u);
+}
+
+// Shutdown wakes each worker's shuffle-server accept thread at once, so
+// tearing the cluster down costs a few process exits. An accept loop that
+// polled for its stop flag would add up to one poll period per worker.
+TEST(ClusterRunnerTest, ShutdownAfterNetworkShuffleIsPrompt) {
+  auto runner = SpawnWorkers(3);
+  ASSERT_TRUE(runner.ok()) << runner.status().ToString();
+  mr::Dataset out;
+  mr::JobMetrics metrics;
+  ASSERT_TRUE(
+      RunOrderingJob(runner->get(), OrderingInput(120, 13), &out, &metrics)
+          .ok());
+  ASSERT_GT(metrics.shuffle_records, 0u);
+
+  const auto start = std::chrono::steady_clock::now();
+  runner->reset();  // the ClusterTaskRunner destructor
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count()
+      << " ms to shut down 3 workers";
+}
+
+// FsJoinReport::total_wall_ms covers the whole Run, including the cluster
+// runner's worker spawn and shutdown.
+TEST(ClusterRunnerTest, ReportedWallCoversTheWholeClusterJoin) {
+  const Corpus corpus = testing::RandomCorpus(200, 80, 0.8, 8.0, 3);
+  const auto start = std::chrono::steady_clock::now();
+  auto out = ClusterFsJoin(corpus);
+  const double outer_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_GE(out->report.total_wall_ms, 0.8 * outer_ms)
+      << "reported " << out->report.total_wall_ms << " ms of " << outer_ms;
 }
 
 // ---- Cluster-simulator cross-check (measured vs predicted scaling) ----

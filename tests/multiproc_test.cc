@@ -11,12 +11,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baselines/massjoin.h"
@@ -31,6 +34,7 @@
 #include "store/run_file.h"
 #include "store/temp_dir.h"
 #include "test_util.h"
+#include "util/child_process.h"
 #include "util/status.h"
 
 namespace fsjoin {
@@ -518,6 +522,124 @@ TEST(SubprocessRunnerTest, WedgedForkChildIsKilledAtAttemptDeadline) {
   EXPECT_LT(elapsed_ms, 10'000)
       << "runner waited past the deadline on a wedged child";
 }
+
+int64_t SteadyNowNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+// The attempt wait wakes when the child exits. The back-off poll checks at
+// 25.4 ms and next at 51 ms, so it sees a child that exits ~32 ms in about
+// 19 ms late. The best of three attempts must return within 10 ms of the
+// child's own exit stamp: the slack covers the kernel's exit teardown,
+// which a sanitizer build slows to a few ms (steady_clock is system-wide,
+// so the stamps are comparable).
+TEST(SubprocessRunnerTest, ChildExitIsSeenWhenItHappens) {
+  auto dir = store::TempSpillDir::Create("", "fsjoin-multiproc");
+  ASSERT_TRUE(dir.ok()) << dir.status().ToString();
+  const std::string stamp_path = dir->path() + "/exit-stamp";
+
+  mr::TaskSpec spec;
+  spec.job_name = "prompt";
+  spec.kind = mr::TaskKind::kMap;
+  spec.output_base = dir->path() + "/task-t0";
+  const mr::TaskBody body = [&](const mr::TaskSpec&, mr::TaskOutput*) -> Status {
+    std::this_thread::sleep_for(std::chrono::milliseconds(32));
+    std::ofstream(stamp_path) << SteadyNowNanos();
+    _exit(0);
+  };
+
+  mr::SubprocessRunner runner(/*num_threads=*/0);
+  double best_lag_ms = 1e9;
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    spec.attempt = static_cast<uint32_t>(attempt);
+    mr::TaskOutput out;
+    // The child exits before writing task output, so the attempt itself
+    // fails; only when it returns matters here.
+    (void)runner.RunAttempt(spec, body, mr::TaskSideChannel{}, &out);
+    const int64_t returned = SteadyNowNanos();
+    int64_t exited = 0;
+    std::ifstream(stamp_path) >> exited;
+    ASSERT_GT(exited, 0) << "child wrote no exit stamp";
+    best_lag_ms = std::min(best_lag_ms, (returned - exited) / 1e6);
+  }
+  EXPECT_LT(best_lag_ms, 10.0);
+}
+
+TEST(SubprocessRunnerTest, MalformedTimeoutEnvIsReportedNotDefaulted) {
+  auto dir = store::TempSpillDir::Create("", "fsjoin-multiproc");
+  ASSERT_TRUE(dir.ok()) << dir.status().ToString();
+  mr::TaskSpec spec;
+  spec.job_name = "env";
+  spec.kind = mr::TaskKind::kMap;
+  spec.output_base = dir->path() + "/task-t0";
+  const mr::TaskBody body = [](const mr::TaskSpec&, mr::TaskOutput*) {
+    return Status::OK();
+  };
+  mr::SubprocessRunner runner(/*num_threads=*/0);
+  for (const char* bad : {"abc", "0", "-5", "300ms", "99999999999999"}) {
+    ASSERT_EQ(setenv("FSJOIN_TASK_TIMEOUT_MS", bad, /*overwrite=*/1), 0);
+    mr::TaskOutput out;
+    const Status st =
+        runner.RunAttempt(spec, body, mr::TaskSideChannel{}, &out);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(st.message().find("FSJOIN_TASK_TIMEOUT_MS"), std::string::npos)
+        << st.ToString();
+  }
+  ASSERT_EQ(unsetenv("FSJOIN_TASK_TIMEOUT_MS"), 0);
+}
+
+// ---- Bounded child waits (util/child_process.h) ----------------------
+
+// Both the pidfd wait and its portable back-off fallback keep one contract.
+// The parameter names the wait under test.
+class ChildWaitTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  Result<ChildWait> Wait(int pid, std::chrono::steady_clock::time_point deadline,
+                         int* status) {
+    return GetParam() == "pidfd" ? WaitChildUntil(pid, deadline, status)
+                                 : WaitChildByBackoff(pid, deadline, status);
+  }
+};
+
+TEST_P(ChildWaitTest, PausedChildIsKilledAtItsDeadlineAndReportedTimedOut) {
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    while (true) ::pause();
+  }
+  const auto start = std::chrono::steady_clock::now();
+  int status = 0;
+  Result<ChildWait> waited =
+      Wait(pid, start + std::chrono::milliseconds(100), &status);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_TRUE(waited.ok()) << waited.status().ToString();
+  EXPECT_EQ(*waited, ChildWait::kTimedOut);
+  EXPECT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL) << status;
+  EXPECT_GE(elapsed, std::chrono::milliseconds(100));
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+  // Reaped: the pid is no longer our child.
+  EXPECT_EQ(waitpid(pid, &status, WNOHANG), -1);
+}
+
+TEST_P(ChildWaitTest, ExitedChildIsReapedWithItsStatus) {
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) _exit(7);
+  int status = 0;
+  Result<ChildWait> waited = Wait(
+      pid, std::chrono::steady_clock::now() + std::chrono::seconds(30),
+      &status);
+  ASSERT_TRUE(waited.ok()) << waited.status().ToString();
+  EXPECT_EQ(*waited, ChildWait::kExited);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 7) << status;
+  EXPECT_EQ(waitpid(pid, &status, WNOHANG), -1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Waits, ChildWaitTest,
+                         ::testing::Values("pidfd", "backoff"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace fsjoin

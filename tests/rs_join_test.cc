@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <optional>
 #include <string>
 #include <vector>
@@ -206,6 +207,26 @@ TEST(RsJoinEdgeCases, EmptyCollectionThroughJoinInputApi) {
   Result<FsJoinOutput> s_empty = FsJoinRS(some, empty, config);
   ASSERT_TRUE(s_empty.ok()) << s_empty.status().ToString();
   EXPECT_TRUE(s_empty->pairs.empty());
+}
+
+// FsJoinReport::total_wall_ms covers the whole Run(JoinInput), including
+// the R-S merge before the plans and the merged corpus's release after. A
+// large flat vocabulary makes the merge, which interns every S token
+// string into the union dictionary, about half of the call.
+TEST(RsJoinReport, ReportedWallCoversTheMergeAndTheJoin) {
+  const Corpus r = testing::RandomCorpus(200, 200000, 0.0, 50.0, 21);
+  const Corpus s = testing::RandomCorpus(4000, 200000, 0.0, 50.0, 22);
+  FsJoinConfig config;
+  config.theta = 0.95;
+  config.exec.num_threads = 2;
+  const auto start = std::chrono::steady_clock::now();
+  Result<FsJoinOutput> out = FsJoin(config).Run(JoinInput{r, s});
+  const double outer_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_GE(out->report.total_wall_ms, 0.8 * outer_ms)
+      << "reported " << out->report.total_wall_ms << " ms of " << outer_ms;
 }
 
 // ---- Edge case: disjoint vocabularies ------------------------------------

@@ -269,6 +269,48 @@ TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");
 }
 
+TEST(StringUtilTest, ParseInt64AcceptsOnlyWholeIntegersInRange) {
+  EXPECT_EQ(*ParseInt64("0", 0, 10), 0);
+  EXPECT_EQ(*ParseInt64("10", 0, 10), 10);
+  EXPECT_EQ(*ParseInt64("-4", -5, 5), -4);
+  EXPECT_EQ(*ParseInt64("9223372036854775807", 0, INT64_MAX), INT64_MAX);
+  for (const char* bad : {"", "abc", "12abc", "1.5", " 7", "7 ", "+7", "0x10",
+                          "--1", "1e3"}) {
+    Result<int64_t> r = ParseInt64(bad, 0, 1000);
+    ASSERT_FALSE(r.ok()) << "'" << bad << "'";
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("not an integer"), std::string::npos)
+        << r.status().ToString();
+  }
+  for (const char* out : {"-1", "1001", "9223372036854775808",
+                          "-99999999999999999999"}) {
+    Result<int64_t> r = ParseInt64(out, 0, 1000);
+    ASSERT_FALSE(r.ok()) << "'" << out << "'";
+    EXPECT_NE(r.status().message().find("out of range [0, 1000]"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
+TEST(StringUtilTest, ParseFractionAcceptsOnlyZeroToOne) {
+  EXPECT_DOUBLE_EQ(*ParseFraction("0.8"), 0.8);
+  EXPECT_DOUBLE_EQ(*ParseFraction("1"), 1.0);
+  EXPECT_DOUBLE_EQ(*ParseFraction("5e-1"), 0.5);
+  for (const char* bad : {"", "abc", "0.8x", " 0.8", "+0.8", "0x0.8"}) {
+    Result<double> r = ParseFraction(bad);
+    ASSERT_FALSE(r.ok()) << "'" << bad << "'";
+    EXPECT_NE(r.status().message().find("not a number"), std::string::npos)
+        << r.status().ToString();
+  }
+  for (const char* out : {"0", "-0.5", "1.0001", "nan", "inf", "1e999"}) {
+    Result<double> r = ParseFraction(out);
+    ASSERT_FALSE(r.ok()) << "'" << out << "'";
+    EXPECT_NE(r.status().message().find("out of range (0, 1]"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+}
+
 // ---- Hash -----------------------------------------------------------------
 
 TEST(HashTest, StableAndSpread) {

@@ -9,6 +9,7 @@
 // The process serves exactly one coordinator session and then exits, so a
 // driver script can restart workers between runs without pid bookkeeping.
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -17,6 +18,7 @@
 #include "net/worker.h"
 #include "util/endpoint.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace {
 
@@ -39,7 +41,13 @@ int main(int argc, char** argv) {
     if (std::strcmp(arg, "--listen") == 0 && i + 1 < argc) {
       options.listen = argv[++i];
     } else if (std::strcmp(arg, "--timeout-ms") == 0 && i + 1 < argc) {
-      options.timeout_ms = std::atoi(argv[++i]);
+      auto ms = fsjoin::ParseInt64(argv[++i], 1, INT32_MAX);
+      if (!ms.ok()) {
+        std::fprintf(stderr, "bad --timeout-ms value: %s\n",
+                     ms.status().message().c_str());
+        return Usage(argv[0]);
+      }
+      options.timeout_ms = static_cast<int>(*ms);
     } else if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       Usage(argv[0]);
       return 0;
