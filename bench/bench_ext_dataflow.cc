@@ -1,10 +1,13 @@
-// Extension (paper §VII future work: "other Big Data platforms, like
-// Spark"): the same FS-Join logical plans executed on the Hadoop-style MR
-// backend vs the Spark-style fused dataflow backend, crossed with the
-// overlap-kernel family (scalar reference, PR-3 word-packed, SIMD
-// container pipelines). Expected shape: identical results across every
-// cell — checked by ResultDigest — with the fused backend cutting passes
-// and materialization and the SIMD kernels cutting filtering-phase time.
+// FS-Join's execution runtime on the MapReduce engine, in four sections:
+// the overlap-kernel family (scalar reference, word-packed, SIMD container
+// pipelines), the task runner (inline, thread pool, forked subprocess),
+// cluster scaling over loopback socket workers, and R-S joins at three
+// |R|:|S| ratios. Every cell of a section must reproduce the same
+// ResultDigest; the columns show where the wall time goes.
+//
+// Row names keep an "mr" component ("pubmed/mr/simd", "email/mr/inline",
+// "wiki/rs1:10/mr") so scripts/bench_diff.py matches them against older
+// BENCH_*.json files.
 //
 // Flags: --warmup=N --repeat=N --json[=PATH]
 
@@ -26,11 +29,16 @@
 namespace fsjoin::bench {
 namespace {
 
+uint64_t ShuffleBytes(const FsJoinReport& report) {
+  uint64_t bytes = 0;
+  for (const mr::JobMetrics& j : report.AllJobs()) bytes += j.shuffle_bytes;
+  return bytes;
+}
+
 void Run(const BenchOptions& options) {
-  PrintBanner("Extension — Spark-style dataflow vs Hadoop-style MR "
-              "(paper §VII future work), crossed with overlap kernels",
-              "same plans, same results; the fused backend cuts passes and "
-              "materialization, the SIMD kernels cut filtering time");
+  PrintBanner("Runtime — overlap-kernel families on the MapReduce engine",
+              "same plans, same results; the kernels differ only in "
+              "filtering-phase time");
   std::printf("simd: isa=%s\n", SimdIsaName(DetectedSimdIsa()));
 
   const double theta = 0.8;
@@ -41,78 +49,58 @@ void Run(const BenchOptions& options) {
   for (Workload& w : AllWorkloads(0.5)) {
     std::printf("\n[%s] %zu records, theta = %.2f\n", w.name.c_str(),
                 w.corpus.NumRecords(), theta);
-    TablePrinter table({"backend", "kernel", "wall (ms)", "filter (ms)",
-                        "shuffle", "results", "digest"});
+    TablePrinter table({"kernel", "wall (ms)", "filter (ms)", "shuffle",
+                        "results", "digest"});
 
-    // Digest of the scalar MR run — every other cell must reproduce it
-    // byte for byte (the bounded kernels change *when* a merge stops, never
-    // what survives).
+    // Digest of the scalar run — every other cell must reproduce it byte
+    // for byte (the bounded kernels change *when* a merge stops, never what
+    // survives).
     std::optional<uint32_t> reference_digest;
-    for (exec::BackendKind kind :
-         {exec::BackendKind::kMapReduce, exec::BackendKind::kFusedFlow}) {
-      for (exec::KernelMode kernel : kKernels) {
-        FsJoinConfig config = DefaultFsConfig(theta);
-        config.exec.backend = kind;
-        config.exec.kernel = kernel;
-        std::optional<Result<FsJoinOutput>> result;
-        // Track the filtering job's own wall time as a min over repeats
-        // too — the per-job split is noisier than end-to-end wall on a
-        // loaded machine.
-        uint64_t min_filter_micros = ~uint64_t{0};
-        double wall_micros = MinWallMicros(options, [&] {
-          result.emplace(FsJoin(config).Run(w.corpus));
-          if (result->ok()) {
-            const uint64_t f =
-                (*result)->report.filtering_job.total_wall_micros;
-            if (f > 0 && f < min_filter_micros) min_filter_micros = f;
-          }
-        });
-        Result<FsJoinOutput>& out = *result;
-        if (!out.ok()) {
-          std::printf("FAIL: %s\n", out.status().ToString().c_str());
-          continue;
+    for (exec::KernelMode kernel : kKernels) {
+      FsJoinConfig config = DefaultFsConfig(theta);
+      config.exec.kernel = kernel;
+      std::optional<Result<FsJoinOutput>> result;
+      // Track the filtering job's own wall time as a min over repeats
+      // too — the per-job split is noisier than end-to-end wall on a
+      // loaded machine.
+      uint64_t min_filter_micros = ~uint64_t{0};
+      double wall_micros = MinWallMicros(options, [&] {
+        result.emplace(FsJoin(config).Run(w.corpus));
+        if (result->ok()) {
+          const uint64_t f = (*result)->report.filtering_job.total_wall_micros;
+          if (f > 0 && f < min_filter_micros) min_filter_micros = f;
         }
-
-        uint64_t shuffle = 0;
-        if (kind == exec::BackendKind::kMapReduce) {
-          for (const mr::JobMetrics& j : out->report.AllJobs()) {
-            shuffle += j.shuffle_bytes;
-          }
-        } else {
-          for (const flow::Pipeline::Metrics& p :
-               out->report.flow_pipelines) {
-            shuffle += p.shuffle_bytes;
-          }
-        }
-
-        const uint32_t digest = check::ResultDigest(out->pairs);
-        if (!reference_digest) reference_digest = digest;
-        const bool same = digest == *reference_digest;
-        // The fused backend accounts wall time per pipeline, not per job,
-        // so the per-job filter column only applies to MR.
-        const uint64_t filter_micros =
-            min_filter_micros == ~uint64_t{0} ? 0 : min_filter_micros;
-        table.AddRow({exec::BackendKindName(kind),
-                      out->report.filtering_job.join_kernel,
-                      StrFormat("%.0f", wall_micros / 1000.0),
-                      filter_micros == 0
-                          ? std::string("-")
-                          : StrFormat("%.0f",
-                                      static_cast<double>(filter_micros) /
-                                          1000.0),
-                      HumanBytes(shuffle),
-                      WithThousandsSep(out->pairs.size()),
-                      same ? StrFormat("%08x", digest)
-                           : StrFormat("%08x MISMATCH!", digest)});
-
-        BenchRecord record;
-        record.name = StrFormat("%s/%s/%s", w.name.c_str(),
-                                exec::BackendKindName(kind),
-                                exec::KernelModeName(kernel));
-        record.wall_micros = wall_micros;
-        record.shuffle_bytes = shuffle;
-        records.push_back(std::move(record));
+      });
+      Result<FsJoinOutput>& out = *result;
+      if (!out.ok()) {
+        std::printf("FAIL: %s\n", out.status().ToString().c_str());
+        continue;
       }
+
+      const uint64_t shuffle = ShuffleBytes(out->report);
+      const uint32_t digest = check::ResultDigest(out->pairs);
+      if (!reference_digest) reference_digest = digest;
+      const bool same = digest == *reference_digest;
+      const uint64_t filter_micros =
+          min_filter_micros == ~uint64_t{0} ? 0 : min_filter_micros;
+      table.AddRow({out->report.filtering_job.join_kernel,
+                    StrFormat("%.0f", wall_micros / 1000.0),
+                    filter_micros == 0
+                        ? std::string("-")
+                        : StrFormat("%.0f",
+                                    static_cast<double>(filter_micros) /
+                                        1000.0),
+                    HumanBytes(shuffle),
+                    WithThousandsSep(out->pairs.size()),
+                    same ? StrFormat("%08x", digest)
+                         : StrFormat("%08x MISMATCH!", digest)});
+
+      BenchRecord record;
+      record.name = StrFormat("%s/mr/%s", w.name.c_str(),
+                              exec::KernelModeName(kernel));
+      record.wall_micros = wall_micros;
+      record.shuffle_bytes = shuffle;
+      records.push_back(std::move(record));
     }
     table.Print(std::cout);
   }
@@ -122,7 +110,7 @@ void Run(const BenchOptions& options) {
   // forked-subprocess task runners. Scheduling and process overhead is the
   // quantity under test, so this section uses the auto kernel and records
   // into its own JSON (BENCH_runtime.json) to join the perf trajectory.
-  PrintBanner("Extension — task-runner overhead: inline vs thread-pool vs "
+  PrintBanner("Runtime — task-runner overhead: inline vs thread-pool vs "
               "forked subprocess",
               "same plans, same digests; the delta is pure scheduling, "
               "fork/exec, and run-file interchange cost");
@@ -133,53 +121,37 @@ void Run(const BenchOptions& options) {
   for (Workload& w : AllWorkloads(0.25)) {
     std::printf("\n[%s] %zu records, theta = %.2f\n", w.name.c_str(),
                 w.corpus.NumRecords(), theta);
-    TablePrinter table(
-        {"backend", "runner", "wall (ms)", "shuffle", "results", "digest"});
+    TablePrinter table({"runner", "wall (ms)", "shuffle", "results", "digest"});
     std::optional<uint32_t> reference_digest;
-    for (exec::BackendKind kind :
-         {exec::BackendKind::kMapReduce, exec::BackendKind::kFusedFlow}) {
-      for (mr::RunnerKind runner : kRunnerMenu) {
-        FsJoinConfig config = DefaultFsConfig(theta);
-        config.exec.backend = kind;
-        config.exec.runner = runner;
-        std::optional<Result<FsJoinOutput>> result;
-        double wall_micros = MinWallMicros(options, [&] {
-          result.emplace(FsJoin(config).Run(w.corpus));
-        });
-        Result<FsJoinOutput>& out = *result;
-        if (!out.ok()) {
-          std::printf("FAIL: %s\n", out.status().ToString().c_str());
-          continue;
-        }
-        uint64_t shuffle = 0;
-        if (kind == exec::BackendKind::kMapReduce) {
-          for (const mr::JobMetrics& j : out->report.AllJobs()) {
-            shuffle += j.shuffle_bytes;
-          }
-        } else {
-          for (const flow::Pipeline::Metrics& p :
-               out->report.flow_pipelines) {
-            shuffle += p.shuffle_bytes;
-          }
-        }
-        const uint32_t digest = check::ResultDigest(out->pairs);
-        if (!reference_digest) reference_digest = digest;
-        const bool same = digest == *reference_digest;
-        table.AddRow({exec::BackendKindName(kind), mr::RunnerKindName(runner),
-                      StrFormat("%.0f", wall_micros / 1000.0),
-                      HumanBytes(shuffle),
-                      WithThousandsSep(out->pairs.size()),
-                      same ? StrFormat("%08x", digest)
-                           : StrFormat("%08x MISMATCH!", digest)});
-
-        BenchRecord record;
-        record.name = StrFormat("%s/%s/%s", w.name.c_str(),
-                                exec::BackendKindName(kind),
-                                mr::RunnerKindName(runner));
-        record.wall_micros = wall_micros;
-        record.shuffle_bytes = shuffle;
-        runtime_records.push_back(std::move(record));
+    for (mr::RunnerKind runner : kRunnerMenu) {
+      FsJoinConfig config = DefaultFsConfig(theta);
+      config.exec.runner = runner;
+      std::optional<Result<FsJoinOutput>> result;
+      double wall_micros = MinWallMicros(options, [&] {
+        result.emplace(FsJoin(config).Run(w.corpus));
+      });
+      Result<FsJoinOutput>& out = *result;
+      if (!out.ok()) {
+        std::printf("FAIL: %s\n", out.status().ToString().c_str());
+        continue;
       }
+      const uint64_t shuffle = ShuffleBytes(out->report);
+      const uint32_t digest = check::ResultDigest(out->pairs);
+      if (!reference_digest) reference_digest = digest;
+      const bool same = digest == *reference_digest;
+      table.AddRow({mr::RunnerKindName(runner),
+                    StrFormat("%.0f", wall_micros / 1000.0),
+                    HumanBytes(shuffle),
+                    WithThousandsSep(out->pairs.size()),
+                    same ? StrFormat("%08x", digest)
+                         : StrFormat("%08x MISMATCH!", digest)});
+
+      BenchRecord record;
+      record.name = StrFormat("%s/mr/%s", w.name.c_str(),
+                              mr::RunnerKindName(runner));
+      record.wall_micros = wall_micros;
+      record.shuffle_bytes = shuffle;
+      runtime_records.push_back(std::move(record));
     }
     table.Print(std::cout);
   }
@@ -195,8 +167,8 @@ void Run(const BenchOptions& options) {
   // framing, input streaming, and the worker-to-worker network shuffle —
   // against the inline runner's zero-cost baseline. Records into its own
   // JSON (BENCH_cluster.json).
-  PrintBanner("Extension — cluster runtime scaling: inline vs 1/2/4 "
-              "loopback socket workers",
+  PrintBanner("Runtime — cluster scaling: inline vs 1/2/4 loopback socket "
+              "workers",
               "same plans, same digests; the delta is RPC dispatch, "
               "stream framing, and network-shuffle cost");
   std::vector<BenchRecord> cluster_records;
@@ -208,7 +180,6 @@ void Run(const BenchOptions& options) {
     std::optional<uint32_t> reference_digest;
     for (int workers : {0, 1, 2, 4}) {
       FsJoinConfig config = DefaultFsConfig(theta);
-      config.exec.backend = exec::BackendKind::kMapReduce;
       if (workers == 0) {
         config.exec.runner = mr::RunnerKind::kInline;
       } else {
@@ -224,10 +195,7 @@ void Run(const BenchOptions& options) {
         std::printf("FAIL: %s\n", out.status().ToString().c_str());
         continue;
       }
-      uint64_t shuffle = 0;
-      for (const mr::JobMetrics& j : out->report.AllJobs()) {
-        shuffle += j.shuffle_bytes;
-      }
+      const uint64_t shuffle = ShuffleBytes(out->report);
       const uint32_t digest = check::ResultDigest(out->pairs);
       if (!reference_digest) reference_digest = digest;
       const bool same = digest == *reference_digest;
@@ -256,15 +224,13 @@ void Run(const BenchOptions& options) {
   WriteBenchJson(cluster_options, "cluster", cluster_records);
 
   // R-S two-collection joins: the same corpus split at three |R|:|S|
-  // ratios, run on both backends. The quantity under test is the
-  // side-tagged fragment join's cost shape — the probe x build pair space
-  // shrinks from n^2/2 toward n_r * n_s, so the skewed ratios should be
-  // cheaper than 1:1 at equal total input. Digests must agree across
-  // backends per ratio. Records into its own JSON (BENCH_rs.json).
-  PrintBanner("Extension — R-S two-collection joins: |R|:|S| ratio x "
-              "backend",
+  // ratios. The quantity under test is the side-tagged fragment join's
+  // cost shape — the probe x build pair space shrinks from n^2/2 toward
+  // n_r * n_s, so the skewed ratios should be cheaper than 1:1 at equal
+  // total input. Records into its own JSON (BENCH_rs.json).
+  PrintBanner("Runtime — R-S two-collection joins by |R|:|S| ratio",
               "same merged corpus, boundary moved; probe x build pair "
-              "space and both backends' wall time per ratio");
+              "space and wall time per ratio");
   std::vector<BenchRecord> rs_records;
   for (Workload& w : AllWorkloads(0.25)) {
     const uint64_t n = w.corpus.NumRecords();
@@ -279,53 +245,32 @@ void Run(const BenchOptions& options) {
     };
     std::printf("\n[%s] %zu records, theta = %.2f\n", w.name.c_str(),
                 w.corpus.NumRecords(), theta);
-    TablePrinter table({"ratio", "backend", "wall (ms)", "shuffle",
-                        "candidates", "results", "digest"});
+    TablePrinter table({"ratio", "wall (ms)", "shuffle", "candidates",
+                        "results", "digest"});
     for (const Ratio& ratio : kRatios) {
-      std::optional<uint32_t> reference_digest;  // per ratio
-      for (exec::BackendKind kind :
-           {exec::BackendKind::kMapReduce, exec::BackendKind::kFusedFlow}) {
-        FsJoinConfig config = DefaultFsConfig(theta);
-        config.exec.backend = kind;
-        config.rs_boundary = ratio.boundary;
-        std::optional<Result<FsJoinOutput>> result;
-        double wall_micros = MinWallMicros(options, [&] {
-          result.emplace(FsJoin(config).Run(w.corpus));
-        });
-        Result<FsJoinOutput>& out = *result;
-        if (!out.ok()) {
-          std::printf("FAIL: %s\n", out.status().ToString().c_str());
-          continue;
-        }
-        uint64_t shuffle = 0;
-        if (kind == exec::BackendKind::kMapReduce) {
-          for (const mr::JobMetrics& j : out->report.AllJobs()) {
-            shuffle += j.shuffle_bytes;
-          }
-        } else {
-          for (const flow::Pipeline::Metrics& p :
-               out->report.flow_pipelines) {
-            shuffle += p.shuffle_bytes;
-          }
-        }
-        const uint32_t digest = check::ResultDigest(out->pairs);
-        if (!reference_digest) reference_digest = digest;
-        const bool same = digest == *reference_digest;
-        table.AddRow({ratio.name, exec::BackendKindName(kind),
-                      StrFormat("%.0f", wall_micros / 1000.0),
-                      HumanBytes(shuffle),
-                      WithThousandsSep(out->report.candidate_pairs),
-                      WithThousandsSep(out->pairs.size()),
-                      same ? StrFormat("%08x", digest)
-                           : StrFormat("%08x MISMATCH!", digest)});
-
-        BenchRecord record;
-        record.name = StrFormat("%s/rs%s/%s", w.name.c_str(), ratio.name,
-                                exec::BackendKindName(kind));
-        record.wall_micros = wall_micros;
-        record.shuffle_bytes = shuffle;
-        rs_records.push_back(std::move(record));
+      FsJoinConfig config = DefaultFsConfig(theta);
+      config.rs_boundary = ratio.boundary;
+      std::optional<Result<FsJoinOutput>> result;
+      double wall_micros = MinWallMicros(options, [&] {
+        result.emplace(FsJoin(config).Run(w.corpus));
+      });
+      Result<FsJoinOutput>& out = *result;
+      if (!out.ok()) {
+        std::printf("FAIL: %s\n", out.status().ToString().c_str());
+        continue;
       }
+      const uint64_t shuffle = ShuffleBytes(out->report);
+      table.AddRow({ratio.name, StrFormat("%.0f", wall_micros / 1000.0),
+                    HumanBytes(shuffle),
+                    WithThousandsSep(out->report.candidate_pairs),
+                    WithThousandsSep(out->pairs.size()),
+                    StrFormat("%08x", check::ResultDigest(out->pairs))});
+
+      BenchRecord record;
+      record.name = StrFormat("%s/rs%s/mr", w.name.c_str(), ratio.name);
+      record.wall_micros = wall_micros;
+      record.shuffle_bytes = shuffle;
+      rs_records.push_back(std::move(record));
     }
     table.Print(std::cout);
   }

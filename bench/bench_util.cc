@@ -1,21 +1,47 @@
 #include "bench_util.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 
 #include "util/logging.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace fsjoin::bench {
 
+namespace {
+
+// Largest accepted FSJOIN_BENCH_SCALE: the default corpora times 100 is
+// already far past what one machine joins in a bench run.
+constexpr double kMaxBenchScale = 100.0;
+
+// Parses one --name=N flag value; a bad value prints the flag and exits 2.
+int IntFlagOrExit(const char* flag, const char* text, int64_t min) {
+  Result<int64_t> value = ParseInt64(text, min, INT32_MAX);
+  if (!value.ok()) {
+    std::fprintf(stderr, "bad %s value: %s\n", flag,
+                 value.status().message().c_str());
+    std::exit(2);
+  }
+  return static_cast<int>(*value);
+}
+
+}  // namespace
+
 double BenchScale() {
   const char* env = std::getenv("FSJOIN_BENCH_SCALE");
   if (env == nullptr) return 1.0;
-  double scale = std::atof(env);
-  return scale > 0.0 ? scale : 1.0;
+  Result<double> scale = ParsePositive(env, kMaxBenchScale);
+  if (!scale.ok()) {
+    std::fprintf(stderr, "bad FSJOIN_BENCH_SCALE value: %s\n",
+                 scale.status().message().c_str());
+    std::exit(2);
+  }
+  return *scale;
 }
 
 Workload MakeWorkload(const std::string& name, double fraction) {
@@ -74,9 +100,9 @@ BenchOptions ParseBenchOptions(const std::string& bench_name, int argc,
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--warmup=", 9) == 0) {
-      options.warmup = std::atoi(arg + 9);
+      options.warmup = IntFlagOrExit("--warmup", arg + 9, 0);
     } else if (std::strncmp(arg, "--repeat=", 9) == 0) {
-      options.repeat = std::max(1, std::atoi(arg + 9));
+      options.repeat = IntFlagOrExit("--repeat", arg + 9, 1);
     } else if (std::strncmp(arg, "--json=", 7) == 0) {
       options.json_path = arg + 7;
     } else if (std::strcmp(arg, "--json") == 0) {

@@ -5,7 +5,6 @@
 //   ./cluster_tuning [num_records]
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 
 #include "core/fsjoin.h"
@@ -44,7 +43,18 @@ void RunOne(const fsjoin::Corpus& corpus, const std::string& label,
 }  // namespace
 
 int main(int argc, char** argv) {
-  double scale = argc > 1 ? std::atof(argv[1]) / 20000.0 : 0.25;
+  double scale = 0.25;
+  if (argc > 1) {
+    // Up to 100x the generator's 20,000-record base corpus.
+    fsjoin::Result<int64_t> records =
+        fsjoin::ParseInt64(argv[1], 1, 2'000'000);
+    if (!records.ok()) {
+      std::fprintf(stderr, "bad num_records: %s\nusage: %s [num_records]\n",
+                   records.status().message().c_str(), argv[0]);
+      return 2;
+    }
+    scale = static_cast<double>(*records) / 20000.0;
+  }
   fsjoin::Corpus corpus =
       fsjoin::GenerateCorpus(fsjoin::PubMedLikeConfig(scale));
   std::printf("workload: %zu pubmed-like records, theta = 0.8\n\n",

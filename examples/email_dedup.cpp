@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <numeric>
 #include <string>
@@ -45,7 +44,16 @@ class UnionFind {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double theta = argc > 1 ? std::atof(argv[1]) : 0.8;
+  double theta = 0.8;
+  if (argc > 1) {
+    fsjoin::Result<double> parsed = fsjoin::ParseFraction(argv[1]);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "bad theta: %s\nusage: %s [theta] [path]\n",
+                   parsed.status().message().c_str(), argv[0]);
+      return 2;
+    }
+    theta = *parsed;
+  }
 
   fsjoin::Corpus corpus;
   if (argc > 2) {

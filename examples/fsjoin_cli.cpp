@@ -9,7 +9,6 @@
 //   --right PATH        S side of an R-S join; implies --join rs. Output
 //                       pairs are "r s sim" with s re-based into S's own
 //                       id space
-//   --rs PATH           alias for --join rs --right PATH
 //   --theta X           similarity threshold in (0, 1]        [0.8]
 //   --function NAME     jaccard | dice | cosine               [jaccard]
 //   --tokenizer NAME    word | whitespace | qgramN (e.g. qgram3) [word]
@@ -25,7 +24,6 @@
 //                       [0.05]
 //   --aggressive        paper-aggressive segment prefixes (faster,
 //                       may miss borderline pairs)
-//   --backend NAME      mr | flow (execution backend)         [mr]
 //   --kernel NAME       auto | scalar | packed | simd overlap kernel
 //                       family for fragment-join verification [auto]
 //   --threads N         engine worker threads                 [0 = inline]
@@ -85,7 +83,6 @@ struct CliOptions {
   std::string tokenizer = "word";
   std::string method = "prefix";
   std::string function = "jaccard";
-  std::string backend = "mr";
   std::string kernel = "auto";
   std::string runner = "threads";
   std::string spill_dir;
@@ -114,12 +111,12 @@ struct CliOptions {
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --input FILE [--join self|rs] [--right FILE] "
-               "[--rs FILE] [--theta X] "
+               "[--theta X] "
                "[--function jaccard|dice|cosine] [--tokenizer "
                "word|whitespace|qgramN] [--fragments N] [--horizontal N] "
                "[--method loop|index|prefix] [--auto] [--sample-rate X] "
                "[--aggressive] "
-               "[--backend mr|flow] [--kernel auto|scalar|packed|simd] "
+               "[--kernel auto|scalar|packed|simd] "
                "[--threads N] "
                "[--parallel-join] [--morsel N] "
                "[--shuffle-mem SIZE] [--spill-dir DIR] "
@@ -235,11 +232,6 @@ int main(int argc, char** argv) {
       if (!v) return Usage(argv[0]);
       opts.right = v;
       if (opts.join == "self") opts.join = "rs";
-    } else if (arg == "--rs") {  // alias for --join rs --right FILE
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.right = v;
-      opts.join = "rs";
     } else if (arg == "--output") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
@@ -276,10 +268,6 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
       opts.horizontal_set = true;
-    } else if (arg == "--backend") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.backend = v;
     } else if (arg == "--kernel") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
@@ -388,14 +376,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     config.exec.runner = *runner;
-  }
-  {
-    auto backend = fsjoin::exec::BackendKindFromName(opts.backend);
-    if (!backend.ok()) {
-      std::fprintf(stderr, "%s\n", backend.status().ToString().c_str());
-      return 1;
-    }
-    config.exec.backend = *backend;
   }
   {
     auto kernel = fsjoin::exec::KernelModeFromName(opts.kernel);

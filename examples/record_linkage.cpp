@@ -9,7 +9,6 @@
 // (R, S) pair.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -66,7 +65,16 @@ void BuildCatalogs(size_t shared, size_t unique_each, fsjoin::Corpus* r,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double theta = argc > 1 ? std::atof(argv[1]) : 0.6;
+  double theta = 0.6;
+  if (argc > 1) {
+    fsjoin::Result<double> parsed = fsjoin::ParseFraction(argv[1]);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "bad theta: %s\nusage: %s [theta]\n",
+                   parsed.status().message().c_str(), argv[0]);
+      return 2;
+    }
+    theta = *parsed;
+  }
   const size_t kShared = 800;
   const size_t kUniqueEach = 1200;
 

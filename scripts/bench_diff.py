@@ -10,12 +10,11 @@ a {"bench": ..., "results": [{"name", "wall_micros", ...}]} object. Rows
 are matched by name; the default metric is wall_micros.
 
 Tracked artifacts (all written by `--json` runs of their benches):
-  BENCH_ext_dataflow.json  backend x kernel matrix (bench_ext_dataflow)
+  BENCH_ext_dataflow.json  overlap-kernel families (bench_ext_dataflow)
   BENCH_runtime.json       task-runner overhead     (bench_ext_dataflow)
   BENCH_cluster.json       1/2/4-worker cluster scaling
                                                     (bench_ext_dataflow)
-  BENCH_rs.json            R-S |R|:|S| ratio x backend
-                                                    (bench_ext_dataflow)
+  BENCH_rs.json            R-S |R|:|S| ratios       (bench_ext_dataflow)
   BENCH_ext_shuffle.json   external-shuffle spill   (bench_ext_shuffle)
   BENCH_kernels.json       kernel microbenches      (bench_micro_kernels)
   BENCH_auto.json          auto-tuning vs hand cfg  (bench_auto_tune)

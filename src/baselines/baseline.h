@@ -24,8 +24,8 @@ struct BaselineConfig {
   double theta = 0.8;
   SimilarityFunction function = SimilarityFunction::kJaccard;
 
-  /// Execution substrate and engine shape (backend, task counts, threads,
-  /// emission limit) — shared with FS-Join via exec::ExecConfig.
+  /// Engine shape (task counts, threads, runner, emission limit) — shared
+  /// with FS-Join via exec::ExecConfig.
   exec::ExecConfig exec;
 
   /// Two-collection R-S joins over a merged corpus (same contract as
@@ -41,7 +41,6 @@ struct BaselineConfig {
 /// Execution record of one baseline run; same role as FsJoinReport.
 struct BaselineReport {
   std::string algorithm;
-  exec::BackendKind backend = exec::BackendKind::kMapReduce;
   std::vector<mr::JobMetrics> jobs;
   /// Name of the signature/kernel stage whose map output holds the
   /// duplicated records ("vernica-kernel", "vsmart-join",

@@ -326,8 +326,7 @@ Result<BaselineOutput> RunMassJoin(const Corpus& corpus,
   FSJOIN_RETURN_NOT_OK(config.Validate());
   WallTimer timer;
 
-  std::unique_ptr<exec::ExecutionBackend> backend =
-      exec::MakeBackend(config.exec);
+  exec::MapReduceBackend backend(config.exec);
   mr::Dataset input = MakeCorpusDataset(corpus);
 
   // Plan 1: ordering.
@@ -343,7 +342,7 @@ Result<BaselineOutput> RunMassJoin(const Corpus& corpus,
                   ordering_cfg.partitioner, ordering_cfg.combiner_factory,
                   std::move(ordering_hints));
   FSJOIN_ASSIGN_OR_RETURN(mr::Dataset freq,
-                          backend->Execute(ordering_plan, input));
+                          backend.Execute(ordering_plan, input));
   FSJOIN_ASSIGN_OR_RETURN(
       GlobalOrder order,
       BuildGlobalOrderFromJobOutput(freq, corpus.dictionary.size()));
@@ -372,14 +371,13 @@ Result<BaselineOutput> RunMassJoin(const Corpus& corpus,
       .UnionWith("ranked-records", ranked)
       .GroupByKey("massjoin-verify",
                   [ctx] { return std::make_unique<VerifyReducer>(ctx); });
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results, backend->Execute(plan, input));
+  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results, backend.Execute(plan, input));
 
   BaselineOutput output;
   FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results));
   output.report.algorithm =
       config.length_group > 1 ? "MassJoin-Merge+Light" : "MassJoin-Merge";
-  output.report.backend = backend->kind();
-  output.report.jobs = backend->history();
+  output.report.jobs = backend.history();
   output.report.signature_stage = "massjoin-signatures";
   // Candidates = deduped (pair, left-content) records entering the verify
   // stage.

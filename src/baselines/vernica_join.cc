@@ -198,8 +198,7 @@ Result<BaselineOutput> RunVernicaJoin(const Corpus& corpus,
   FSJOIN_RETURN_NOT_OK(config.Validate());
   WallTimer timer;
 
-  std::unique_ptr<exec::ExecutionBackend> backend =
-      exec::MakeBackend(config.exec);
+  exec::MapReduceBackend backend(config.exec);
   mr::Dataset input = MakeCorpusDataset(corpus);
 
   // Plan 1: ordering.
@@ -215,7 +214,7 @@ Result<BaselineOutput> RunVernicaJoin(const Corpus& corpus,
                   ordering_cfg.partitioner, ordering_cfg.combiner_factory,
                   std::move(ordering_hints));
   FSJOIN_ASSIGN_OR_RETURN(mr::Dataset freq,
-                          backend->Execute(ordering_plan, input));
+                          backend.Execute(ordering_plan, input));
   FSJOIN_ASSIGN_OR_RETURN(
       GlobalOrder order,
       BuildGlobalOrderFromJobOutput(freq, corpus.dictionary.size()));
@@ -251,13 +250,12 @@ Result<BaselineOutput> RunVernicaJoin(const Corpus& corpus,
                   [ctx] { return std::make_unique<KernelReducer>(ctx); },
                   nullptr, nullptr, std::move(kernel_hints));
   FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results,
-                          backend->Execute(kernel_plan, input));
+                          backend.Execute(kernel_plan, input));
 
   BaselineOutput output;
   FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results));
   output.report.algorithm = "RIDPairsPPJoin";
-  output.report.backend = backend->kind();
-  output.report.jobs = backend->history();
+  output.report.jobs = backend.history();
   output.report.signature_stage = "vernica-kernel";
   output.report.candidate_pairs = ctx->candidate_pairs;
   output.report.result_pairs = output.pairs.size();

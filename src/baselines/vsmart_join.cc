@@ -114,8 +114,7 @@ Result<BaselineOutput> RunVSmartJoin(const Corpus& corpus,
   FSJOIN_RETURN_NOT_OK(config.Validate());
   WallTimer timer;
 
-  std::unique_ptr<exec::ExecutionBackend> backend =
-      exec::MakeBackend(config.exec);
+  exec::MapReduceBackend backend(config.exec);
   mr::Dataset input = MakeCorpusDataset(corpus);
 
   auto ctx = std::make_shared<VSmartContext>();
@@ -140,13 +139,12 @@ Result<BaselineOutput> RunVSmartJoin(const Corpus& corpus,
                   [ctx] { return std::make_unique<PairEnumerationReducer>(ctx); })
       .GroupByKey("verification", verification_cfg.reducer_factory, nullptr,
                   nullptr, std::move(verification_hints));
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results, backend->Execute(plan, input));
+  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results, backend.Execute(plan, input));
 
   BaselineOutput output;
   FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results));
   output.report.algorithm = "V-Smart-Join";
-  output.report.backend = backend->kind();
-  output.report.jobs = backend->history();
+  output.report.jobs = backend.history();
   output.report.signature_stage = "vsmart-join";
   output.report.candidate_pairs = verification_ctx->candidate_pairs;
   output.report.result_pairs = output.pairs.size();

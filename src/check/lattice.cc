@@ -48,8 +48,6 @@ T Pick(const T (&menu)[N], Rng& rng) {
 
 exec::ExecConfig SampleExec(Rng& rng) {
   exec::ExecConfig exec;
-  exec.backend = rng.NextBool(0.5) ? exec::BackendKind::kMapReduce
-                                   : exec::BackendKind::kFusedFlow;
   exec.num_map_tasks = Pick(kTaskCounts, rng);
   exec.num_reduce_tasks = Pick(kTaskCounts, rng);
   exec.num_threads = Pick(kThreads, rng);
@@ -85,10 +83,10 @@ std::string LatticePoint::Name() const {
   if (algorithm == Algorithm::kFsJoin) {
     const exec::ExecConfig& e = fsjoin.exec;
     return StrFormat(
-        "fsjoin(%s, backend=%s, maps=%u, reduces=%u, threads=%zu, "
-        "morsel=%zu, spill=%llu, kernel=%s, runner=%s%s%s)",
-        fsjoin.Summary().c_str(), exec::BackendKindName(e.backend),
-        e.num_map_tasks, e.num_reduce_tasks, e.num_threads,
+        "fsjoin(%s, maps=%u, reduces=%u, threads=%zu, morsel=%zu, "
+        "spill=%llu, kernel=%s, runner=%s%s%s)",
+        fsjoin.Summary().c_str(), e.num_map_tasks, e.num_reduce_tasks,
+        e.num_threads,
         e.parallel_fragment_join ? e.join_morsel_size : size_t{0},
         static_cast<unsigned long long>(e.shuffle_memory_bytes),
         exec::KernelModeName(e.kernel), mr::RunnerKindName(e.runner),
@@ -98,12 +96,12 @@ std::string LatticePoint::Name() const {
   }
   const exec::ExecConfig& e = baseline.exec;
   return StrFormat(
-      "%s(theta=%.2f, fn=%s, backend=%s, maps=%u, reduces=%u, threads=%zu, "
-      "spill=%llu, runner=%s%s%s)",
+      "%s(theta=%.2f, fn=%s, maps=%u, reduces=%u, threads=%zu, spill=%llu, "
+      "runner=%s%s%s)",
       AlgorithmName(algorithm), baseline.theta,
-      SimilarityFunctionName(baseline.function),
-      exec::BackendKindName(e.backend), e.num_map_tasks, e.num_reduce_tasks,
-      e.num_threads, static_cast<unsigned long long>(e.shuffle_memory_bytes),
+      SimilarityFunctionName(baseline.function), e.num_map_tasks,
+      e.num_reduce_tasks, e.num_threads,
+      static_cast<unsigned long long>(e.shuffle_memory_bytes),
       mr::RunnerKindName(e.runner),
       algorithm == Algorithm::kMassJoin
           ? StrFormat(", lg=%u", massjoin_length_group).c_str()

@@ -44,9 +44,9 @@ struct LatticePoint {
 /// Deterministically samples `count` lattice points for `seed`. Theta and
 /// the similarity function are drawn once per seed (they change the result
 /// set; every other knob must not). The first four points always cover all
-/// four algorithms; the rest lean on FS-Join, whose knob space (backend x
-/// threads x morsel size x spill budget x pivot strategy x horizontal t x
-/// join method x filter toggles x fragment count) is the large one.
+/// four algorithms; the rest lean on FS-Join, whose knob space (threads x
+/// morsel size x spill budget x pivot strategy x horizontal t x join
+/// method x filter toggles x fragment count) is the large one.
 std::vector<LatticePoint> SampleLattice(uint64_t seed, size_t count);
 
 }  // namespace fsjoin::check

@@ -114,11 +114,6 @@ void ShrinkConfig(Shrinker& shrinker,
 
   try_mutation([](LatticePoint* p) {
     MutateExec(p, [](exec::ExecConfig* e) {
-      e->backend = exec::BackendKind::kMapReduce;
-    });
-  });
-  try_mutation([](LatticePoint* p) {
-    MutateExec(p, [](exec::ExecConfig* e) {
       e->num_threads = 0;
       e->parallel_fragment_join = false;
       e->join_morsel_size = 64;
@@ -211,23 +206,9 @@ const char* KernelLiteral(exec::KernelMode mode) {
   return "exec::KernelMode::kAuto";
 }
 
-const char* BackendLiteral(exec::BackendKind kind) {
-  switch (kind) {
-    case exec::BackendKind::kMapReduce:
-      return "exec::BackendKind::kMapReduce";
-    case exec::BackendKind::kFusedFlow:
-      return "exec::BackendKind::kFusedFlow";
-  }
-  return "exec::BackendKind::kMapReduce";
-}
-
 void EmitExecOverrides(const exec::ExecConfig& exec, const std::string& var,
                        std::string* out) {
   const exec::ExecConfig defaults;
-  if (exec.backend != defaults.backend) {
-    *out += StrFormat("  %s.exec.backend = %s;\n", var.c_str(),
-                      BackendLiteral(exec.backend));
-  }
   if (exec.num_map_tasks != defaults.num_map_tasks) {
     *out += StrFormat("  %s.exec.num_map_tasks = %u;\n", var.c_str(),
                       exec.num_map_tasks);

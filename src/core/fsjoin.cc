@@ -82,12 +82,10 @@ Result<FsJoinOutput> FsJoin::Run(const Corpus& corpus) const {
 }
 
 Result<FsJoinOutput> FsJoin::RunPlans(const Corpus& corpus) const {
-  std::unique_ptr<exec::ExecutionBackend> backend =
-      exec::MakeBackend(config_.exec);
+  exec::MapReduceBackend backend(config_.exec);
 
   FsJoinOutput output;
   output.report.config = config_;
-  output.report.backend = backend->kind();
 
   mr::Dataset input = MakeCorpusDataset(corpus);
 
@@ -104,7 +102,7 @@ Result<FsJoinOutput> FsJoin::RunPlans(const Corpus& corpus) const {
                   ordering_cfg.partitioner, ordering_cfg.combiner_factory,
                   std::move(ordering_hints));
   FSJOIN_ASSIGN_OR_RETURN(mr::Dataset freq_out,
-                          backend->Execute(ordering_plan, input));
+                          backend.Execute(ordering_plan, input));
   FSJOIN_ASSIGN_OR_RETURN(
       GlobalOrder order,
       BuildGlobalOrderFromJobOutput(freq_out, corpus.dictionary.size()));
@@ -200,9 +198,8 @@ Result<FsJoinOutput> FsJoin::RunPlans(const Corpus& corpus) const {
   output.report.length_pivots = filtering_ctx->horizontal.pivots();
 
   // --- Plan 2: filtering + verification ----------------------------------
-  // On the MR backend each GroupByKey materializes as one job (the paper's
-  // substrate); on the fused backend both shuffles run in one pipeline with
-  // no intermediate DFS round-trip.
+  // Each GroupByKey materializes as one MapReduce job (the paper's
+  // substrate).
   auto verification_ctx = std::make_shared<VerificationContext>();
   verification_ctx->config = config_;
   mr::JobConfig filtering_cfg = MakeFilteringJobConfig(filtering_ctx);
@@ -220,10 +217,10 @@ Result<FsJoinOutput> FsJoin::RunPlans(const Corpus& corpus) const {
       .GroupByKey("verification", verification_cfg.reducer_factory, nullptr,
                   nullptr, std::move(verification_hints));
   FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results_out,
-                          backend->Execute(join_plan, input));
+                          backend.Execute(join_plan, input));
   FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results_out));
 
-  const std::vector<mr::JobMetrics>& history = backend->history();
+  const std::vector<mr::JobMetrics>& history = backend.history();
   output.report.ordering_job = history[0];
   output.report.filtering_job = history[1];
   output.report.verification_job = history[2];
@@ -263,7 +260,6 @@ Result<FsJoinOutput> FsJoin::RunPlans(const Corpus& corpus) const {
         exec::KernelModeName(exec::ResolveKernelMode(config_.exec.kernel)),
         SimdIsaName(DetectedSimdIsa()));
   }
-  output.report.flow_pipelines = backend->flow_history();
   output.report.filters = filtering_ctx->totals;
   output.report.candidate_pairs = verification_ctx->candidate_pairs;
   output.report.result_pairs = output.pairs.size();

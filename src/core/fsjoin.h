@@ -6,8 +6,6 @@
 
 #include "core/fragment_join.h"
 #include "core/fsjoin_config.h"
-#include "exec/backend.h"
-#include "flow/dataflow.h"
 #include "mr/metrics.h"
 #include "sim/global_order.h"
 #include "sim/join_result.h"
@@ -20,22 +18,14 @@ namespace fsjoin {
 /// table and figure is computed from.
 struct FsJoinReport {
   FsJoinConfig config;
-  exec::BackendKind backend = exec::BackendKind::kMapReduce;
   std::vector<TokenRank> pivots;
   std::vector<uint32_t> length_pivots;
 
-  /// Per-wide-stage metrics, identical layout on every backend. On the
-  /// MapReduce backend these are the three materialized jobs' exact
-  /// counters (pinned by MetricsRegressionTest); on the fused backend they
-  /// are synthesized from the dataflow's per-shuffle counters (wall times
-  /// stay 0 — the pipeline wall is in flow_pipelines).
+  /// The three materialized MapReduce jobs' exact counters (pinned by
+  /// MetricsRegressionTest).
   mr::JobMetrics ordering_job;
   mr::JobMetrics filtering_job;
   mr::JobMetrics verification_job;
-
-  /// Fused backend only: raw dataflow counters of the executed pipelines
-  /// (ordering, then filter+verify) — fusion and materialization savings.
-  std::vector<flow::Pipeline::Metrics> flow_pipelines;
 
   /// What --auto resolved (empty/disabled on hand-set runs): the sample it
   /// drew, every driver-side choice line, and the per-fragment decision
@@ -91,7 +81,7 @@ struct FsJoinOutput {
 
   /// Populated when config.collect_partial_overlaps is set: every partial
   /// overlap the filtering phase emitted, sorted by (a, b, overlap, sizes)
-  /// so the capture is deterministic across thread counts and backends.
+  /// so the capture is deterministic across thread counts and runners.
   std::vector<PartialOverlap> partial_overlaps;
 };
 
@@ -99,14 +89,12 @@ struct FsJoinOutput {
 ///   1. ordering             — token frequencies -> global ordering
 ///   2. filtering+verification — vertical (+ horizontal) partitioning,
 ///      fragment joins, then partial-overlap aggregation and thresholding
-/// and executed on the backend selected by config.exec.backend: the
-/// Hadoop-style MapReduce engine (one materialized job per wide stage —
-/// the paper's substrate) or the Spark-style fused dataflow (§VII).
+/// and executed on the Hadoop-style MapReduce engine, one materialized job
+/// per wide stage (the paper's substrate).
 ///
 /// Usage:
 ///   FsJoinConfig config;
 ///   config.theta = 0.8;
-///   config.exec.backend = exec::BackendKind::kFusedFlow;  // optional
 ///   FsJoin join(config);
 ///   FSJOIN_ASSIGN_OR_RETURN(FsJoinOutput out, join.Run(corpus));
 class FsJoin {

@@ -69,8 +69,8 @@ struct FsJoinConfig {
   bool use_segment_intersection_filter = true;  ///< SegI-Filter (Lemma 3)
   bool use_segment_difference_filter = true;    ///< SegD-Filter (Lemma 4)
 
-  /// Execution substrate and engine shape (backend, task counts, threads)
-  /// — shared with the baselines via exec::ExecConfig.
+  /// Engine shape (task counts, threads, runner) — shared with the
+  /// baselines via exec::ExecConfig.
   exec::ExecConfig exec;
 
   /// Which knobs the caller set explicitly and --auto must not touch.

@@ -163,7 +163,7 @@ class FilteringReducer : public mr::Reducer {
         !batch.empty()) {
       // Per-fragment decision at Seal time: the shape aggregates are
       // permutation-invariant over the fragment's segments, so the choice
-      // is identical on every backend, runner and thread count.
+      // is identical on every runner and thread count.
       tune::FragmentShape shape;
       shape.num_segments = batch.size();
       shape.total_tokens = batch.total_tokens();

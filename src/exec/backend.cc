@@ -117,34 +117,6 @@ mr::MapperFactory ComposeMappers(std::vector<mr::MapperFactory> pending) {
   };
 }
 
-mr::JobMetrics SynthesizeJobMetrics(
-    const flow::Pipeline::WideStageMetrics& ws) {
-  mr::JobMetrics m;
-  m.job_name = ws.name;
-  m.map_input_records = ws.input_records;
-  m.map_input_bytes = ws.input_bytes;
-  m.map_output_records = ws.shuffle_records;
-  m.map_output_bytes = ws.shuffle_bytes;
-  m.combine_input_records = ws.combine_input_records;
-  m.shuffle_records = ws.shuffle_records;
-  m.shuffle_bytes = ws.shuffle_bytes;
-  m.spilled_bytes = ws.spilled_bytes;
-  m.spill_runs = ws.spill_runs;
-  m.reduce_output_records = ws.output_records;
-  m.reduce_output_bytes = ws.output_bytes;
-  return m;
-}
-
-}  // namespace
-
-const std::vector<flow::Pipeline::Metrics>& ExecutionBackend::flow_history()
-    const {
-  static const std::vector<flow::Pipeline::Metrics> kEmpty;
-  return kEmpty;
-}
-
-namespace {
-
 mr::EngineOptions EngineOptionsFrom(const ExecConfig& config,
                                     mr::TaskRunner* external) {
   mr::EngineOptions options;
@@ -159,8 +131,8 @@ mr::EngineOptions EngineOptionsFrom(const ExecConfig& config,
 
 /// Builds the cluster runner for RunnerKind::kCluster, or null for every
 /// other runner kind. Bring-up failures (bad worker list, connect/handshake
-/// errors) land in *error; backend constructors can't return Status, so the
-/// first Execute surfaces them.
+/// errors) land in *error; the backend constructor can't return Status, so
+/// the first Execute surfaces them.
 std::unique_ptr<mr::TaskRunner> MaybeMakeClusterRunner(
     const ExecConfig& config, Status* error) {
   if (config.runner != mr::RunnerKind::kCluster) return nullptr;
@@ -194,7 +166,11 @@ MapReduceBackend::MapReduceBackend(const ExecConfig& config)
     : config_(config),
       cluster_runner_(MaybeMakeClusterRunner(config, &init_error_)),
       engine_(EngineOptionsFrom(config, cluster_runner_.get())),
-      pipeline_(&engine_, &dfs_) {}
+      pipeline_(&engine_, &dfs_) {
+  if (config.process_memory_bytes > 0) {
+    store::ProcessMemoryBudget().set_limit(config.process_memory_bytes);
+  }
+}
 
 Result<mr::Dataset> MapReduceBackend::Execute(const Plan& plan,
                                               const mr::Dataset& input) {
@@ -292,74 +268,6 @@ Result<mr::Dataset> MapReduceBackend::Execute(const Plan& plan,
   mr::Dataset result = **out;
   cleanup();
   return result;
-}
-
-FusedFlowBackend::FusedFlowBackend(const ExecConfig& config)
-    : config_(config),
-      runner_(config.runner == mr::RunnerKind::kCluster
-                  ? MaybeMakeClusterRunner(config, &init_error_)
-                  : mr::MakeTaskRunner(config.runner, config.num_threads)) {}
-
-Result<mr::Dataset> FusedFlowBackend::Execute(const Plan& plan,
-                                              const mr::Dataset& input) {
-  FSJOIN_RETURN_NOT_OK(init_error_);
-  FSJOIN_RETURN_NOT_OK(config_.Validate());
-  FSJOIN_RETURN_NOT_OK(plan.Validate());
-  mr::Dataset current = input;
-  const std::vector<Stage>& stages = plan.stages();
-  size_t i = 0;
-  int segment = 0;
-  while (i < stages.size()) {
-    if (stages[i].kind == Stage::Kind::kUnion) {
-      current.insert(current.end(), stages[i].dataset->begin(),
-                     stages[i].dataset->end());
-      ++i;
-      continue;
-    }
-    // Maximal run of non-union stages: one fused pipeline.
-    size_t seg_end = i;
-    while (seg_end < stages.size() &&
-           stages[seg_end].kind != Stage::Kind::kUnion) {
-      ++seg_end;
-    }
-    flow::Pipeline pipeline(plan.name() + "#" + std::to_string(segment++),
-                            config_.num_threads, config_.num_reduce_tasks);
-    pipeline.SetRunner(runner_.get(), config_.task_retries);
-    if (config_.shuffle_memory_bytes > 0) {
-      pipeline.SetSpill(flow::Pipeline::SpillOptions{
-          config_.shuffle_memory_bytes, config_.spill_dir});
-    }
-    for (size_t s = i; s < seg_end; ++s) {
-      const Stage& stage = stages[s];
-      if (stage.kind == Stage::Kind::kFlatMap) {
-        pipeline.FlatMap(stage.name, stage.mapper);
-      } else {
-        pipeline.GroupByKey(stage.name, stage.reducer, stage.partitioner,
-                            stage.combiner, stage.side);
-      }
-    }
-    FSJOIN_ASSIGN_OR_RETURN(current, pipeline.Run(current));
-    flow_history_.push_back(pipeline.metrics());
-    for (const flow::Pipeline::WideStageMetrics& ws :
-         pipeline.metrics().wide_stages) {
-      history_.push_back(SynthesizeJobMetrics(ws));
-    }
-    i = seg_end;
-  }
-  return current;
-}
-
-std::unique_ptr<ExecutionBackend> MakeBackend(const ExecConfig& config) {
-  if (config.process_memory_bytes > 0) {
-    store::ProcessMemoryBudget().set_limit(config.process_memory_bytes);
-  }
-  switch (config.backend) {
-    case BackendKind::kMapReduce:
-      return std::make_unique<MapReduceBackend>(config);
-    case BackendKind::kFusedFlow:
-      return std::make_unique<FusedFlowBackend>(config);
-  }
-  return std::make_unique<MapReduceBackend>(config);
 }
 
 }  // namespace fsjoin::exec

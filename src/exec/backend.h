@@ -7,7 +7,6 @@
 
 #include "exec/exec_config.h"
 #include "exec/plan.h"
-#include "flow/dataflow.h"
 #include "mr/engine.h"
 #include "mr/kv.h"
 #include "mr/metrics.h"
@@ -16,49 +15,30 @@
 
 namespace fsjoin::exec {
 
-/// Runs logical plans on some execution substrate. One backend instance is
-/// one "cluster session": Execute may be called several times (drivers run
-/// an ordering plan, compute pivots driver-side, then run the join plan)
-/// and history() accumulates across calls.
-///
-/// History contract: every kGroupByKey stage contributes exactly one
-/// JobMetrics entry named after the stage, in execution order, on *every*
-/// backend. This keeps report indices and regression-pinned metrics stable
-/// when the substrate changes (the MR backend's entries are real job
-/// counters; the fused backend synthesizes entries from its per-wide-stage
-/// dataflow counters).
-class ExecutionBackend {
- public:
-  virtual ~ExecutionBackend() = default;
-
-  virtual BackendKind kind() const = 0;
-
-  /// Runs `plan` over `input` and returns the final stage's output.
-  virtual Result<mr::Dataset> Execute(const Plan& plan,
-                                      const mr::Dataset& input) = 0;
-
-  /// One JobMetrics per wide stage executed so far (see class comment).
-  virtual const std::vector<mr::JobMetrics>& history() const = 0;
-
-  /// Fused backend only: raw dataflow counters, one per executed pipeline
-  /// segment (fusion, materialization savings). Empty on other backends.
-  virtual const std::vector<flow::Pipeline::Metrics>& flow_history() const;
-};
-
-/// Hadoop-style execution (the paper's substrate): each wide stage becomes
-/// one materialized MapReduce job on the in-process engine — narrow chains
+/// Runs logical plans Hadoop-style (the paper's substrate): each wide stage
+/// becomes one materialized MapReduce job on the engine — narrow chains
 /// feed the job's map phase (an identity map when the plan has none, like
 /// FS-Join's verification job), and every job output round-trips through a
 /// MiniDfs. JobMetrics accounting is byte-identical to the hand-chained
 /// drivers this backend replaced (pinned by MetricsRegressionTest).
-class MapReduceBackend : public ExecutionBackend {
+///
+/// One backend instance is one "cluster session": Execute may be called
+/// several times (drivers run an ordering plan, compute pivots driver-side,
+/// then run the join plan) and history() accumulates across calls, one
+/// JobMetrics entry per kGroupByKey stage, named after the stage, in
+/// execution order.
+class MapReduceBackend {
  public:
+  /// Applies config.process_memory_bytes (when non-zero) to the global
+  /// store::ProcessMemoryBudget() and, for RunnerKind::kCluster, brings up
+  /// the cluster runner.
   explicit MapReduceBackend(const ExecConfig& config);
 
-  BackendKind kind() const override { return BackendKind::kMapReduce; }
-  Result<mr::Dataset> Execute(const Plan& plan,
-                              const mr::Dataset& input) override;
-  const std::vector<mr::JobMetrics>& history() const override {
+  /// Runs `plan` over `input` and returns the final stage's output.
+  Result<mr::Dataset> Execute(const Plan& plan, const mr::Dataset& input);
+
+  /// One JobMetrics per wide stage executed so far (see class comment).
+  const std::vector<mr::JobMetrics>& history() const {
     return pipeline_.history();
   }
 
@@ -75,41 +55,6 @@ class MapReduceBackend : public ExecutionBackend {
   mr::Pipeline pipeline_;
   uint64_t dataset_counter_ = 0;
 };
-
-/// Spark-style execution (paper §VII future work): the plan is split into
-/// pipeline segments at union points, each segment runs on flow::Pipeline
-/// with narrow chains fused and shuffles kept in memory — no per-job
-/// scheduling or DFS materialization.
-class FusedFlowBackend : public ExecutionBackend {
- public:
-  explicit FusedFlowBackend(const ExecConfig& config);
-
-  BackendKind kind() const override { return BackendKind::kFusedFlow; }
-  Result<mr::Dataset> Execute(const Plan& plan,
-                              const mr::Dataset& input) override;
-  const std::vector<mr::JobMetrics>& history() const override {
-    return history_;
-  }
-  const std::vector<flow::Pipeline::Metrics>& flow_history() const override {
-    return flow_history_;
-  }
-
- private:
-  ExecConfig config_;
-  /// Topology bring-up failure (cluster runner only), surfaced by the
-  /// first Execute.
-  Status init_error_;
-  /// One runner for the whole session: segment pipelines borrow it via
-  /// Pipeline::SetRunner, so runner choice and retry budget apply to every
-  /// wide stage this backend executes. For RunnerKind::kCluster this is a
-  /// net::ClusterTaskRunner (whose closure-only fallback covers flow tasks).
-  std::unique_ptr<mr::TaskRunner> runner_;
-  std::vector<mr::JobMetrics> history_;
-  std::vector<flow::Pipeline::Metrics> flow_history_;
-};
-
-/// Builds the backend selected by `config.backend`.
-std::unique_ptr<ExecutionBackend> MakeBackend(const ExecConfig& config);
 
 }  // namespace fsjoin::exec
 

@@ -10,23 +10,6 @@
 
 namespace fsjoin::exec {
 
-const char* BackendKindName(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kMapReduce:
-      return "mr";
-    case BackendKind::kFusedFlow:
-      return "flow";
-  }
-  return "?";
-}
-
-Result<BackendKind> BackendKindFromName(std::string_view name) {
-  if (name == "mr" || name == "mapreduce") return BackendKind::kMapReduce;
-  if (name == "flow" || name == "fused") return BackendKind::kFusedFlow;
-  return Status::InvalidArgument("unknown backend: '" + std::string(name) +
-                                 "' (expected mr|flow)");
-}
-
 const char* KernelModeName(KernelMode mode) {
   switch (mode) {
     case KernelMode::kAuto:

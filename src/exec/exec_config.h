@@ -11,17 +11,6 @@
 
 namespace fsjoin::exec {
 
-/// Which execution substrate runs a logical plan.
-enum class BackendKind {
-  kMapReduce,  ///< Hadoop-style: one materialized MR job per wide stage
-  kFusedFlow,  ///< Spark-style: narrow chains fused, shuffles stay in memory
-};
-
-const char* BackendKindName(BackendKind kind);
-
-/// Parses "mr"/"mapreduce" and "flow"/"fused"; InvalidArgument otherwise.
-Result<BackendKind> BackendKindFromName(std::string_view name);
-
 /// Which overlap kernel family the fragment-join verification loop uses.
 /// All modes produce identical join results and emissions; they differ in
 /// speed and (for kSimd) in how a provably-pruned pair is attributed between
@@ -47,14 +36,11 @@ KernelMode ResolveKernelMode(KernelMode mode);
 /// BaselineConfig; consolidated here so a driver describes *what* to run
 /// (the plan) and this struct describes *where and how wide*.
 struct ExecConfig {
-  BackendKind backend = BackendKind::kMapReduce;
-
   /// Number of map tasks the input is split into (Hadoop: one per block).
-  /// MapReduce backend only; the fused backend splits by partition count.
   uint32_t num_map_tasks = 8;
   /// Number of reduce tasks == shuffle partitions (paper: 3 * #nodes).
   uint32_t num_reduce_tasks = 8;
-  /// Worker threads for the in-process engines (0 = run inline).
+  /// Worker threads for the in-process engine (0 = run inline).
   size_t num_threads = 0;
 
   /// Morsel-parallel fragment joins (the filtering phase's reducer body):
@@ -84,15 +70,15 @@ struct ExecConfig {
   uint64_t emission_limit = 0;
 
   /// Per-job cap on buffered shuffle bytes (0 = unlimited, shuffle stays in
-  /// memory — the seed behavior). When exceeded, both backends spill
-  /// key-sorted run files to disk and reduce through a streaming k-way
+  /// memory — the seed behavior). When exceeded, the engine spills
+  /// key-sorted run files to disk and reduces through a streaming k-way
   /// merge; result sets and counters other than spilled_bytes/spill_runs
   /// are unchanged. This is the knob that lets a corpus whose intermediate
   /// data outgrows RAM still run to completion.
   uint64_t shuffle_memory_bytes = 0;
   /// Process-wide ceiling shared by all concurrent jobs (0 = leave the
-  /// global store::ProcessMemoryBudget() untouched). Applied by
-  /// MakeBackend; only consulted by jobs that also set
+  /// global store::ProcessMemoryBudget() untouched). Applied by the
+  /// MapReduceBackend constructor; only consulted by jobs that also set
   /// shuffle_memory_bytes.
   uint64_t process_memory_bytes = 0;
   /// Base directory for spill scratch space; every job creates and removes

@@ -12,8 +12,8 @@
 namespace fsjoin::exec {
 
 /// One stage of a logical plan. Stages reuse the mr::Mapper / mr::Reducer
-/// operator interfaces, so every FS-Join and baseline operator is portable
-/// across execution backends unchanged.
+/// operator interfaces, so every FS-Join and baseline operator runs on the
+/// engine unchanged.
 struct Stage {
   enum class Kind {
     kFlatMap,     ///< narrow: record -> zero or more records
@@ -23,14 +23,12 @@ struct Stage {
 
   Kind kind = Kind::kFlatMap;
   /// Stage label. For kGroupByKey this is also the name the MapReduce
-  /// backend gives the materialized job (and thus its JobMetrics entry), so
-  /// wide-stage names line up across backends.
+  /// backend gives the materialized job (and thus its JobMetrics entry).
   std::string name;
 
   mr::MapperFactory mapper;    ///< kFlatMap
   mr::ReducerFactory reducer;  ///< kGroupByKey
-  /// Optional map-side combiner for kGroupByKey (Hadoop: per map task;
-  /// fused backend: per shuffle bucket before shipping).
+  /// Optional map-side combiner for kGroupByKey (Hadoop: per map task).
   mr::ReducerFactory combiner;
   /// Key router for kGroupByKey; HashPartitioner when null.
   std::shared_ptr<const mr::Partitioner> partitioner;
@@ -56,10 +54,9 @@ struct StageHints {
 };
 
 /// A logical description of one multi-stage computation: a chain of named
-/// stages that any ExecutionBackend can run. Drivers *emit a plan* instead
-/// of hand-chaining MR jobs or dataflow pipelines, which is what makes the
-/// substrate swappable (paper §VII: "other Big Data platforms, like
-/// Spark").
+/// stages that MapReduceBackend lowers to MapReduce jobs. Drivers *emit a
+/// plan* instead of hand-chaining MR jobs, so the chain / identity-map /
+/// DFS lowering lives in one place.
 ///
 ///   Plan join("join");
 ///   join.FlatMap("vertical-split", mapper_factory)
@@ -84,15 +81,15 @@ class Plan {
   Plan& UnionWith(std::string stage_name,
                   std::shared_ptr<const mr::Dataset> dataset);
 
-  /// Structural checks (factories present, datasets non-null). Backends
-  /// call this before executing.
+  /// Structural checks (factories present, datasets non-null). The backend
+  /// calls this before executing.
   Status Validate() const;
 
   const std::string& name() const { return name_; }
   const std::vector<Stage>& stages() const { return stages_; }
 
-  /// Number of kGroupByKey stages — the backend-independent length of the
-  /// execution history this plan contributes.
+  /// Number of kGroupByKey stages — the length of the execution history
+  /// this plan contributes.
   size_t NumWideStages() const;
 
  private:

@@ -34,10 +34,10 @@ struct TaskRecord {
 /// state, drives attempts through a TaskRunner, re-executes failures within
 /// a retry budget, and delivers each task's results downstream exactly once.
 ///
-/// A stage here is a set of independent tasks (the engine's map phase, its
-/// reduce phase, one flow pipeline pass); cross-stage ordering — map before
-/// shuffle before reduce — is the caller's sequencing, so the "DAG" a job
-/// forms is expressed as consecutive RunStage calls over shared state.
+/// A stage here is a set of independent tasks (the engine's map phase or
+/// its reduce phase); cross-stage ordering — map before shuffle before
+/// reduce — is the caller's sequencing, so the "DAG" a job forms is
+/// expressed as consecutive RunStage calls over shared state.
 ///
 /// Retry semantics: a failed attempt is re-run only when the runner says
 /// attempts are hermetic (TaskRunner::retryable), at most `max_task_retries`

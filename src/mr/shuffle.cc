@@ -217,52 +217,4 @@ Status ReduceMergedStream(Reducer* reducer, store::RecordStream* stream,
   return reducer->Finish(out);
 }
 
-Status DatasetStream::Next(bool* has_record, std::string_view* key,
-                           std::string_view* value) {
-  if (pos_ >= data_->size()) {
-    *has_record = false;
-    return Status::OK();
-  }
-  const KeyValue& kv = (*data_)[pos_++];
-  *key = kv.key;
-  *value = kv.value;
-  *has_record = true;
-  return Status::OK();
-}
-
-void SortDatasetByKey(Dataset* data) {
-  struct Ref {
-    uint64_t tag;
-    uint32_t index;
-    uint32_t key_len;
-  };
-  const size_t n = data->size();
-  std::vector<Ref> refs;
-  refs.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const std::string& key = (*data)[i].key;
-    refs.push_back(Ref{KeyTag(key), static_cast<uint32_t>(i),
-                       static_cast<uint32_t>(key.size())});
-  }
-  std::sort(refs.begin(), refs.end(), [data](const Ref& a, const Ref& b) {
-    if (a.tag != b.tag) return a.tag < b.tag;
-    if (a.key_len <= 8 || b.key_len <= 8) {
-      // See ShuffleShard::RefLess: a tag tie with a short key means the
-      // shorter key is a strict prefix of the longer.
-      if (a.key_len != b.key_len) return a.key_len < b.key_len;
-    } else {
-      const int c = std::string_view((*data)[a.index].key)
-                        .substr(8)
-                        .compare(std::string_view((*data)[b.index].key)
-                                     .substr(8));
-      if (c != 0) return c < 0;
-    }
-    return a.index < b.index;
-  });
-  Dataset sorted;
-  sorted.reserve(n);
-  for (const Ref& r : refs) sorted.push_back(std::move((*data)[r.index]));
-  *data = std::move(sorted);
-}
-
 }  // namespace fsjoin::mr

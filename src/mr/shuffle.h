@@ -149,28 +149,6 @@ Status ReduceShard(Reducer* reducer, const ShuffleShard& shard, Emitter* out,
 Status ReduceMergedStream(Reducer* reducer, store::RecordStream* stream,
                           Emitter* out, uint64_t* max_group_bytes = nullptr);
 
-/// Adapts a key-sorted materialized Dataset to a store::RecordStream so it
-/// can participate in a merge next to spilled runs (used by the fused
-/// dataflow backend when only some shuffle buckets spill).
-class DatasetStream : public store::RecordStream {
- public:
-  /// `data` must stay alive and unmodified while the stream is consumed.
-  explicit DatasetStream(const Dataset* data) : data_(data) {}
-
-  Status Next(bool* has_record, std::string_view* key,
-              std::string_view* value) override;
-
- private:
-  const Dataset* data_;
-  size_t pos_ = 0;
-};
-
-/// Sorts a materialized Dataset by key with the same tag fast path:
-/// sorts (tag, index) pairs, then applies the permutation with string
-/// moves. Stable (equal keys keep their relative order), replacing
-/// bytewise std::stable_sort at the dataflow layer.
-void SortDatasetByKey(Dataset* data);
-
 }  // namespace fsjoin::mr
 
 #endif  // FSJOIN_MR_SHUFFLE_H_

@@ -92,8 +92,7 @@ Registry& TaskRegistry() {
 /// Group shape discriminant in the .res record.
 enum ResultGroupKind : uint32_t {
   kGroupPartitions = 0,
-  kGroupBuckets = 1,
-  kGroupRecords = 2,
+  kGroupRecords = 1,
 };
 
 void EncodeMetrics(const TaskMetrics& tm, std::string* dst) {
@@ -321,16 +320,7 @@ Status WriteTaskOutputFiles(const std::string& base, const TaskOutput& out) {
   FSJOIN_RETURN_NOT_OK(data.Open());
 
   std::string result;
-  if (!out.buckets.empty()) {
-    PutVarint32(&result, kGroupBuckets);
-    PutVarint32(&result, static_cast<uint32_t>(out.buckets.size()));
-    for (const Dataset& bucket : out.buckets) {
-      PutVarint64(&result, bucket.size());
-      for (const KeyValue& kv : bucket) {
-        FSJOIN_RETURN_NOT_OK(data.Add(kv.key, kv.value));
-      }
-    }
-  } else if (!out.partitions.empty()) {
+  if (!out.partitions.empty()) {
     PutVarint32(&result, kGroupPartitions);
     PutVarint32(&result, static_cast<uint32_t>(out.partitions.size()));
     for (const KvBuffer& buffer : out.partitions) {
@@ -419,16 +409,6 @@ Status ReadTaskOutputFiles(const std::string& base, TaskOutput* out) {
         out->partitions[g].Append(key, value);
       }
     }
-  } else if (group_kind == kGroupBuckets) {
-    out->buckets.resize(num_groups);
-    for (uint32_t g = 0; g < num_groups; ++g) {
-      out->buckets[g].reserve(counts[g]);
-      for (uint64_t i = 0; i < counts[g]; ++i) {
-        FSJOIN_RETURN_NOT_OK(next(&key, &value));
-        out->buckets[g].push_back(KeyValue{std::string(key),
-                                           std::string(value)});
-      }
-    }
   } else {
     if (num_groups != 1) {
       return Status::Corruption("task result: record output needs 1 group");
@@ -451,13 +431,7 @@ Status ReadTaskOutputFiles(const std::string& base, TaskOutput* out) {
 void EncodeTaskOutputWire(const TaskOutput& out, std::string* dst) {
   // Same footer layout as the .res file, followed by the data records
   // inline (the frame's payload CRC plays the run file's role).
-  if (!out.buckets.empty()) {
-    PutVarint32(dst, kGroupBuckets);
-    PutVarint32(dst, static_cast<uint32_t>(out.buckets.size()));
-    for (const Dataset& bucket : out.buckets) {
-      PutVarint64(dst, bucket.size());
-    }
-  } else if (!out.partitions.empty()) {
+  if (!out.partitions.empty()) {
     PutVarint32(dst, kGroupPartitions);
     PutVarint32(dst, static_cast<uint32_t>(out.partitions.size()));
     for (const KvBuffer& buffer : out.partitions) {
@@ -477,12 +451,6 @@ void EncodeTaskOutputWire(const TaskOutput& out, std::string* dst) {
     PutVarint64(dst, stat.bytes);
   }
   PutLengthPrefixed(dst, out.shuffle_endpoint);
-  for (const Dataset& bucket : out.buckets) {
-    for (const KeyValue& kv : bucket) {
-      PutLengthPrefixed(dst, kv.key);
-      PutLengthPrefixed(dst, kv.value);
-    }
-  }
   for (const KvBuffer& buffer : out.partitions) {
     for (size_t i = 0; i < buffer.size(); ++i) {
       PutLengthPrefixed(dst, buffer.key(i));
@@ -532,16 +500,6 @@ Status DecodeTaskOutputWire(std::string_view data, TaskOutput* out) {
       for (uint64_t i = 0; i < counts[g]; ++i) {
         FSJOIN_RETURN_NOT_OK(next(&key, &value));
         out->partitions[g].Append(key, value);
-      }
-    }
-  } else if (group_kind == kGroupBuckets) {
-    out->buckets.resize(num_groups);
-    for (uint32_t g = 0; g < num_groups; ++g) {
-      out->buckets[g].reserve(counts[g]);
-      for (uint64_t i = 0; i < counts[g]; ++i) {
-        FSJOIN_RETURN_NOT_OK(next(&key, &value));
-        out->buckets[g].push_back(KeyValue{std::string(key),
-                                           std::string(value)});
       }
     }
   } else {

@@ -15,7 +15,7 @@
 
 namespace fsjoin::mr {
 
-/// The serializable task layer: one engine/flow stage becomes a set of
+/// The serializable task layer: one engine job phase becomes a set of
 /// TaskSpec descriptors that a TaskRunner (mr/runner.h) executes and a
 /// TaskScheduler (mr/scheduler.h) retries. A spec carries only data — job
 /// stage, partition range, input run files, output paths — so it can cross
@@ -46,8 +46,8 @@ struct ShuffleSource {
 /// additionally receive the stage's TaskBody closure, which may capture
 /// state a subprocess would instead reach through `factory`/`input_runs`.
 struct TaskSpec {
-  /// Job (engine backend) or pipeline stage (flow backend) this task
-  /// belongs to; used for diagnostics and output naming only.
+  /// Job this task belongs to; used for diagnostics and output naming
+  /// only.
   std::string job_name;
   TaskKind kind = TaskKind::kMap;
   /// Task index within its stage: map split number or reduce partition.
@@ -92,12 +92,10 @@ struct PartitionStat {
 };
 
 /// Everything one task attempt produces. Exactly one of the data members
-/// is populated, by stage type: `partitions` for engine map tasks (one
-/// KvBuffer per reduce partition), `buckets` for flow map tasks (one
-/// Dataset per destination), `records` for reduce tasks.
+/// is populated, by stage type: `partitions` for map tasks (one KvBuffer
+/// per reduce partition), `records` for reduce tasks.
 struct TaskOutput {
   std::vector<KvBuffer> partitions;
-  std::vector<Dataset> buckets;
   Dataset records;
   TaskMetrics metrics;
   /// Map tasks with a combiner: records fed into the combiner.

@@ -8,8 +8,8 @@ namespace fsjoin::store {
 
 /// Byte-accounting governor for shuffle memory.
 ///
-/// Holders of large allocations (shuffle shards owning KvBuffer arenas,
-/// dataflow shuffle buckets) Charge() the bytes they take ownership of and
+/// Holders of large allocations (shuffle shards owning KvBuffer arenas)
+/// Charge() the bytes they take ownership of and
 /// Release() them once the bytes are spilled to disk or consumed. Charge
 /// never blocks and never fails — memory has already been allocated by the
 /// time it is accounted for — it only reports whether the holder is now
@@ -65,7 +65,8 @@ class MemoryBudget {
 
 /// The process-wide budget that every per-job shuffle budget chains to.
 /// Unlimited until narrowed via set_limit() (wired to
-/// exec::ExecConfig::process_memory_bytes by MakeBackend).
+/// exec::ExecConfig::process_memory_bytes by the exec::MapReduceBackend
+/// constructor).
 MemoryBudget& ProcessMemoryBudget();
 
 }  // namespace fsjoin::store

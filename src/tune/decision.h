@@ -10,8 +10,8 @@ namespace fsjoin::tune {
 
 /// Order-invariant aggregates of one sealed fragment batch — the decision
 /// inputs. All three are permutation-invariant over the fragment's
-/// segments, so the per-fragment choice is deterministic across backends,
-/// runners, thread counts and morsel sizes.
+/// segments, so the per-fragment choice is deterministic across runners,
+/// thread counts and morsel sizes.
 struct FragmentShape {
   uint32_t num_segments = 0;
   uint64_t total_tokens = 0;

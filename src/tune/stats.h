@@ -65,7 +65,7 @@ SampleStats SampleCorpusStats(const Corpus& corpus, double rate,
 /// the guarantee a tiny S (or R) would routinely sample to nothing and the
 /// tuner would plan pivots for a one-sided token distribution. The forced
 /// inclusion is deterministic (same hash the membership test uses), so the
-/// pass stays reproducible across backends and runners. With rs_boundary
+/// pass stays reproducible across runners. With rs_boundary
 /// unset this is exactly SampleCorpusStats above.
 SampleStats SampleCorpusStatsRS(const Corpus& corpus, double rate,
                                 uint64_t seed,

@@ -116,7 +116,7 @@ Result<int64_t> ParseInt64(std::string_view text, int64_t min, int64_t max) {
   return value;
 }
 
-Result<double> ParseFraction(std::string_view text) {
+Result<double> ParsePositive(std::string_view text, double max) {
   double value = 0;
   std::errc ec{};
   if (!FromCharsWhole(text, &value, &ec)) {
@@ -124,11 +124,16 @@ Result<double> ParseFraction(std::string_view text) {
                                    "' is not a number");
   }
   // The negated test also rejects NaN.
-  if (ec != std::errc{} || !(value > 0.0 && value <= 1.0)) {
-    return Status::InvalidArgument("'" + std::string(text) +
-                                   "' is out of range (0, 1]");
+  if (ec != std::errc{} || !(value > 0.0 && value <= max)) {
+    return Status::InvalidArgument(
+        StrFormat("'%s' is out of range (0, %g]", std::string(text).c_str(),
+                  max));
   }
   return value;
+}
+
+Result<double> ParseFraction(std::string_view text) {
+  return ParsePositive(text, 1.0);
 }
 
 }  // namespace fsjoin

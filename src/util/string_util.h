@@ -37,7 +37,11 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 /// A base-10 integer in [min, max].
 Result<int64_t> ParseInt64(std::string_view text, int64_t min, int64_t max);
 
-/// A decimal fraction in (0, 1], e.g. a similarity threshold or a rate.
+/// A decimal number in (0, max], e.g. a scale factor.
+Result<double> ParsePositive(std::string_view text, double max);
+
+/// A decimal fraction in (0, 1], e.g. a similarity threshold or a rate:
+/// ParsePositive(text, 1).
 Result<double> ParseFraction(std::string_view text);
 
 }  // namespace fsjoin

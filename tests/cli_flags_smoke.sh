@@ -1,10 +1,19 @@
 #!/usr/bin/env bash
-# Bad numeric flags must fail fast: fsjoin_cli and fsjoin_worker exit 2 with
-# a message naming the flag, instead of reading `--theta abc` as 0 the way
-# atof would. A good value still runs the join.
+# Bad numeric flags must fail fast: fsjoin_cli, fsjoin_worker, the benches'
+# shared flags and the examples' positional arguments exit 2 with a message
+# naming the argument, instead of reading `--theta abc` as 0 the way atof
+# would. Removed flags are unknown flags (exit 2). A good value still runs
+# the join.
+#
+# usage: cli_flags_smoke.sh FSJOIN_CLI FSJOIN_WORKER BENCH EMAIL_DEDUP
+#                           RECORD_LINKAGE CLUSTER_TUNING
 set -uo pipefail
 cli=$1
 worker=$2
+bench=$3
+email_dedup=$4
+record_linkage=$5
+cluster_tuning=$6
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -41,6 +50,18 @@ expect_bad --heartbeat-ms "${join[@]}" --heartbeat-ms 1e3
 expect_bad --tokenizer "${join[@]}" --tokenizer qgramx
 expect_bad --tokenizer "${join[@]}" --tokenizer qgram0
 expect_bad --timeout-ms "$worker" --listen 127.0.0.1:1 --timeout-ms soon
+printf 'a b c d e\n' > "$tmp/right.txt"
+# Removed flags are unknown flags now: "backend" chose the execution
+# engine, "rs" was a legacy alias of --right.
+for removed in backend rs; do
+  expect_bad "--$removed" "${join[@]}" "--$removed" "$tmp/right.txt"
+done
+expect_bad --warmup "$bench" --warmup=-3
+expect_bad --repeat "$bench" --repeat=0
+expect_bad FSJOIN_BENCH_SCALE env FSJOIN_BENCH_SCALE=0.5x "$bench"
+expect_bad theta "$email_dedup" abc
+expect_bad theta "$record_linkage" 0
+expect_bad num_records "$cluster_tuning" 2k
 
 if ! "${join[@]}" --theta 0.6 --fragments 2 --threads 2 --tokenizer qgram2 \
     > "$tmp/out"; then
@@ -48,5 +69,14 @@ if ! "${join[@]}" --theta 0.6 --fragments 2 --threads 2 --tokenizer qgram2 \
   failures=$((failures + 1))
 fi
 
+# --right alone implies --join rs: record 0 of R equals record 0 of S, a
+# pair only an R-S join can emit (a self join never pairs a record with
+# itself).
+if ! "${join[@]}" --right "$tmp/right.txt" --theta 0.9 > "$tmp/rs" ||
+    ! grep -q '^0 0 1' "$tmp/rs"; then
+  echo "FAIL: --right FILE did not run an R-S join: $(head -3 "$tmp/rs")" >&2
+  failures=$((failures + 1))
+fi
+
 ((failures == 0)) || exit 1
-echo "every bad numeric flag exited 2 naming the flag"
+echo "every bad numeric flag and removed flag exited 2 naming the flag"

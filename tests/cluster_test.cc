@@ -1,8 +1,8 @@
 // End-to-end tests of the networked cluster runtime (ctest label
 // `cluster`): record streams crossing real sockets with their trailer
 // cross-checks; result-digest identity between the cluster runner (four
-// spawned loopback workers) and the inline runner on both backends for
-// FS-Join and all three baselines; kill-a-worker fault injection for both
+// spawned loopback workers) and the inline runner for FS-Join and all
+// three baselines; kill-a-worker fault injection for both
 // task kinds (a map death re-runs the task, a reduce death additionally
 // re-creates the dead worker's retained shuffle partitions on survivors)
 // with exactly-once metrics; heartbeat-timeout death detection against a
@@ -59,9 +59,8 @@ class ScopedWorkerFault {
   ~ScopedWorkerFault() { ::unsetenv("FSJOIN_WORKER_FAULT"); }
 };
 
-exec::ExecConfig SmallExec(exec::BackendKind backend, RunnerKind runner) {
+exec::ExecConfig SmallExec(RunnerKind runner) {
   exec::ExecConfig config;
-  config.backend = backend;
   config.runner = runner;
   config.num_map_tasks = 3;
   config.num_reduce_tasks = 3;
@@ -205,7 +204,7 @@ TEST(ClusterRunnerTest, CreateRejectsBadTopologyAndHeartbeat) {
   }
 }
 
-// ---- Digest identity: cluster vs inline, both backends, 4 algorithms --
+// ---- Digest identity: cluster vs inline, 4 algorithms ------------------
 
 JoinResultSet RunAlgorithm(int algorithm, const Corpus& corpus,
                            const exec::ExecConfig& exec_config,
@@ -257,23 +256,16 @@ JoinResultSet RunAlgorithm(int algorithm, const Corpus& corpus,
 TEST(ClusterRunnerTest, DigestsIdenticalToInlineAcrossBackendsAlgorithms) {
   const Corpus corpus = testing::RandomCorpus(48, 60, 0.8, 8.0, 11);
   const char* names[] = {"fsjoin", "vernica", "vsmart", "massjoin"};
-  constexpr exec::BackendKind kBothBackends[] = {
-      exec::BackendKind::kMapReduce, exec::BackendKind::kFusedFlow};
 
   for (int algorithm = 0; algorithm < 4; ++algorithm) {
-    const JoinResultSet reference = RunAlgorithm(
-        algorithm, corpus,
-        SmallExec(exec::BackendKind::kMapReduce, RunnerKind::kInline));
+    const JoinResultSet reference =
+        RunAlgorithm(algorithm, corpus, SmallExec(RunnerKind::kInline));
     ASSERT_GT(reference.size(), 0u) << names[algorithm];
     const uint32_t reference_digest = check::ResultDigest(reference);
-    for (exec::BackendKind backend : kBothBackends) {
-      const JoinResultSet pairs = RunAlgorithm(
-          algorithm, corpus, SmallExec(backend, RunnerKind::kCluster));
-      EXPECT_EQ(check::ResultDigest(pairs), reference_digest)
-          << names[algorithm]
-          << " backend=" << exec::BackendKindName(backend);
-      EXPECT_EQ(pairs.size(), reference.size());
-    }
+    const JoinResultSet pairs =
+        RunAlgorithm(algorithm, corpus, SmallExec(RunnerKind::kCluster));
+    EXPECT_EQ(check::ResultDigest(pairs), reference_digest) << names[algorithm];
+    EXPECT_EQ(pairs.size(), reference.size());
   }
 }
 
@@ -285,42 +277,32 @@ TEST(ClusterRunnerTest, RsDigestsIdenticalToInlineAcrossBackendsAlgorithms) {
   const Corpus corpus = testing::RandomCorpus(48, 60, 0.8, 8.0, 11);
   const RecordId boundary = 20;
   const char* names[] = {"fsjoin", "vernica", "vsmart", "massjoin"};
-  constexpr exec::BackendKind kBothBackends[] = {
-      exec::BackendKind::kMapReduce, exec::BackendKind::kFusedFlow};
   const uint32_t oracle_digest = check::ResultDigest(BruteForceJoinRS(
       testing::OrderedView(corpus), boundary, SimilarityFunction::kJaccard,
       0.6));
 
   for (int algorithm = 0; algorithm < 4; ++algorithm) {
     const JoinResultSet reference = RunAlgorithm(
-        algorithm, corpus,
-        SmallExec(exec::BackendKind::kMapReduce, RunnerKind::kInline),
-        boundary);
+        algorithm, corpus, SmallExec(RunnerKind::kInline), boundary);
     ASSERT_GT(reference.size(), 0u) << names[algorithm];
     EXPECT_EQ(check::ResultDigest(reference), oracle_digest)
         << names[algorithm];
-    for (exec::BackendKind backend : kBothBackends) {
-      const JoinResultSet pairs = RunAlgorithm(
-          algorithm, corpus, SmallExec(backend, RunnerKind::kCluster),
-          boundary);
-      EXPECT_EQ(check::ResultDigest(pairs), oracle_digest)
-          << names[algorithm]
-          << " backend=" << exec::BackendKindName(backend);
-      EXPECT_EQ(pairs.size(), reference.size());
-    }
+    const JoinResultSet pairs = RunAlgorithm(
+        algorithm, corpus, SmallExec(RunnerKind::kCluster), boundary);
+    EXPECT_EQ(check::ResultDigest(pairs), oracle_digest) << names[algorithm];
+    EXPECT_EQ(pairs.size(), reference.size());
   }
 }
 
 // ---- Kill-a-worker fault injection ------------------------------------
 
-/// Runs FS-Join on the MR backend with 4 spawned cluster workers.
+/// Runs FS-Join with 4 spawned cluster workers.
 Result<FsJoinOutput> ClusterFsJoin(const Corpus& corpus) {
   FsJoinConfig config;
   config.theta = 0.6;
   config.num_vertical_partitions = 4;
   config.num_horizontal_partitions = 1;
-  config.exec =
-      SmallExec(exec::BackendKind::kMapReduce, RunnerKind::kCluster);
+  config.exec = SmallExec(RunnerKind::kCluster);
   return FsJoin(config).Run(corpus);
 }
 

@@ -1,6 +1,6 @@
 // Cross-process tests of the coordinator/runner split (ctest label
 // `multiproc`): result-digest identity across the inline, thread-pool and
-// forked-subprocess runners on both backends for FS-Join and all three
+// forked-subprocess runners for FS-Join and all three
 // baselines; fault injection showing a killed task re-executed to the
 // correct result without double-counted metrics; the task interchange
 // files crossing a real process boundary (byte identity plus every
@@ -63,12 +63,8 @@ void ExpectDatasetsEqual(const mr::Dataset& got, const mr::Dataset& want) {
     EXPECT_EQ(got[i].value, want[i].value) << "record " << i;
   }
 }
-constexpr exec::BackendKind kBothBackends[] = {exec::BackendKind::kMapReduce,
-                                               exec::BackendKind::kFusedFlow};
-
-exec::ExecConfig SmallExec(exec::BackendKind backend, RunnerKind runner) {
+exec::ExecConfig SmallExec(RunnerKind runner) {
   exec::ExecConfig config;
-  config.backend = backend;
   config.runner = runner;
   config.num_map_tasks = 3;
   config.num_reduce_tasks = 3;
@@ -90,66 +86,63 @@ TEST(MultiprocTest, DigestsIdenticalAcrossRunnersBackendsAlgorithms) {
   for (int algorithm = 0; algorithm < 4; ++algorithm) {
     std::optional<uint32_t> reference;
     std::optional<size_t> reference_pairs;
-    for (exec::BackendKind backend : kBothBackends) {
-      for (RunnerKind runner : kAllRunners) {
-        JoinResultSet pairs;
-        std::string cell;
-        switch (algorithm) {
-          case 0: {
-            FsJoinConfig config;
-            config.theta = theta;
-            config.num_vertical_partitions = 4;
-            config.num_horizontal_partitions = 1;
-            config.exec = SmallExec(backend, runner);
-            auto out = FsJoin(config).Run(corpus);
-            ASSERT_TRUE(out.ok()) << out.status().ToString();
-            pairs = std::move(out->pairs);
-            cell = "fsjoin";
-            break;
-          }
-          case 1: {
-            BaselineConfig config;
-            config.theta = theta;
-            config.exec = SmallExec(backend, runner);
-            auto out = RunVernicaJoin(corpus, config);
-            ASSERT_TRUE(out.ok()) << out.status().ToString();
-            pairs = std::move(out->pairs);
-            cell = "vernica";
-            break;
-          }
-          case 2: {
-            BaselineConfig config;
-            config.theta = theta;
-            config.exec = SmallExec(backend, runner);
-            auto out = RunVSmartJoin(corpus, config);
-            ASSERT_TRUE(out.ok()) << out.status().ToString();
-            pairs = std::move(out->pairs);
-            cell = "vsmart";
-            break;
-          }
-          default: {
-            MassJoinConfig config;
-            config.theta = theta;
-            config.exec = SmallExec(backend, runner);
-            config.length_group = 2;
-            auto out = RunMassJoin(corpus, config);
-            ASSERT_TRUE(out.ok()) << out.status().ToString();
-            pairs = std::move(out->pairs);
-            cell = "massjoin";
-            break;
-          }
+    for (RunnerKind runner : kAllRunners) {
+      JoinResultSet pairs;
+      std::string cell;
+      switch (algorithm) {
+        case 0: {
+          FsJoinConfig config;
+          config.theta = theta;
+          config.num_vertical_partitions = 4;
+          config.num_horizontal_partitions = 1;
+          config.exec = SmallExec(runner);
+          auto out = FsJoin(config).Run(corpus);
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          pairs = std::move(out->pairs);
+          cell = "fsjoin";
+          break;
         }
-        const uint32_t digest = check::ResultDigest(pairs);
-        if (!reference) {
-          reference = digest;
-          reference_pairs = pairs.size();
-          EXPECT_GT(pairs.size(), 0u) << cell << ": degenerate corpus";
+        case 1: {
+          BaselineConfig config;
+          config.theta = theta;
+          config.exec = SmallExec(runner);
+          auto out = RunVernicaJoin(corpus, config);
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          pairs = std::move(out->pairs);
+          cell = "vernica";
+          break;
         }
-        EXPECT_EQ(digest, *reference)
-            << cell << " backend=" << exec::BackendKindName(backend)
-            << " runner=" << mr::RunnerKindName(runner);
-        EXPECT_EQ(pairs.size(), *reference_pairs);
+        case 2: {
+          BaselineConfig config;
+          config.theta = theta;
+          config.exec = SmallExec(runner);
+          auto out = RunVSmartJoin(corpus, config);
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          pairs = std::move(out->pairs);
+          cell = "vsmart";
+          break;
+        }
+        default: {
+          MassJoinConfig config;
+          config.theta = theta;
+          config.exec = SmallExec(runner);
+          config.length_group = 2;
+          auto out = RunMassJoin(corpus, config);
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          pairs = std::move(out->pairs);
+          cell = "massjoin";
+          break;
+        }
       }
+      const uint32_t digest = check::ResultDigest(pairs);
+      if (!reference) {
+        reference = digest;
+        reference_pairs = pairs.size();
+        EXPECT_GT(pairs.size(), 0u) << cell << ": degenerate corpus";
+      }
+      EXPECT_EQ(digest, *reference)
+          << cell << " runner=" << mr::RunnerKindName(runner);
+      EXPECT_EQ(pairs.size(), *reference_pairs);
     }
   }
 }
@@ -260,8 +253,7 @@ TEST(MultiprocTest, KilledFilteringTaskReRunsToIdenticalFsJoinResult) {
   FsJoinConfig config;
   config.theta = 0.6;
   config.num_vertical_partitions = 4;
-  config.exec = SmallExec(exec::BackendKind::kMapReduce,
-                          RunnerKind::kSubprocess);
+  config.exec = SmallExec(RunnerKind::kSubprocess);
 
   auto clean = FsJoin(config).Run(corpus);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();

@@ -383,6 +383,25 @@ TEST(TaskOutputWireTest, TruncationAndTrailingBytesAreRejected) {
   EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
 }
 
+TEST(TaskOutputWireTest, UnknownGroupKindIsCorruption) {
+  mr::TaskOutput out;
+  out.records.push_back({"k", "v"});
+  std::string bytes;
+  mr::EncodeTaskOutputWire(out, &bytes);
+  // The leading varint is the group kind: 0 = map partitions, 1 = reduce
+  // records. Anything else must be rejected, not decoded as records.
+  ASSERT_EQ(bytes[0], 1);
+  for (char kind : {2, 3, 127}) {
+    bytes[0] = kind;
+    mr::TaskOutput read;
+    const Status st = mr::DecodeTaskOutputWire(bytes, &read);
+    ASSERT_FALSE(st.ok()) << "group kind " << int{kind};
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_NE(st.message().find("bad group kind"), std::string::npos)
+        << st.ToString();
+  }
+}
+
 // ---- Cluster knob validation -----------------------------------------
 
 TEST(ClusterConfigTest, ClusterRunnerNeedsExactlyOneTopology) {

@@ -4,7 +4,7 @@
 // suppresses), the edge cases ISSUE 10 calls out (empty R or S, disjoint
 // vocabularies with the identity-mapping guarantee of MergeJoinInput, one
 // side entirely outside the other's length-filter window), and digest
-// identity across join methods x kernels x backends x runners for all four
+// identity across join methods x kernels x runners for all four
 // algorithms against the BruteForceJoinRS oracle.
 
 #include <gtest/gtest.h>
@@ -106,8 +106,6 @@ JoinResultSet RunAlgorithmRS(int algorithm, const Corpus& corpus,
 
 constexpr const char* kAlgorithmNames[] = {"fsjoin", "vernica", "vsmart",
                                            "massjoin"};
-constexpr exec::BackendKind kBothBackends[] = {exec::BackendKind::kMapReduce,
-                                               exec::BackendKind::kFusedFlow};
 
 // ---- Property: RS(C, C) == Self(C) + suppressed pairs --------------------
 
@@ -151,23 +149,18 @@ TEST(RsJoinProperty, RsOfCorpusWithItselfEqualsSelfJoinPlusSuppressed) {
       expected, BruteForceJoinRS(OrderedView(merged), boundary,
                                  SimilarityFunction::kJaccard, theta)));
 
-  // All four algorithms, both backends: byte-identical to the expected set.
+  // All four algorithms: byte-identical to the expected set.
   for (int algorithm = 0; algorithm < 4; ++algorithm) {
-    for (exec::BackendKind backend : kBothBackends) {
-      exec::ExecConfig exec_config;
-      exec_config.backend = backend;
-      exec_config.num_map_tasks = 3;
-      exec_config.num_reduce_tasks = 5;
-      const JoinResultSet pairs =
-          RunAlgorithmRS(algorithm, merged, boundary, theta, exec_config);
-      EXPECT_TRUE(SamePairs(expected, pairs))
-          << kAlgorithmNames[algorithm] << " on "
-          << exec::BackendKindName(backend) << "\n"
-          << DiffResults(expected, pairs);
-      EXPECT_EQ(check::ResultDigest(pairs), expected_digest)
-          << kAlgorithmNames[algorithm] << " on "
-          << exec::BackendKindName(backend);
-    }
+    exec::ExecConfig exec_config;
+    exec_config.num_map_tasks = 3;
+    exec_config.num_reduce_tasks = 5;
+    const JoinResultSet pairs =
+        RunAlgorithmRS(algorithm, merged, boundary, theta, exec_config);
+    EXPECT_TRUE(SamePairs(expected, pairs))
+        << kAlgorithmNames[algorithm] << "\n"
+        << DiffResults(expected, pairs);
+    EXPECT_EQ(check::ResultDigest(pairs), expected_digest)
+        << kAlgorithmNames[algorithm];
   }
 }
 
@@ -180,15 +173,11 @@ TEST(RsJoinEdgeCases, EmptySideProducesNoPairsInAllAlgorithms) {
   // (no build side). Either way the cross space is empty.
   for (RecordId boundary : {RecordId{0}, n}) {
     for (int algorithm = 0; algorithm < 4; ++algorithm) {
-      for (exec::BackendKind backend : kBothBackends) {
-        exec::ExecConfig exec_config;
-        exec_config.backend = backend;
-        const JoinResultSet pairs =
-            RunAlgorithmRS(algorithm, corpus, boundary, 0.5, exec_config);
-        EXPECT_TRUE(pairs.empty())
-            << kAlgorithmNames[algorithm] << " boundary=" << boundary
-            << " emitted " << pairs.size() << " pairs";
-      }
+      const JoinResultSet pairs =
+          RunAlgorithmRS(algorithm, corpus, boundary, 0.5, {});
+      EXPECT_TRUE(pairs.empty())
+          << kAlgorithmNames[algorithm] << " boundary=" << boundary
+          << " emitted " << pairs.size() << " pairs";
     }
   }
 }
@@ -298,7 +287,7 @@ TEST(RsJoinEdgeCases, LengthWindowDisjointSidesYieldZeroCandidates) {
                 c.pruned_segd + c.empty_overlap + c.emitted);
 }
 
-// ---- Digest identity: methods x kernels x backends against the oracle ----
+// ---- Digest identity: methods x kernels against the oracle --------------
 
 TEST(RsJoinMatrix, MethodsKernelsBackendsMatchOracle) {
   const double theta = 0.6;
@@ -316,26 +305,22 @@ TEST(RsJoinMatrix, MethodsKernelsBackendsMatchOracle) {
        {JoinMethod::kLoop, JoinMethod::kIndex, JoinMethod::kPrefix}) {
     for (exec::KernelMode kernel :
          {exec::KernelMode::kScalar, exec::KernelMode::kSimd}) {
-      for (exec::BackendKind backend : kBothBackends) {
-        FsJoinConfig config = RsConfig(theta, boundary);
-        config.join_method = method;
-        config.exec.kernel = kernel;
-        config.exec.backend = backend;
-        Result<FsJoinOutput> out = FsJoin(config).Run(merged);
-        ASSERT_TRUE(out.ok()) << out.status().ToString();
-        EXPECT_TRUE(SamePairs(oracle, out->pairs))
-            << JoinMethodName(method) << "/" << exec::KernelModeName(kernel)
-            << "/" << exec::BackendKindName(backend) << "\n"
-            << DiffResults(oracle, out->pairs);
-        EXPECT_EQ(check::ResultDigest(out->pairs), oracle_digest)
-            << JoinMethodName(method) << "/" << exec::KernelModeName(kernel)
-            << "/" << exec::BackendKindName(backend);
-      }
+      FsJoinConfig config = RsConfig(theta, boundary);
+      config.join_method = method;
+      config.exec.kernel = kernel;
+      Result<FsJoinOutput> out = FsJoin(config).Run(merged);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_TRUE(SamePairs(oracle, out->pairs))
+          << JoinMethodName(method) << "/" << exec::KernelModeName(kernel)
+          << "\n"
+          << DiffResults(oracle, out->pairs);
+      EXPECT_EQ(check::ResultDigest(out->pairs), oracle_digest)
+          << JoinMethodName(method) << "/" << exec::KernelModeName(kernel);
     }
   }
 }
 
-// ---- Digest identity: all four algorithms x backends x runners -----------
+// ---- Digest identity: all four algorithms x runners ----------------------
 
 TEST(RsJoinMatrix, AllAlgorithmsAllRunnersIdenticalDigests) {
   const double theta = 0.6;
@@ -351,21 +336,17 @@ TEST(RsJoinMatrix, AllAlgorithmsAllRunnersIdenticalDigests) {
   // `cluster`); this covers the in-process and subprocess runners.
   for (RunnerKind runner :
        {RunnerKind::kInline, RunnerKind::kThreads, RunnerKind::kSubprocess}) {
-    for (exec::BackendKind backend : kBothBackends) {
-      for (int algorithm = 0; algorithm < 4; ++algorithm) {
-        exec::ExecConfig exec_config;
-        exec_config.backend = backend;
-        exec_config.runner = runner;
-        exec_config.num_map_tasks = 3;
-        exec_config.num_reduce_tasks = 3;
-        exec_config.num_threads = 2;
-        const JoinResultSet pairs =
-            RunAlgorithmRS(algorithm, merged, boundary, theta, exec_config);
-        EXPECT_EQ(check::ResultDigest(pairs), oracle_digest)
-            << kAlgorithmNames[algorithm] << " runner="
-            << mr::RunnerKindName(runner)
-            << " backend=" << exec::BackendKindName(backend);
-      }
+    for (int algorithm = 0; algorithm < 4; ++algorithm) {
+      exec::ExecConfig exec_config;
+      exec_config.runner = runner;
+      exec_config.num_map_tasks = 3;
+      exec_config.num_reduce_tasks = 3;
+      exec_config.num_threads = 2;
+      const JoinResultSet pairs =
+          RunAlgorithmRS(algorithm, merged, boundary, theta, exec_config);
+      EXPECT_EQ(check::ResultDigest(pairs), oracle_digest)
+          << kAlgorithmNames[algorithm] << " runner="
+          << mr::RunnerKindName(runner);
     }
   }
 }

@@ -398,20 +398,5 @@ TEST(ShuffleSpillTest, RecordLargerThanTheWholeBudgetPassesThrough) {
   EXPECT_EQ(got_max_group, want_max_group);
 }
 
-TEST(SortDatasetByKeyTest, MatchesBytewiseStableSort) {
-  Dataset data = RandomRecords(400, 99);
-  Dataset reference = data;
-  std::stable_sort(reference.begin(), reference.end(),
-                   [](const KeyValue& a, const KeyValue& b) {
-                     return a.key < b.key;
-                   });
-  SortDatasetByKey(&data);
-  ASSERT_EQ(data.size(), reference.size());
-  for (size_t i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(data[i].key, reference[i].key) << "at " << i;
-    EXPECT_EQ(data[i].value, reference[i].value) << "at " << i;
-  }
-}
-
 }  // namespace
 }  // namespace fsjoin::mr

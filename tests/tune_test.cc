@@ -380,18 +380,28 @@ TEST(AutoTuneEndToEndTest, SkewTriggeredSplittingKeepsResultsIdentical) {
   EXPECT_TRUE(split_logged) << "expected a horizontal split log line";
 }
 
+// --auto and a hand-set config that shares none of its choices (loop join,
+// random pivots, horizontal split, scalar kernel) produce the same digest.
 TEST(AutoTuneEndToEndTest, AutoMatchesAcrossBackends) {
   Corpus corpus = RandomCorpus(300, 350, 0.9, 10.0, 53);
-  FsJoinConfig config;
-  config.theta = 0.7;
-  config.exec.auto_tune = true;
-  config.exec.tune_sample_rate = 0.5;
-  auto mr_out = FsJoin(config).Run(corpus);
-  ASSERT_TRUE(mr_out.ok());
-  config.exec.backend = exec::BackendKind::kFusedFlow;
-  auto flow_out = FsJoin(config).Run(corpus);
-  ASSERT_TRUE(flow_out.ok());
-  EXPECT_EQ(check::ResultDigest(mr_out->pairs), check::ResultDigest(flow_out->pairs));
+  FsJoinConfig hand;
+  hand.theta = 0.7;
+  hand.join_method = JoinMethod::kLoop;
+  hand.pivot_strategy = PivotStrategy::kRandom;
+  hand.num_horizontal_partitions = 2;
+  hand.exec.kernel = exec::KernelMode::kScalar;
+  auto hand_out = FsJoin(hand).Run(corpus);
+  ASSERT_TRUE(hand_out.ok()) << hand_out.status().ToString();
+
+  FsJoinConfig tuned;
+  tuned.theta = 0.7;
+  tuned.exec.auto_tune = true;
+  tuned.exec.tune_sample_rate = 0.5;
+  auto auto_out = FsJoin(tuned).Run(corpus);
+  ASSERT_TRUE(auto_out.ok()) << auto_out.status().ToString();
+  ASSERT_TRUE(auto_out->report.tuning.enabled);
+  EXPECT_EQ(check::ResultDigest(auto_out->pairs),
+            check::ResultDigest(hand_out->pairs));
 }
 
 }  // namespace

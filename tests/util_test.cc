@@ -311,6 +311,23 @@ TEST(StringUtilTest, ParseFractionAcceptsOnlyZeroToOne) {
   }
 }
 
+// Qualified: this file's anonymous namespace has its own ParsePositive.
+TEST(StringUtilTest, ParsePositiveAcceptsOnlyZeroToMax) {
+  EXPECT_DOUBLE_EQ(*fsjoin::ParsePositive("2.5", 100), 2.5);
+  EXPECT_DOUBLE_EQ(*fsjoin::ParsePositive("100", 100), 100.0);
+  EXPECT_DOUBLE_EQ(*fsjoin::ParsePositive("1e-3", 100), 0.001);
+  for (const char* out : {"0", "-1", "100.5", "nan", "inf"}) {
+    Result<double> r = fsjoin::ParsePositive(out, 100);
+    ASSERT_FALSE(r.ok()) << "'" << out << "'";
+    EXPECT_NE(r.status().message().find("out of range (0, 100]"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  EXPECT_NE(
+      fsjoin::ParsePositive("0.5x", 100).status().message().find("not a number"),
+      std::string::npos);
+}
+
 // ---- Hash -----------------------------------------------------------------
 
 TEST(HashTest, StableAndSpread) {
