@@ -49,7 +49,8 @@ void Run() {
   }
   table.Print(std::cout);
   std::printf(
-      "\nauto-tuned config for this corpus on a 10-worker/64MB cluster: "
+      "\nconfig sized by the paper's rules for this corpus on a "
+      "10-worker/64MB cluster: "
       "%s\n",
       AutoTuneConfig(stats, 10, 64ull << 20, 0.8).Summary().c_str());
 }

@@ -616,12 +616,10 @@ int RunKernelComparison(int argc, char** argv) {
   std::printf("  runs x runs     %10.0f us  (clustered 512-token sets)\n",
               runs_us);
 
-  // 1e) Crossover sweep (feeds the tuner): scalar vs packed vs simd across
-  // segment lengths 2..512. The per-fragment decision layer's
-  // TuningPolicy::simd_min_avg_len is calibrated from these rows — the
-  // smallest length where the simd column beats packed is the crossover,
-  // and the rows land in BENCH_kernels.json so recalibrating after a kernel
-  // change is a diff of two bench files, not a guess.
+  // 1e) Crossover sweep: scalar vs packed vs simd across segment lengths
+  // 2..512. The smallest length where the simd column beats packed is the
+  // crossover; the rows land in BENCH_kernels.json, so comparing kernel
+  // families after a change is a diff of two bench files, not a guess.
   std::printf("crossover (scalar vs packed vs simd by segment length):\n");
   std::printf("  %6s %10s %10s %10s  %s\n", "len", "scalar", "packed", "simd",
               "winner");

@@ -15,13 +15,6 @@
 //   --fragments N       vertical partitions                   [30]
 //   --horizontal N      horizontal length pivots (0 = off)    [0]
 //   --method NAME       loop | index | prefix                 [prefix]
-//   --auto              cost-based auto-tuning: sample-refined pivots,
-//                       skew-triggered horizontal splitting, per-fragment
-//                       join method + kernel. Explicitly passed knobs
-//                       (--method, --kernel, --horizontal) stay pinned and
-//                       override the tuner, with the override logged.
-//   --sample-rate X     tuning sample rate in (0, 1]; requires --auto
-//                       [0.05]
 //   --aggressive        paper-aggressive segment prefixes (faster,
 //                       may miss borderline pairs)
 //   --kernel NAME       auto | scalar | packed | simd overlap kernel
@@ -46,7 +39,8 @@
 //                       cluster: fork/exec N loopback workers from this
 //                       binary instead of dialing --workers
 //   --heartbeat-ms N    cluster liveness probe interval       [2000]
-//   --output PATH       write "idA idB similarity" lines      [stdout]
+//   --output PATH       write "idA idB similarity" lines; a failed
+//                       write exits 1                         [stdout]
 //   --report            print the execution report to stderr
 //
 // Internal: --worker-task SPEC re-executes one serialized task and exits
@@ -54,6 +48,7 @@
 // Internal: --worker-serve HOST:PORT turns the process into a cluster
 // worker dialing that coordinator (spawn-local mode; see net/worker.h).
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -81,10 +76,10 @@ struct CliOptions {
   std::string right;
   std::string output;
   std::string tokenizer = "word";
-  std::string method = "prefix";
-  std::string function = "jaccard";
-  std::string kernel = "auto";
-  std::string runner = "threads";
+  fsjoin::JoinMethod method = fsjoin::JoinMethod::kPrefix;
+  fsjoin::SimilarityFunction function = fsjoin::SimilarityFunction::kJaccard;
+  fsjoin::exec::KernelMode kernel = fsjoin::exec::KernelMode::kAuto;
+  fsjoin::mr::RunnerKind runner = fsjoin::mr::RunnerKind::kThreads;
   std::string spill_dir;
   std::string workers;
   int spawn_local_workers = 0;
@@ -99,13 +94,6 @@ struct CliOptions {
   bool parallel_join = false;
   bool aggressive = false;
   bool report = false;
-  bool auto_tune = false;
-  double sample_rate = 0.0;
-  // Which knobs were passed explicitly: with --auto they stay pinned and
-  // the override is logged instead of being silently ignored.
-  bool method_set = false;
-  bool kernel_set = false;
-  bool horizontal_set = false;
 };
 
 int Usage(const char* argv0) {
@@ -114,7 +102,7 @@ int Usage(const char* argv0) {
                "[--theta X] "
                "[--function jaccard|dice|cosine] [--tokenizer "
                "word|whitespace|qgramN] [--fragments N] [--horizontal N] "
-               "[--method loop|index|prefix] [--auto] [--sample-rate X] "
+               "[--method loop|index|prefix] "
                "[--aggressive] "
                "[--kernel auto|scalar|packed|simd] "
                "[--threads N] "
@@ -191,6 +179,18 @@ bool ParseFlag(const std::string& flag, const char* value, Parse parse,
   return true;
 }
 
+// The --method parser, for ParseFlag.
+fsjoin::Result<fsjoin::JoinMethod> JoinMethodFromName(std::string_view name) {
+  for (fsjoin::JoinMethod m :
+       {fsjoin::JoinMethod::kLoop, fsjoin::JoinMethod::kIndex,
+        fsjoin::JoinMethod::kPrefix}) {
+    if (name == fsjoin::JoinMethodName(m)) return m;
+  }
+  return fsjoin::Status::InvalidArgument(
+      "unknown join method: '" + std::string(name) +
+      "' (expected loop|index|prefix)");
+}
+
 // A checked parser of integers in [min, max], for ParseFlag.
 auto IntIn(int64_t min, int64_t max) {
   return [=](std::string_view v) { return fsjoin::ParseInt64(v, min, max); };
@@ -241,22 +241,16 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (arg == "--function") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.function = v;
+      if (!ParseFlag(arg, next(), fsjoin::SimilarityFunctionFromName,
+                     &opts.function)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--tokenizer") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
       opts.tokenizer = v;
     } else if (arg == "--method") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.method = v;
-      opts.method_set = true;
-    } else if (arg == "--auto") {
-      opts.auto_tune = true;
-    } else if (arg == "--sample-rate") {
-      if (!ParseFlag(arg, next(), fsjoin::ParseFraction, &opts.sample_rate)) {
+      if (!ParseFlag(arg, next(), JoinMethodFromName, &opts.method)) {
         return Usage(argv[0]);
       }
     } else if (arg == "--fragments") {
@@ -267,12 +261,11 @@ int main(int argc, char** argv) {
       if (!ParseFlag(arg, next(), IntIn(0, UINT32_MAX), &opts.horizontal)) {
         return Usage(argv[0]);
       }
-      opts.horizontal_set = true;
     } else if (arg == "--kernel") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.kernel = v;
-      opts.kernel_set = true;
+      if (!ParseFlag(arg, next(), fsjoin::exec::KernelModeFromName,
+                     &opts.kernel)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--threads") {
       if (!ParseFlag(arg, next(), IntIn(0, kMaxThreads), &opts.threads)) {
         return Usage(argv[0]);
@@ -294,9 +287,10 @@ int main(int argc, char** argv) {
       if (!v) return Usage(argv[0]);
       opts.spill_dir = v;
     } else if (arg == "--runner") {
-      const char* v = next();
-      if (!v) return Usage(argv[0]);
-      opts.runner = v;
+      if (!ParseFlag(arg, next(), fsjoin::mr::RunnerKindFromName,
+                     &opts.runner)) {
+        return Usage(argv[0]);
+      }
     } else if (arg == "--task-retries") {
       if (!ParseFlag(arg, next(), IntIn(0, INT32_MAX), &opts.task_retries)) {
         return Usage(argv[0]);
@@ -369,70 +363,11 @@ int main(int argc, char** argv) {
   config.exec.workers = opts.workers;
   config.exec.spawn_local_workers = opts.spawn_local_workers;
   config.exec.heartbeat_ms = opts.heartbeat_ms;
-  {
-    auto runner = fsjoin::mr::RunnerKindFromName(opts.runner);
-    if (!runner.ok()) {
-      std::fprintf(stderr, "%s\n", runner.status().ToString().c_str());
-      return 1;
-    }
-    config.exec.runner = *runner;
-  }
-  {
-    auto kernel = fsjoin::exec::KernelModeFromName(opts.kernel);
-    if (!kernel.ok()) {
-      std::fprintf(stderr, "%s\n", kernel.status().ToString().c_str());
-      return 1;
-    }
-    config.exec.kernel = *kernel;
-  }
+  config.exec.runner = opts.runner;
+  config.exec.kernel = opts.kernel;
   config.aggressive_segment_prefix = opts.aggressive;
-  {
-    auto fn = fsjoin::SimilarityFunctionFromName(opts.function);
-    if (!fn.ok()) {
-      std::fprintf(stderr, "%s\n", fn.status().ToString().c_str());
-      return 1;
-    }
-    config.function = *fn;
-  }
-  if (opts.method == "loop") {
-    config.join_method = fsjoin::JoinMethod::kLoop;
-  } else if (opts.method == "index") {
-    config.join_method = fsjoin::JoinMethod::kIndex;
-  } else if (opts.method == "prefix") {
-    config.join_method = fsjoin::JoinMethod::kPrefix;
-  } else {
-    std::fprintf(stderr, "unknown join method: %s\n", opts.method.c_str());
-    return 1;
-  }
-  config.exec.auto_tune = opts.auto_tune;
-  config.exec.tune_sample_rate = opts.sample_rate;
-  if (opts.auto_tune) {
-    // Explicitly passed knobs stay pinned: --auto fills in only what the
-    // user left unset, and each override is logged instead of one side
-    // silently losing (the old behavior accepted e.g. --auto --method loop
-    // and ignored the --method).
-    config.pinned.join_method = opts.method_set;
-    config.pinned.kernel = opts.kernel_set;
-    config.pinned.horizontal = opts.horizontal_set;
-    if (opts.method_set) {
-      std::fprintf(stderr,
-                   "[auto] --method %s set explicitly; pinning it and "
-                   "skipping the per-fragment method choice\n",
-                   opts.method.c_str());
-    }
-    if (opts.kernel_set) {
-      std::fprintf(stderr,
-                   "[auto] --kernel %s set explicitly; pinning it and "
-                   "skipping the per-fragment kernel choice\n",
-                   opts.kernel.c_str());
-    }
-    if (opts.horizontal_set) {
-      std::fprintf(stderr,
-                   "[auto] --horizontal %u set explicitly; pinning it and "
-                   "skipping the tuned horizontal split\n",
-                   opts.horizontal);
-    }
-  }
+  config.function = opts.function;
+  config.join_method = opts.method;
 
   fsjoin::Result<fsjoin::FsJoinOutput> out =
       [&]() -> fsjoin::Result<fsjoin::FsJoinOutput> {
@@ -449,10 +384,12 @@ int main(int argc, char** argv) {
   const fsjoin::RecordId boundary =
       rs_mode ? static_cast<fsjoin::RecordId>(r->NumRecords()) : 0;
   std::FILE* sink = stdout;
+  const char* sink_name = "standard output";
   if (!opts.output.empty()) {
-    sink = std::fopen(opts.output.c_str(), "w");
+    sink_name = opts.output.c_str();
+    sink = std::fopen(sink_name, "w");
     if (sink == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", opts.output.c_str());
+      std::fprintf(stderr, "cannot open %s\n", sink_name);
       return 1;
     }
   }
@@ -463,7 +400,14 @@ int main(int argc, char** argv) {
       std::fprintf(sink, "%u %u %.6f\n", p.a, p.b, p.similarity);
     }
   }
-  if (sink != stdout) std::fclose(sink);
+  // A full disk or a closed pipe must not lose pairs silently: check the
+  // stream's error flag, the final flush and the close, stdout included.
+  const bool failed = std::fflush(sink) != 0 || std::ferror(sink) != 0;
+  if (std::fclose(sink) != 0 || failed) {
+    std::fprintf(stderr, "cannot write results to %s: %s\n", sink_name,
+                 std::strerror(errno));
+    return 1;
+  }
   if (opts.report) {
     std::fprintf(stderr, "%s\n", out->report.Summary().c_str());
   }

@@ -17,7 +17,6 @@ Tracked artifacts (all written by `--json` runs of their benches):
   BENCH_rs.json            R-S |R|:|S| ratios       (bench_ext_dataflow)
   BENCH_ext_shuffle.json   external-shuffle spill   (bench_ext_shuffle)
   BENCH_kernels.json       kernel microbenches      (bench_micro_kernels)
-  BENCH_auto.json          auto-tuning vs hand cfg  (bench_auto_tune)
 
 Exit status: 0 when no row regressed past --threshold (default 10%),
 1 on a regression, 2 on bad input. CI runs this non-gating (the diff is

@@ -37,10 +37,6 @@ constexpr exec::KernelMode kKernels[] = {
 constexpr mr::RunnerKind kRunners[] = {
     mr::RunnerKind::kThreads, mr::RunnerKind::kThreads,
     mr::RunnerKind::kInline, mr::RunnerKind::kSubprocess};
-// --auto sample rates: 0.0 resolves to the tuner default, 1.0 makes the
-// sample exact (the estimates-equal-counts corner).
-constexpr double kSampleRates[] = {0.0, 0.05, 0.25, 1.0};
-
 template <typename T, size_t N>
 T Pick(const T (&menu)[N], Rng& rng) {
   return menu[rng.NextBounded(N)];
@@ -84,14 +80,12 @@ std::string LatticePoint::Name() const {
     const exec::ExecConfig& e = fsjoin.exec;
     return StrFormat(
         "fsjoin(%s, maps=%u, reduces=%u, threads=%zu, morsel=%zu, "
-        "spill=%llu, kernel=%s, runner=%s%s%s)",
+        "spill=%llu, kernel=%s, runner=%s%s)",
         fsjoin.Summary().c_str(), e.num_map_tasks, e.num_reduce_tasks,
         e.num_threads,
         e.parallel_fragment_join ? e.join_morsel_size : size_t{0},
         static_cast<unsigned long long>(e.shuffle_memory_bytes),
         exec::KernelModeName(e.kernel), mr::RunnerKindName(e.runner),
-        e.auto_tune ? StrFormat(", rate=%.2f", e.tune_sample_rate).c_str()
-                    : "",
         rs_suffix.c_str());
   }
   const exec::ExecConfig& e = baseline.exec;
@@ -141,18 +135,6 @@ std::vector<LatticePoint> SampleLattice(uint64_t seed, size_t count) {
       p.fsjoin.join_method = Pick(kMethods, rng);
       p.fsjoin.pivot_strategy = Pick(kPivots, rng);
       p.fsjoin.seed = seed + i;  // PivotStrategy::kRandom input
-      // Cost-based auto-tuning (DESIGN.md §5i): about a third of the
-      // FS-Join points run under --auto, with random pinned knobs so every
-      // explicit-beats-auto combination gets differential coverage. The
-      // digest must stay invariant — the tuner may only move work around.
-      if (rng.NextBool(0.35)) {
-        p.fsjoin.exec.auto_tune = true;
-        p.fsjoin.exec.tune_sample_rate = Pick(kSampleRates, rng);
-        p.fsjoin.pinned.join_method = rng.NextBool(0.3);
-        p.fsjoin.pinned.kernel = rng.NextBool(0.3);
-        p.fsjoin.pinned.pivot_strategy = rng.NextBool(0.3);
-        p.fsjoin.pinned.horizontal = rng.NextBool(0.3);
-      }
       // Filter toggles: mostly all-on (the paper's configuration), with a
       // tail of random subsets to catch inter-filter dependencies.
       if (!rng.NextBool(0.6)) {

@@ -9,7 +9,6 @@
 #include "core/pivots.h"
 #include "exec/backend.h"
 #include "exec/plan.h"
-#include "tune/tuner.h"
 #include "util/simd.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -63,11 +62,6 @@ std::string FsJoinReport::Summary() const {
     os << StrFormat("\n  spill: %s in %u runs", HumanBytes(spilled).c_str(),
                     runs);
   }
-  if (tuning.enabled) {
-    for (const std::string& line : tuning.lines) {
-      os << "\n  auto: " << line;
-    }
-  }
   return os.str();
 }
 
@@ -119,69 +113,11 @@ Result<FsJoinOutput> FsJoin::RunPlans(const Corpus& corpus) const {
     filtering_ctx->join_pool =
         std::make_unique<ThreadPool>(config_.exec.num_threads);
   }
-  uint32_t horizontal_t = config_.num_horizontal_partitions;
-  if (config_.exec.auto_tune) {
-    // --auto (DESIGN.md §5i): sample-driven pivot refinement, horizontal-t
-    // + skew-split choice, and per-fragment method/kernel decisions in the
-    // reducers. Pinned knobs keep their configured value; every override
-    // and resolved choice lands in report.tuning.
-    FsJoinReport::TuneLog& log = output.report.tuning;
-    log.enabled = true;
-    tune::TuneOptions topt;
-    topt.sample_rate = config_.exec.tune_sample_rate;
-    topt.seed = config_.seed;
-    topt.num_fragments = config_.num_vertical_partitions;
-    topt.function = config_.function;
-    topt.theta = config_.theta;
-    topt.rs_boundary = config_.rs_boundary;
-    tune::TunePlan plan = tune::PlanTuning(corpus, *shared_order, topt);
-    log.sample_rate = topt.sample_rate > 0 ? topt.sample_rate
-                                           : tune::kDefaultSampleRate;
-    log.sampled_records = plan.sampled_records;
-    log.total_records = plan.total_records;
-    log.lines = std::move(plan.log_lines);
-    if (config_.pinned.pivot_strategy) {
-      filtering_ctx->pivots =
-          SelectPivots(*shared_order, config_.pivot_strategy,
-                       config_.num_vertical_partitions - 1, config_.seed);
-      log.lines.push_back(
-          StrFormat("override: pivot strategy pinned to %s, refinement "
-                    "skipped",
-                    PivotStrategyName(config_.pivot_strategy)));
-    } else {
-      filtering_ctx->pivots = std::move(plan.pivots);
-    }
-    if (config_.pinned.horizontal) {
-      log.lines.push_back(StrFormat(
-          "override: horizontal pinned to t=%u, skew splitting off",
-          config_.num_horizontal_partitions));
-    } else {
-      horizontal_t = plan.horizontal_t;
-      if (horizontal_t > 0) {
-        filtering_ctx->split_fragment = std::move(plan.split_fragment);
-      }
-    }
-    filtering_ctx->auto_choose_method = !config_.pinned.join_method;
-    filtering_ctx->auto_choose_kernel = !config_.pinned.kernel;
-    if (config_.pinned.join_method) {
-      log.lines.push_back(
-          StrFormat("override: join method pinned to %s",
-                    JoinMethodName(config_.join_method)));
-    }
-    if (config_.pinned.kernel) {
-      log.lines.push_back(
-          StrFormat("override: kernel pinned to %s",
-                    exec::KernelModeName(config_.exec.kernel)));
-    }
-  } else {
-    filtering_ctx->pivots =
-        SelectPivots(*shared_order, config_.pivot_strategy,
-                     config_.num_vertical_partitions > 0
-                         ? config_.num_vertical_partitions - 1
-                         : 0,
-                     config_.seed);
-  }
-  if (horizontal_t > 0) {
+  // Validate guarantees at least one fragment.
+  filtering_ctx->pivots =
+      SelectPivots(*shared_order, config_.pivot_strategy,
+                   config_.num_vertical_partitions - 1, config_.seed);
+  if (config_.num_horizontal_partitions > 0) {
     // Record sizes are ordering-invariant, so length pivots come straight
     // from the corpus token counts — no OrderedRecord materialization.
     std::vector<uint32_t> lengths;
@@ -190,7 +126,8 @@ Result<FsJoinOutput> FsJoin::RunPlans(const Corpus& corpus) const {
       lengths.push_back(static_cast<uint32_t>(rec.tokens.size()));
     }
     filtering_ctx->horizontal = HorizontalScheme(
-        SelectLengthPivotsFromLengths(std::move(lengths), horizontal_t,
+        SelectLengthPivotsFromLengths(std::move(lengths),
+                                      config_.num_horizontal_partitions,
                                       config_.function, config_.theta),
         config_.function, config_.theta);
   }
@@ -225,41 +162,11 @@ Result<FsJoinOutput> FsJoin::RunPlans(const Corpus& corpus) const {
   output.report.filtering_job = history[1];
   output.report.verification_job = history[2];
   // Self-describing A/B runs: record which kernel pipeline the filtering
-  // reducers actually used, with the ISA the auto mode resolved to. Under
-  // --auto the reducers choose per fragment, so the string becomes the
-  // decision histogram instead of a single mode.
-  if (config_.exec.auto_tune && (filtering_ctx->auto_choose_method ||
-                                 filtering_ctx->auto_choose_kernel)) {
-    std::string histogram;
-    for (int m = 0; m < 3; ++m) {
-      if (filtering_ctx->auto_method_counts[m] == 0) continue;
-      histogram += StrFormat(
-          "%s%s:%llu", histogram.empty() ? "" : ",",
-          JoinMethodName(static_cast<JoinMethod>(m)),
-          static_cast<unsigned long long>(
-              filtering_ctx->auto_method_counts[m]));
-    }
-    histogram += "|";
-    bool first = true;
-    for (int k = 0; k < 4; ++k) {
-      if (filtering_ctx->auto_kernel_counts[k] == 0) continue;
-      histogram += StrFormat(
-          "%s%s:%llu", first ? "" : ",",
-          exec::KernelModeName(static_cast<exec::KernelMode>(k)),
-          static_cast<unsigned long long>(
-              filtering_ctx->auto_kernel_counts[k]));
-      first = false;
-    }
-    output.report.filtering_job.join_kernel = StrFormat(
-        "auto{%s}[%s]", histogram.c_str(), SimdIsaName(DetectedSimdIsa()));
-    output.report.tuning.lines.push_back(
-        StrFormat("fragments: %s", histogram.c_str()));
-  } else {
-    output.report.filtering_job.join_kernel = StrFormat(
-        "%s[%s]",
-        exec::KernelModeName(exec::ResolveKernelMode(config_.exec.kernel)),
-        SimdIsaName(DetectedSimdIsa()));
-  }
+  // reducers actually used, with the ISA the auto mode resolved to.
+  output.report.filtering_job.join_kernel = StrFormat(
+      "%s[%s]",
+      exec::KernelModeName(exec::ResolveKernelMode(config_.exec.kernel)),
+      SimdIsaName(DetectedSimdIsa()));
   output.report.filters = filtering_ctx->totals;
   output.report.candidate_pairs = verification_ctx->candidate_pairs;
   output.report.result_pairs = output.pairs.size();

@@ -27,19 +27,6 @@ struct FsJoinReport {
   mr::JobMetrics filtering_job;
   mr::JobMetrics verification_job;
 
-  /// What --auto resolved (empty/disabled on hand-set runs): the sample it
-  /// drew, every driver-side choice line, and the per-fragment decision
-  /// histogram appended after the run. Summary() prints the lines, so
-  /// tuned runs are self-describing like PR 6's kernel logging.
-  struct TuneLog {
-    bool enabled = false;
-    double sample_rate = 0.0;
-    uint64_t sampled_records = 0;
-    uint64_t total_records = 0;
-    std::vector<std::string> lines;
-  };
-  TuneLog tuning;
-
   FilterCounters filters;
   uint64_t candidate_pairs = 0;  ///< distinct pairs reaching verification
   uint64_t result_pairs = 0;

@@ -40,23 +40,14 @@ Status FsJoinConfig::Validate() const {
 }
 
 std::string FsJoinConfig::Summary() const {
-  std::string auto_str;
-  if (exec.auto_tune) {
-    // Pinned knobs listed so two --auto runs with different explicit
-    // overrides are distinguishable from the summary line alone.
-    auto_str = StrFormat(", auto[%s%s%s%s]", pinned.join_method ? "J" : "",
-                         pinned.kernel ? "K" : "",
-                         pinned.pivot_strategy ? "P" : "",
-                         pinned.horizontal ? "H" : "");
-  }
   return StrFormat(
-      "FS-Join(theta=%.2f, fn=%s, V=%u(%s), H=%u, join=%s, filters=%s%s%s%s%s)",
+      "FS-Join(theta=%.2f, fn=%s, V=%u(%s), H=%u, join=%s, filters=%s%s%s%s)",
       theta, SimilarityFunctionName(function), num_vertical_partitions,
       PivotStrategyName(pivot_strategy), num_horizontal_partitions,
       JoinMethodName(join_method), use_length_filter ? "L" : "",
       use_segment_length_filter ? "l" : "",
       use_segment_intersection_filter ? "i" : "",
-      use_segment_difference_filter ? "d" : "", auto_str.c_str());
+      use_segment_difference_filter ? "d" : "");
 }
 
 }  // namespace fsjoin

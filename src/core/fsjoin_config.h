@@ -73,19 +73,6 @@ struct FsJoinConfig {
   /// baselines via exec::ExecConfig.
   exec::ExecConfig exec;
 
-  /// Which knobs the caller set explicitly and --auto must not touch.
-  /// Only consulted when exec.auto_tune is on: a pinned knob keeps its
-  /// configured value and the driver logs the override (the CLI pins every
-  /// knob whose flag was passed alongside --auto). Unpinned knobs are
-  /// resolved by the tuner.
-  struct PinnedKnobs {
-    bool join_method = false;     ///< keep join_method, no per-fragment choice
-    bool kernel = false;          ///< keep exec.kernel everywhere
-    bool pivot_strategy = false;  ///< keep pivot_strategy, skip refinement
-    bool horizontal = false;      ///< keep num_horizontal_partitions globally
-  };
-  PinnedKnobs pinned;
-
   /// When set, runs an R-S join over a concatenated corpus: only pairs with
   /// exactly one record id below the boundary are produced.
   std::optional<RecordId> rs_boundary;

@@ -70,9 +70,9 @@ std::vector<uint32_t> SelectLengthPivots(
     SimilarityFunction fn, double theta);
 
 /// Same selection from raw record lengths (|s| is ordering-invariant, so
-/// callers that have not materialized OrderedRecords — the driver, the
-/// auto-tuner — can pass token counts directly). `lengths` may be in any
-/// order; it is copied and sorted internally.
+/// callers that have not materialized OrderedRecords, such as the driver,
+/// can pass token counts directly). `lengths` may be in any order; it is
+/// copied and sorted internally.
 std::vector<uint32_t> SelectLengthPivotsFromLengths(
     std::vector<uint32_t> lengths, uint32_t t, SimilarityFunction fn,
     double theta);

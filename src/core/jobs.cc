@@ -75,41 +75,13 @@ class FilteringMapper : public mr::Mapper {
 
     const uint32_t len = static_cast<uint32_t>(ordered.Size());
     SegmentSplit split = SplitIntoSegments(ordered, ctx_->pivots);
-    if (ctx_->split_fragment.empty()) {
-      const std::vector<uint32_t> groups = ctx_->horizontal.GroupsOf(len);
-      for (uint32_t h : groups) {
-        for (size_t i = 0; i < split.segments.size(); ++i) {
-          std::string key;
-          PutFixed32BE(&key, h);
-          PutFixed32BE(&key, split.fragment_ids[i]);
-          std::string value;
-          EncodeSegment(split.segments[i], &value);
-          out->Emit(std::move(key), std::move(value));
-        }
-      }
-      return Status::OK();
-    }
-    // Skew-triggered splitting (--auto): only fragments flagged heavy pay
-    // the horizontal duplication; light fragments route to group 0, where
-    // the reducer joins every pair (no band dedup needed — one group means
-    // one chance per pair).
-    std::vector<uint32_t> groups;  // computed lazily for the first heavy hit
-    for (size_t i = 0; i < split.segments.size(); ++i) {
-      const uint32_t v = split.fragment_ids[i];
-      std::string value;
-      EncodeSegment(split.segments[i], &value);
-      if (v < ctx_->split_fragment.size() && ctx_->split_fragment[v] != 0) {
-        if (groups.empty()) groups = ctx_->horizontal.GroupsOf(len);
-        for (uint32_t h : groups) {
-          std::string key;
-          PutFixed32BE(&key, h);
-          PutFixed32BE(&key, v);
-          out->Emit(std::move(key), value);
-        }
-      } else {
+    for (uint32_t h : ctx_->horizontal.GroupsOf(len)) {
+      for (size_t i = 0; i < split.segments.size(); ++i) {
         std::string key;
-        PutFixed32BE(&key, uint32_t{0});
-        PutFixed32BE(&key, v);
+        PutFixed32BE(&key, h);
+        PutFixed32BE(&key, split.fragment_ids[i]);
+        std::string value;
+        EncodeSegment(split.segments[i], &value);
         out->Emit(std::move(key), std::move(value));
       }
     }
@@ -127,6 +99,8 @@ class FilteringReducer : public mr::Reducer {
 
   Status Reduce(std::string_view key, mr::ValueList values,
                 mr::Emitter* out) override {
+    // Only the length group steers the join; the fragment id is decoded
+    // to validate the key.
     Decoder key_dec(key);
     uint32_t group = 0, fragment = 0;
     FSJOIN_RETURN_NOT_OK(key_dec.GetFixed32BE(&group));
@@ -158,52 +132,14 @@ class FilteringReducer : public mr::Reducer {
     opts.use_segment_intersection_filter = cfg.use_segment_intersection_filter;
     opts.use_segment_difference_filter = cfg.use_segment_difference_filter;
     opts.kernel = cfg.exec.kernel;
-    if (cfg.exec.auto_tune &&
-        (ctx_->auto_choose_method || ctx_->auto_choose_kernel) &&
-        !batch.empty()) {
-      // Per-fragment decision at Seal time: the shape aggregates are
-      // permutation-invariant over the fragment's segments, so the choice
-      // is identical on every runner and thread count.
-      tune::FragmentShape shape;
-      shape.num_segments = batch.size();
-      shape.total_tokens = batch.total_tokens();
-      for (uint32_t i = 0; i < batch.size(); ++i) {
-        shape.max_segment_len = std::max(shape.max_segment_len,
-                                         batch.length(i));
-      }
-      if (batch.side_tagged()) {
-        // R-S fragments are asymmetric: the cost model sees probe x build,
-        // not n-choose-2 (tune/decision.h).
-        shape.probe_segments =
-            static_cast<uint32_t>(batch.probe_rows().size());
-        shape.build_segments =
-            static_cast<uint32_t>(batch.build_rows().size());
-      }
-      const tune::FragmentPlan plan =
-          tune::ChooseFragmentPlan(shape, ctx_->policy);
-      if (ctx_->auto_choose_method) opts.method = plan.method;
-      if (ctx_->auto_choose_kernel) opts.kernel = plan.kernel;
-      std::lock_guard<std::mutex> lock(ctx_->mu);
-      ++ctx_->auto_method_counts[static_cast<int>(opts.method)];
-      ++ctx_->auto_kernel_counts[static_cast<int>(
-          exec::ResolveKernelMode(opts.kernel))];
-    }
 
     const HorizontalScheme* horizontal = &ctx_->horizontal;
-    // Light fragments under skew-triggered splitting carry one length
-    // group, so every pair is joined where it lands (see FilteringMapper).
     // Same-side R-S pairs need no rule here: the side-tagged join loops
     // never enumerate them in the first place.
-    const bool use_scheme =
-        ctx_->split_fragment.empty() ||
-        (fragment < ctx_->split_fragment.size() &&
-         ctx_->split_fragment[fragment] != 0);
-    opts.pair_allowed = [group, horizontal, use_scheme](
-                            const SegmentView& a, const SegmentView& b) {
-      if (a.rid == b.rid) return false;
-      if (!use_scheme) return true;
-      return horizontal->ShouldJoinInGroup(group, a.record_size,
-                                           b.record_size);
+    opts.pair_allowed = [group, horizontal](const SegmentView& a,
+                                            const SegmentView& b) {
+      return a.rid != b.rid && horizontal->ShouldJoinInGroup(
+                                   group, a.record_size, b.record_size);
     };
     if (ctx_->join_pool != nullptr && cfg.exec.parallel_fragment_join) {
       opts.morsel_pool = ctx_->join_pool.get();
@@ -326,8 +262,6 @@ mr::TaskSideChannel FilteringSideChannel(
     (void)ctx->join_pool.release();
     ctx->totals = FilterCounters{};
     ctx->captured_partials.clear();
-    for (uint64_t& c : ctx->auto_method_counts) c = 0;
-    for (uint64_t& c : ctx->auto_kernel_counts) c = 0;
   };
   side.capture = [ctx]() -> std::string {
     std::string bytes;
@@ -341,8 +275,6 @@ mr::TaskSideChannel FilteringSideChannel(
     PutVarint64(&bytes, c.pruned_segd);
     PutVarint64(&bytes, c.empty_overlap);
     PutVarint64(&bytes, c.emitted);
-    for (uint64_t count : ctx->auto_method_counts) PutVarint64(&bytes, count);
-    for (uint64_t count : ctx->auto_kernel_counts) PutVarint64(&bytes, count);
     PutVarint64(&bytes, ctx->captured_partials.size());
     for (const PartialOverlap& p : ctx->captured_partials) {
       PutVarint32(&bytes, p.a);
@@ -364,14 +296,6 @@ mr::TaskSideChannel FilteringSideChannel(
     FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&c.pruned_segd));
     FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&c.empty_overlap));
     FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&c.emitted));
-    uint64_t method_counts[3] = {0, 0, 0};
-    uint64_t kernel_counts[4] = {0, 0, 0, 0};
-    for (uint64_t& count : method_counts) {
-      FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&count));
-    }
-    for (uint64_t& count : kernel_counts) {
-      FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&count));
-    }
     uint64_t num_partials = 0;
     FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&num_partials));
     std::vector<PartialOverlap> partials;
@@ -390,8 +314,6 @@ mr::TaskSideChannel FilteringSideChannel(
     }
     std::lock_guard<std::mutex> lock(ctx->mu);
     ctx->totals.Add(c);
-    for (int i = 0; i < 3; ++i) ctx->auto_method_counts[i] += method_counts[i];
-    for (int i = 0; i < 4; ++i) ctx->auto_kernel_counts[i] += kernel_counts[i];
     ctx->captured_partials.insert(ctx->captured_partials.end(),
                                   partials.begin(), partials.end());
     return Status::OK();

@@ -14,7 +14,6 @@
 #include "sim/global_order.h"
 #include "sim/join_result.h"
 #include "text/corpus.h"
-#include "tune/decision.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -63,29 +62,11 @@ struct FilteringContext {
   /// serial joins).
   std::unique_ptr<ThreadPool> join_pool;
 
-  /// --auto state (DESIGN.md §5i), set by the driver; empty/false without
-  /// exec.auto_tune. When split_fragment is non-empty (skew-triggered
-  /// horizontal splitting), fragment v emits and dedups through the
-  /// horizontal scheme iff split_fragment[v] != 0; every other fragment
-  /// collapses to length group 0 and joins all its pairs there — each pair
-  /// still counted exactly once per fragment, so partial-overlap
-  /// conservation is untouched.
-  std::vector<uint8_t> split_fragment;
-  tune::TuningPolicy policy;
-  bool auto_choose_method = false;  ///< per-fragment join-method choice on
-  bool auto_choose_kernel = false;  ///< per-fragment kernel choice on
-
   std::mutex mu;
   FilterCounters totals;
   /// Capture sink for config.collect_partial_overlaps (mu-guarded; order is
   /// arbitrary — the driver sorts canonically before handing it out).
   std::vector<PartialOverlap> captured_partials;
-  /// Decision histogram of the per-fragment choices (mu-guarded, merged
-  /// across fork boundaries by the side channel): how many fragments
-  /// resolved to each JoinMethod / resolved KernelMode. Zero without
-  /// --auto; the driver renders them into JobMetrics::join_kernel.
-  uint64_t auto_method_counts[3] = {0, 0, 0};
-  uint64_t auto_kernel_counts[4] = {0, 0, 0, 0};
 };
 
 mr::JobConfig MakeFilteringJobConfig(

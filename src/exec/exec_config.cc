@@ -58,17 +58,6 @@ Status ExecConfig::Validate() const {
         std::to_string(mr::kMinShuffleMemoryBytes) +
         "); use 0 for an unbounded in-memory shuffle");
   }
-  if (!auto_tune && tune_sample_rate != 0.0) {
-    return Status::InvalidArgument(
-        "tune_sample_rate is set but auto_tune is off (--sample-rate "
-        "requires --auto)");
-  }
-  if (auto_tune &&
-      (tune_sample_rate < 0.0 || tune_sample_rate > 1.0)) {
-    return Status::InvalidArgument(
-        "tune_sample_rate must be in (0, 1] (or 0 for the default), got " +
-        std::to_string(tune_sample_rate));
-  }
   if (runner == mr::RunnerKind::kCluster) {
     const bool have_dial = !workers.empty();
     const bool have_spawn = spawn_local_workers > 0;

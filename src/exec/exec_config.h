@@ -86,20 +86,6 @@ struct ExecConfig {
   /// directory.
   std::string spill_dir;
 
-  /// Cost-based auto-tuning (DESIGN.md §5i, `fsjoin_cli --auto`): the
-  /// FS-Join driver draws a seeded record sample, refines the vertical
-  /// pivots and the horizontal t from it, splits skew-heavy fragments, and
-  /// lets every filtering reducer pick join method and overlap kernel from
-  /// its fragment's shape. Knobs the caller pinned explicitly
-  /// (FsJoinConfig::pinned) still win, with the override logged. Results
-  /// are byte-identical to every hand-set configuration — tuning moves
-  /// wall time only. Ignored by the baseline algorithms.
-  bool auto_tune = false;
-  /// Record-sampling rate of the tuning pass, in (0, 1]; 0 = the tuner
-  /// default (tune::kDefaultSampleRate). Validate rejects a non-zero rate
-  /// without auto_tune — the knob would otherwise be a silent no-op.
-  double tune_sample_rate = 0.0;
-
   /// How task attempts execute (mr/runner.h): inline, on a thread pool
   /// (the default — num_threads == 0 still runs inline and deterministic),
   /// each in its own forked/re-execed child process, or on socket-RPC

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Bad numeric flags must fail fast: fsjoin_cli, fsjoin_worker, the benches'
+# Bad flag values must fail fast: fsjoin_cli, fsjoin_worker, the benches'
 # shared flags and the examples' positional arguments exit 2 with a message
 # naming the argument, instead of reading `--theta abc` as 0 the way atof
 # would. Removed flags are unknown flags (exit 2). A good value still runs
-# the join.
+# the join, and a result sink that cannot be written exits nonzero.
 #
 # usage: cli_flags_smoke.sh FSJOIN_CLI FSJOIN_WORKER BENCH EMAIL_DEDUP
 #                           RECORD_LINKAGE CLUSTER_TUNING
@@ -36,7 +36,6 @@ expect_bad --theta "${join[@]}" --theta abc
 expect_bad --theta "${join[@]}" --theta 0
 expect_bad --theta "${join[@]}" --theta 1.5
 expect_bad --theta "${join[@]}" --theta 0.8x
-expect_bad --sample-rate "${join[@]}" --auto --sample-rate -0.1
 expect_bad --fragments "${join[@]}" --fragments abc
 expect_bad --fragments "${join[@]}" --fragments 0
 expect_bad --fragments "${join[@]}" --fragments 99999999999
@@ -49,11 +48,16 @@ expect_bad --spawn-local-workers "${join[@]}" --spawn-local-workers -3
 expect_bad --heartbeat-ms "${join[@]}" --heartbeat-ms 1e3
 expect_bad --tokenizer "${join[@]}" --tokenizer qgramx
 expect_bad --tokenizer "${join[@]}" --tokenizer qgram0
+expect_bad --kernel "${join[@]}" --kernel warp
+expect_bad --runner "${join[@]}" --runner warp
+expect_bad --function "${join[@]}" --function warp
+expect_bad --method "${join[@]}" --method warp
 expect_bad --timeout-ms "$worker" --listen 127.0.0.1:1 --timeout-ms soon
 printf 'a b c d e\n' > "$tmp/right.txt"
 # Removed flags are unknown flags now: "backend" chose the execution
-# engine, "rs" was a legacy alias of --right.
-for removed in backend rs; do
+# engine, "rs" was a legacy alias of --right, "auto" and "sample-rate" ran
+# the sampling auto-tuner.
+for removed in backend rs auto sample-rate; do
   expect_bad "--$removed" "${join[@]}" "--$removed" "$tmp/right.txt"
 done
 expect_bad --warmup "$bench" --warmup=-3
@@ -78,5 +82,18 @@ if ! "${join[@]}" --right "$tmp/right.txt" --theta 0.9 > "$tmp/rs" ||
   failures=$((failures + 1))
 fi
 
+# A result sink that fails on write (ENOSPC) must not exit 0 with every
+# pair lost.
+if [[ -e /dev/full ]]; then
+  code=0
+  "${join[@]}" --theta 0.6 --output /dev/full 2> "$tmp/err" || code=$?
+  if ((code == 0)) || ! grep -q -- /dev/full "$tmp/err"; then
+    echo "FAIL: --output /dev/full exited $code with: $(head -1 "$tmp/err")" >&2
+    failures=$((failures + 1))
+  fi
+else
+  echo "skip: no /dev/full, result-sink write error not checked"
+fi
+
 ((failures == 0)) || exit 1
-echo "every bad numeric flag and removed flag exited 2 naming the flag"
+echo "every bad flag value and removed flag exited 2 naming the flag"

@@ -25,10 +25,11 @@ trap cleanup EXIT
 printf 'a b c d e\na b c d f\nx y z w\nx y z q\na b c e f\n' \
   > "$tmp/corpus.txt"
 
-# Pid-derived ports; the cluster tier runs serially so collisions with
-# other tests are not a concern, and a clash with an unrelated process
-# fails loudly at bind time.
-p1=$((20000 + $$ % 20000))
+# Pid-derived ports below Linux's default ephemeral range (32768-60999).
+# ctest -j runs the other cluster tests beside this one, and their
+# listeners and connections take ephemeral ports, so a port inside that
+# range could already be in use or, worse, be another test's listener.
+p1=$((20000 + 2 * ($$ % 6000)))
 p2=$((p1 + 1))
 
 "$worker" --listen "127.0.0.1:$p1" &
@@ -49,6 +50,9 @@ for port in "$p1" "$p2"; do
   done
   listening "$port" || { echo "worker on port $port never listened" >&2; exit 1; }
 done
+# A worker that failed to bind has exited; the port is someone else's.
+kill -0 "$w1" 2>/dev/null && kill -0 "$w2" 2>/dev/null ||
+  { echo "a worker exited before serving (port in use?)" >&2; exit 1; }
 
 "$cli" --input "$tmp/corpus.txt" --theta 0.6 > "$tmp/inline.txt"
 "$cli" --input "$tmp/corpus.txt" --theta 0.6 --runner cluster \

@@ -1,6 +1,6 @@
 // Lemma 5 as executable code: the cost model's structure (linear
 // map/shuffle, quadratic-over-N reduce), the fragment-count optimum, and
-// the autotuner's sizing rules.
+// the paper's §IV sizing rules (AutoTuneConfig).
 
 #include <gtest/gtest.h>
 

@@ -79,6 +79,21 @@ TEST(MultiprocTest, WorkerModeIsInstalledInTestBinaries) {
   EXPECT_TRUE(mr::HasTaskFactory("core.ordering"));
 }
 
+// The filter counters a forked task child reports back through the
+// filtering side channel must add up to what an in-process run counts.
+void ExpectSameFilterCounters(const FilterCounters& got,
+                              const FilterCounters& want,
+                              const std::string& where) {
+  EXPECT_EQ(got.pairs_considered, want.pairs_considered) << where;
+  EXPECT_EQ(got.pruned_role, want.pruned_role) << where;
+  EXPECT_EQ(got.pruned_strl, want.pruned_strl) << where;
+  EXPECT_EQ(got.pruned_segl, want.pruned_segl) << where;
+  EXPECT_EQ(got.pruned_segi, want.pruned_segi) << where;
+  EXPECT_EQ(got.pruned_segd, want.pruned_segd) << where;
+  EXPECT_EQ(got.empty_overlap, want.empty_overlap) << where;
+  EXPECT_EQ(got.emitted, want.emitted) << where;
+}
+
 TEST(MultiprocTest, DigestsIdenticalAcrossRunnersBackendsAlgorithms) {
   const Corpus corpus = testing::RandomCorpus(48, 60, 0.8, 8.0, 11);
   const double theta = 0.6;
@@ -86,6 +101,8 @@ TEST(MultiprocTest, DigestsIdenticalAcrossRunnersBackendsAlgorithms) {
   for (int algorithm = 0; algorithm < 4; ++algorithm) {
     std::optional<uint32_t> reference;
     std::optional<size_t> reference_pairs;
+    // FS-Join only: counters of the first runner's run.
+    std::optional<FsJoinReport> reference_report;
     for (RunnerKind runner : kAllRunners) {
       JoinResultSet pairs;
       std::string cell;
@@ -100,6 +117,17 @@ TEST(MultiprocTest, DigestsIdenticalAcrossRunnersBackendsAlgorithms) {
           ASSERT_TRUE(out.ok()) << out.status().ToString();
           pairs = std::move(out->pairs);
           cell = "fsjoin";
+          if (!reference_report) {
+            reference_report = out->report;
+            EXPECT_GT(out->report.filters.pairs_considered, 0u);
+          }
+          const std::string where =
+              std::string("fsjoin runner=") + mr::RunnerKindName(runner);
+          ExpectSameFilterCounters(out->report.filters,
+                                   reference_report->filters, where);
+          EXPECT_EQ(out->report.candidate_pairs,
+                    reference_report->candidate_pairs)
+              << where;
           break;
         }
         case 1: {
