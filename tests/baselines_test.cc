@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "baselines/massjoin.h"
 #include "baselines/vernica_join.h"
 #include "baselines/vsmart_join.h"
 #include "core/fsjoin.h"
 #include "sim/serial_join.h"
 #include "test_util.h"
+#include "text/generator.h"
 
 namespace fsjoin {
 namespace {
@@ -166,6 +169,109 @@ TEST(BaselineCostShape, MassJoinLightEmitsLessThanMerge) {
   ASSERT_TRUE(light_out.ok());
   EXPECT_LT(light_out->report.jobs[1].map_output_records,
             merge_out->report.jobs[1].map_output_records);
+}
+
+
+// ---- Metrics regression ---------------------------------------------------
+
+/// One job's data-plane counters, in the order the driver runs the jobs.
+struct JobPin {
+  const char* name;
+  uint64_t map_input_records, map_input_bytes, map_output_records;
+  uint64_t shuffle_records, shuffle_bytes;
+  uint64_t reduce_output_records, reduce_output_bytes;
+};
+
+/// Same corpus as MetricsRegressionTest (jobs_test.cc).
+Corpus RegressionCorpus() {
+  SyntheticCorpusConfig cfg;
+  cfg.num_records = 300;
+  cfg.vocab_size = 400;
+  cfg.zipf_skew = 1.0;
+  cfg.avg_len = 12;
+  cfg.len_sigma = 0.7;
+  cfg.min_len = 1;
+  cfg.max_len = 56;
+  cfg.near_duplicate_fraction = 0.35;
+  cfg.mutation_rate = 0.12;
+  cfg.seed = 4242;
+  return GenerateCorpus(cfg);
+}
+
+BaselineConfig RegressionConfig() {
+  BaselineConfig config;
+  config.theta = 0.8;
+  config.exec.num_map_tasks = 4;
+  config.exec.num_reduce_tasks = 5;
+  return config;
+}
+
+/// Asserts the run's job history, job by job. A mismatching job prints its
+/// observed row in JobPin form.
+void ExpectHistory(const BaselineReport& report,
+                   const std::vector<JobPin>& want,
+                   uint64_t candidate_pairs) {
+  EXPECT_EQ(report.jobs.size(), want.size()) << report.algorithm;
+  for (size_t i = 0; i < report.jobs.size(); ++i) {
+    const mr::JobMetrics& j = report.jobs[i];
+    const bool same =
+        i < want.size() && j.job_name == want[i].name &&
+        j.map_input_records == want[i].map_input_records &&
+        j.map_input_bytes == want[i].map_input_bytes &&
+        j.map_output_records == want[i].map_output_records &&
+        j.shuffle_records == want[i].shuffle_records &&
+        j.shuffle_bytes == want[i].shuffle_bytes &&
+        j.reduce_output_records == want[i].reduce_output_records &&
+        j.reduce_output_bytes == want[i].reduce_output_bytes;
+    EXPECT_TRUE(same) << report.algorithm << " job " << i << " observed {\""
+                      << j.job_name << "\", " << j.map_input_records << ", "
+                      << j.map_input_bytes << ", " << j.map_output_records
+                      << ", " << j.shuffle_records << ", " << j.shuffle_bytes
+                      << ", " << j.reduce_output_records << ", "
+                      << j.reduce_output_bytes << "}";
+  }
+  EXPECT_EQ(report.candidate_pairs, candidate_pairs) << report.algorithm;
+}
+
+// Each baseline's job history is pinned like FS-Join's: job names in run
+// order and every job's record and byte counters on a fixed-seed corpus.
+// Drift means a driver changed what its jobs read, shuffle or write.
+TEST(BaselineMetricsRegressionTest, RidPairsPPJoinHistory) {
+  Result<BaselineOutput> out =
+      RunVernicaJoin(RegressionCorpus(), RegressionConfig());
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ExpectHistory(out->report,
+                {{"ordering", 300, 6677, 992, 992, 4960, 375, 1878},
+                 {"vernica-kernel", 300, 6677, 1021, 1021, 46248, 71, 1136}},
+                402);
+}
+
+TEST(BaselineMetricsRegressionTest, VSmartJoinHistory) {
+  Result<BaselineOutput> out =
+      RunVSmartJoin(RegressionCorpus(), RegressionConfig());
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  ExpectHistory(
+      out->report,
+      {{"vsmart-join", 300, 6677, 4208, 4208, 27738, 124669, 1371359},
+       {"verification", 124669, 1371359, 124669, 124669, 1371359, 71, 1136}},
+      40149);
+}
+
+TEST(BaselineMetricsRegressionTest, MassJoinMergeHistory) {
+  MassJoinConfig config;
+  static_cast<BaselineConfig&>(config) = RegressionConfig();
+  config.length_group = 1;
+  Result<BaselineOutput> out = RunMassJoin(RegressionCorpus(), config);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  // The merge and verify jobs read the previous job's output plus the 300
+  // ranked records.
+  ExpectHistory(
+      out->report,
+      {{"ordering", 300, 6677, 992, 992, 4960, 375, 1878},
+       {"massjoin-signatures", 300, 6677, 4688, 4688, 42998, 479, 4311},
+       {"massjoin-merge", 779, 14364, 779, 779, 13233, 348, 13420},
+       {"massjoin-verify", 648, 23473, 648, 648, 23473, 71, 1136}},
+      348);
 }
 
 }  // namespace

@@ -101,8 +101,24 @@ TEST(MultiprocTest, DigestsIdenticalAcrossRunnersBackendsAlgorithms) {
   for (int algorithm = 0; algorithm < 4; ++algorithm) {
     std::optional<uint32_t> reference;
     std::optional<size_t> reference_pairs;
-    // FS-Join only: counters of the first runner's run.
+    // Counters of the first runner's run.
     std::optional<FsJoinReport> reference_report;
+    std::optional<BaselineReport> reference_baseline;
+    // Baselines: candidates and every job's shuffle match the first runner.
+    auto expect_same_baseline = [&](const BaselineReport& report,
+                                    RunnerKind runner) {
+      if (!reference_baseline) reference_baseline = report;
+      const std::string where = report.algorithm + " runner=" +
+                                mr::RunnerKindName(runner);
+      EXPECT_EQ(report.candidate_pairs, reference_baseline->candidate_pairs)
+          << where;
+      ASSERT_EQ(report.jobs.size(), reference_baseline->jobs.size()) << where;
+      for (size_t j = 0; j < report.jobs.size(); ++j) {
+        EXPECT_EQ(report.jobs[j].shuffle_records,
+                  reference_baseline->jobs[j].shuffle_records)
+            << where << " job " << report.jobs[j].job_name;
+      }
+    };
     for (RunnerKind runner : kAllRunners) {
       JoinResultSet pairs;
       std::string cell;
@@ -136,6 +152,7 @@ TEST(MultiprocTest, DigestsIdenticalAcrossRunnersBackendsAlgorithms) {
           config.exec = SmallExec(runner);
           auto out = RunVernicaJoin(corpus, config);
           ASSERT_TRUE(out.ok()) << out.status().ToString();
+          expect_same_baseline(out->report, runner);
           pairs = std::move(out->pairs);
           cell = "vernica";
           break;
@@ -146,6 +163,7 @@ TEST(MultiprocTest, DigestsIdenticalAcrossRunnersBackendsAlgorithms) {
           config.exec = SmallExec(runner);
           auto out = RunVSmartJoin(corpus, config);
           ASSERT_TRUE(out.ok()) << out.status().ToString();
+          expect_same_baseline(out->report, runner);
           pairs = std::move(out->pairs);
           cell = "vsmart";
           break;
@@ -157,6 +175,7 @@ TEST(MultiprocTest, DigestsIdenticalAcrossRunnersBackendsAlgorithms) {
           config.length_group = 2;
           auto out = RunMassJoin(corpus, config);
           ASSERT_TRUE(out.ok()) << out.status().ToString();
+          expect_same_baseline(out->report, runner);
           pairs = std::move(out->pairs);
           cell = "massjoin";
           break;
