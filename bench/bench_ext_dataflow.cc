@@ -37,7 +37,7 @@ uint64_t ShuffleBytes(const FsJoinReport& report) {
 
 void Run(const BenchOptions& options) {
   PrintBanner("Runtime — overlap-kernel families on the MapReduce engine",
-              "same plans, same results; the kernels differ only in "
+              "same jobs, same results; the kernels differ only in "
               "filtering-phase time");
   std::printf("simd: isa=%s\n", SimdIsaName(DetectedSimdIsa()));
 
@@ -106,13 +106,13 @@ void Run(const BenchOptions& options) {
   }
   WriteBenchJson(options, "ext_dataflow", records);
 
-  // Runner comparison: the same plans on the inline, thread-pool, and
+  // Runner comparison: the same jobs on the inline, thread-pool, and
   // forked-subprocess task runners. Scheduling and process overhead is the
   // quantity under test, so this section uses the auto kernel and records
   // into its own JSON (BENCH_runtime.json) to join the perf trajectory.
   PrintBanner("Runtime — task-runner overhead: inline vs thread-pool vs "
               "forked subprocess",
-              "same plans, same digests; the delta is pure scheduling, "
+              "same jobs, same digests; the delta is pure scheduling, "
               "fork/exec, and run-file interchange cost");
   constexpr mr::RunnerKind kRunnerMenu[] = {mr::RunnerKind::kInline,
                                             mr::RunnerKind::kThreads,
@@ -161,7 +161,7 @@ void Run(const BenchOptions& options) {
   }
   WriteBenchJson(runtime_options, "runtime", runtime_records);
 
-  // Cluster scaling: the same plans on the socket-RPC cluster runner with
+  // Cluster scaling: the same jobs on the socket-RPC cluster runner with
   // 1, 2 and 4 spawned loopback workers (DESIGN.md §5j). The quantity
   // under test is the networked runtime's overhead and scaling — RPC
   // framing, input streaming, and the worker-to-worker network shuffle —
@@ -169,7 +169,7 @@ void Run(const BenchOptions& options) {
   // JSON (BENCH_cluster.json).
   PrintBanner("Runtime — cluster scaling: inline vs 1/2/4 loopback socket "
               "workers",
-              "same plans, same digests; the delta is RPC dispatch, "
+              "same jobs, same digests; the delta is RPC dispatch, "
               "stream framing, and network-shuffle cost");
   std::vector<BenchRecord> cluster_records;
   for (Workload& w : AllWorkloads(0.25)) {

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <unordered_set>
 
 #include "core/jobs.h"
 #include "exec/backend.h"
-#include "exec/plan.h"
 #include "sim/global_order.h"
 #include "sim/set_ops.h"
 #include "util/hash.h"
@@ -327,51 +327,63 @@ Result<BaselineOutput> RunMassJoin(const Corpus& corpus,
   WallTimer timer;
 
   exec::MapReduceBackend backend(config.exec);
-  mr::Dataset input = MakeCorpusDataset(corpus);
-
-  // Plan 1: ordering.
-  mr::JobConfig ordering_cfg = MakeOrderingJobConfig(
-      config.exec.num_map_tasks, config.exec.num_reduce_tasks);
-  exec::Plan ordering_plan("massjoin-ordering");
-  exec::StageHints ordering_hints;
-  ordering_hints.task_factory = ordering_cfg.task_factory;
-  ordering_hints.task_payload = ordering_cfg.task_payload;
-  ordering_plan
-      .FlatMap("tokenize", ordering_cfg.mapper_factory)
-      .GroupByKey("ordering", ordering_cfg.reducer_factory,
-                  ordering_cfg.partitioner, ordering_cfg.combiner_factory,
-                  std::move(ordering_hints));
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset freq,
-                          backend.Execute(ordering_plan, input));
-  FSJOIN_ASSIGN_OR_RETURN(
-      GlobalOrder order,
-      BuildGlobalOrderFromJobOutput(freq, corpus.dictionary.size()));
 
   auto ctx = std::make_shared<MassJoinContext>();
   ctx->config = config;
-  ctx->order = std::make_shared<const GlobalOrder>(std::move(order));
   ctx->budget = std::make_shared<EmissionBudget>(config.exec.emission_limit);
+  auto job = [&config](const char* name) {
+    mr::JobConfig job;
+    job.name = name;
+    job.num_map_tasks = config.exec.num_map_tasks;
+    job.num_reduce_tasks = config.exec.num_reduce_tasks;
+    return job;
+  };
 
-  // Plan 2: signatures -> candidates, then dedup + attach left content,
-  // then attach right content + verify. The merge and verify stages read
-  // the candidate stream side by side with the ranked record content,
-  // expressed as unions with a driver-materialized side dataset.
-  auto ranked = std::make_shared<const mr::Dataset>(
-      MakeRankedDataset(corpus, *ctx->order));
+  // Ordering, then signatures -> candidate pairs, both over the corpus
+  // dataset, which is freed once the signatures job returns.
+  mr::JobConfig signatures = job("massjoin-signatures");
+  signatures.mapper_factory = [ctx] {
+    return std::make_unique<SignatureMapper>(ctx);
+  };
+  signatures.reducer_factory = [ctx] {
+    return std::make_unique<CandidateReducer>(ctx);
+  };
+  mr::Dataset candidates;
+  {
+    const mr::Dataset input = MakeCorpusDataset(corpus);
+    FSJOIN_ASSIGN_OR_RETURN(
+        ctx->order, RunOrderingJob(&backend, input, corpus.dictionary.size()));
+    FSJOIN_ASSIGN_OR_RETURN(candidates, backend.Run(signatures, input));
+  }
 
-  exec::Plan plan("massjoin");
-  plan.FlatMap("signatures",
-               [ctx] { return std::make_unique<SignatureMapper>(ctx); })
-      .GroupByKey("massjoin-signatures",
-                  [ctx] { return std::make_unique<CandidateReducer>(ctx); })
-      .UnionWith("ranked-records", ranked)
-      .FlatMap("merge-split", [] { return std::make_unique<MergeMapper>(); })
-      .GroupByKey("massjoin-merge",
-                  [ctx] { return std::make_unique<MergeReducer>(ctx); })
-      .UnionWith("ranked-records", ranked)
-      .GroupByKey("massjoin-verify",
-                  [ctx] { return std::make_unique<VerifyReducer>(ctx); });
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results, backend.Execute(plan, input));
+  // The merge and verify jobs read the previous job's output side by side
+  // with the ranked record content, appended to their input. Each input
+  // moves into a temporary, freed as soon as its job returns.
+  mr::Dataset ranked = MakeRankedDataset(corpus, *ctx->order);
+  candidates.insert(candidates.end(), ranked.begin(), ranked.end());
+  mr::JobConfig merge = job("massjoin-merge");
+  merge.mapper_factory = [] { return std::make_unique<MergeMapper>(); };
+  merge.reducer_factory = [ctx] {
+    return std::make_unique<MergeReducer>(ctx);
+  };
+  FSJOIN_ASSIGN_OR_RETURN(
+      mr::Dataset partials,
+      backend.Run(merge, mr::Dataset(std::move(candidates))));
+  // Candidates = deduped (pair, left-content) records entering the verify
+  // job.
+  const uint64_t candidate_pairs =
+      backend.history().back().reduce_output_records;
+
+  partials.insert(partials.end(), std::make_move_iterator(ranked.begin()),
+                  std::make_move_iterator(ranked.end()));
+  mr::JobConfig verify = job("massjoin-verify");
+  verify.mapper_factory = [] { return std::make_unique<IdentityMapper>(); };
+  verify.reducer_factory = [ctx] {
+    return std::make_unique<VerifyReducer>(ctx);
+  };
+  FSJOIN_ASSIGN_OR_RETURN(
+      mr::Dataset results,
+      backend.Run(verify, mr::Dataset(std::move(partials))));
 
   BaselineOutput output;
   FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results));
@@ -379,13 +391,7 @@ Result<BaselineOutput> RunMassJoin(const Corpus& corpus,
       config.length_group > 1 ? "MassJoin-Merge+Light" : "MassJoin-Merge";
   output.report.jobs = backend.history();
   output.report.signature_stage = "massjoin-signatures";
-  // Candidates = deduped (pair, left-content) records entering the verify
-  // stage.
-  for (const mr::JobMetrics& j : output.report.jobs) {
-    if (j.job_name == "massjoin-merge") {
-      output.report.candidate_pairs = j.reduce_output_records;
-    }
-  }
+  output.report.candidate_pairs = candidate_pairs;
   output.report.result_pairs = output.pairs.size();
   output.report.total_wall_ms = timer.ElapsedMillis();
   return output;

@@ -7,7 +7,6 @@
 
 #include "core/jobs.h"
 #include "exec/backend.h"
-#include "exec/plan.h"
 #include "sim/global_order.h"
 #include "sim/set_ops.h"
 #include "util/serde.h"
@@ -199,42 +198,34 @@ Result<BaselineOutput> RunVernicaJoin(const Corpus& corpus,
   WallTimer timer;
 
   exec::MapReduceBackend backend(config.exec);
-  mr::Dataset input = MakeCorpusDataset(corpus);
-
-  // Plan 1: ordering.
-  mr::JobConfig ordering_cfg = MakeOrderingJobConfig(
-      config.exec.num_map_tasks, config.exec.num_reduce_tasks);
-  exec::Plan ordering_plan("vernica-ordering");
-  exec::StageHints ordering_hints;
-  ordering_hints.task_factory = ordering_cfg.task_factory;
-  ordering_hints.task_payload = ordering_cfg.task_payload;
-  ordering_plan
-      .FlatMap("tokenize", ordering_cfg.mapper_factory)
-      .GroupByKey("ordering", ordering_cfg.reducer_factory,
-                  ordering_cfg.partitioner, ordering_cfg.combiner_factory,
-                  std::move(ordering_hints));
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset freq,
-                          backend.Execute(ordering_plan, input));
-  FSJOIN_ASSIGN_OR_RETURN(
-      GlobalOrder order,
-      BuildGlobalOrderFromJobOutput(freq, corpus.dictionary.size()));
+  const mr::Dataset input = MakeCorpusDataset(corpus);
 
   auto ctx = std::make_shared<VernicaContext>();
   ctx->config = config;
-  ctx->order = std::make_shared<const GlobalOrder>(std::move(order));
   ctx->budget = std::make_shared<EmissionBudget>(config.exec.emission_limit);
+  FSJOIN_ASSIGN_OR_RETURN(
+      ctx->order, RunOrderingJob(&backend, input, corpus.dictionary.size()));
 
-  // Plan 2: RID-pairs kernel. The candidate counter crosses fork-isolated
-  // reduce tasks through the stage side channel.
-  exec::StageHints kernel_hints;
-  kernel_hints.side.reset = [ctx] { ctx->candidate_pairs = 0; };
-  kernel_hints.side.capture = [ctx]() -> std::string {
+  // RID-pairs kernel. The candidate counter crosses fork-isolated reduce
+  // tasks through the job's side channel.
+  mr::JobConfig kernel;
+  kernel.name = "vernica-kernel";
+  kernel.num_map_tasks = config.exec.num_map_tasks;
+  kernel.num_reduce_tasks = config.exec.num_reduce_tasks;
+  kernel.mapper_factory = [ctx] {
+    return std::make_unique<KernelMapper>(ctx);
+  };
+  kernel.reducer_factory = [ctx] {
+    return std::make_unique<KernelReducer>(ctx);
+  };
+  kernel.side.reset = [ctx] { ctx->candidate_pairs = 0; };
+  kernel.side.capture = [ctx]() -> std::string {
     std::string bytes;
     std::lock_guard<std::mutex> lock(ctx->mu);
     PutVarint64(&bytes, ctx->candidate_pairs);
     return bytes;
   };
-  kernel_hints.side.merge = [ctx](const std::string& bytes) -> Status {
+  kernel.side.merge = [ctx](const std::string& bytes) -> Status {
     Decoder dec(bytes);
     uint64_t count = 0;
     FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&count));
@@ -242,15 +233,7 @@ Result<BaselineOutput> RunVernicaJoin(const Corpus& corpus,
     ctx->candidate_pairs += count;
     return Status::OK();
   };
-  exec::Plan kernel_plan("vernica");
-  kernel_plan
-      .FlatMap("prefix-split",
-               [ctx] { return std::make_unique<KernelMapper>(ctx); })
-      .GroupByKey("vernica-kernel",
-                  [ctx] { return std::make_unique<KernelReducer>(ctx); },
-                  nullptr, nullptr, std::move(kernel_hints));
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results,
-                          backend.Execute(kernel_plan, input));
+  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results, backend.Run(kernel, input));
 
   BaselineOutput output;
   FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results));

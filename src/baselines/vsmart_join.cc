@@ -5,7 +5,6 @@
 #include "core/fragment_join.h"
 #include "core/jobs.h"
 #include "exec/backend.h"
-#include "exec/plan.h"
 #include "util/serde.h"
 #include "util/timer.h"
 
@@ -115,31 +114,36 @@ Result<BaselineOutput> RunVSmartJoin(const Corpus& corpus,
   WallTimer timer;
 
   exec::MapReduceBackend backend(config.exec);
-  mr::Dataset input = MakeCorpusDataset(corpus);
 
   auto ctx = std::make_shared<VSmartContext>();
   ctx->config = config;
   ctx->budget = std::make_shared<EmissionBudget>(config.exec.emission_limit);
 
-  // One plan, two wide stages: join (token posting lists -> pair partial
-  // overlaps), then similarity (aggregate + threshold) — the latter reuses
-  // FS-Join's verification reducer.
+  // Join: token posting lists -> pair partial overlaps. The corpus dataset
+  // is a temporary, freed as soon as the job returns.
+  mr::JobConfig join;
+  join.name = "vsmart-join";
+  join.num_map_tasks = config.exec.num_map_tasks;
+  join.num_reduce_tasks = config.exec.num_reduce_tasks;
+  join.mapper_factory = [ctx] {
+    return std::make_unique<TokenListMapper>(ctx);
+  };
+  join.reducer_factory = [ctx] {
+    return std::make_unique<PairEnumerationReducer>(ctx);
+  };
+  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset partials,
+                          backend.Run(join, MakeCorpusDataset(corpus)));
+
+  // Similarity: aggregate + threshold, with FS-Join's verification job.
+  // The partials move into a temporary as well.
   auto verification_ctx = std::make_shared<VerificationContext>();
   verification_ctx->config.theta = config.theta;
   verification_ctx->config.function = config.function;
   verification_ctx->config.exec = config.exec;
-  mr::JobConfig verification_cfg = MakeVerificationJobConfig(verification_ctx);
-
-  exec::Plan plan("vsmart");
-  exec::StageHints verification_hints;
-  verification_hints.side = verification_cfg.side;
-  plan.FlatMap("token-lists",
-               [ctx] { return std::make_unique<TokenListMapper>(ctx); })
-      .GroupByKey("vsmart-join",
-                  [ctx] { return std::make_unique<PairEnumerationReducer>(ctx); })
-      .GroupByKey("verification", verification_cfg.reducer_factory, nullptr,
-                  nullptr, std::move(verification_hints));
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results, backend.Execute(plan, input));
+  FSJOIN_ASSIGN_OR_RETURN(
+      mr::Dataset results,
+      backend.Run(MakeVerificationJobConfig(verification_ctx),
+                  mr::Dataset(std::move(partials))));
 
   BaselineOutput output;
   FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results));

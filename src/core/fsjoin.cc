@@ -8,7 +8,6 @@
 #include "core/jobs.h"
 #include "core/pivots.h"
 #include "exec/backend.h"
-#include "exec/plan.h"
 #include "util/simd.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -68,99 +67,80 @@ std::string FsJoinReport::Summary() const {
 Result<FsJoinOutput> FsJoin::Run(const Corpus& corpus) const {
   FSJOIN_RETURN_NOT_OK(config_.Validate());
   WallTimer timer;
-  // The backend and its runner are released inside RunPlans, so their
+  // The backend and its runner are released inside RunJobs, so their
   // teardown (a cluster runner's worker shutdown) is inside the wall.
-  FSJOIN_ASSIGN_OR_RETURN(FsJoinOutput output, RunPlans(corpus));
+  FSJOIN_ASSIGN_OR_RETURN(FsJoinOutput output, RunJobs(corpus));
   output.report.total_wall_ms = timer.ElapsedMillis();
   return output;
 }
 
-Result<FsJoinOutput> FsJoin::RunPlans(const Corpus& corpus) const {
+Result<FsJoinOutput> FsJoin::RunJobs(const Corpus& corpus) const {
   exec::MapReduceBackend backend(config_.exec);
 
   FsJoinOutput output;
   output.report.config = config_;
 
-  mr::Dataset input = MakeCorpusDataset(corpus);
-
-  // --- Plan 1: ordering -------------------------------------------------
-  mr::JobConfig ordering_cfg = MakeOrderingJobConfig(
-      config_.exec.num_map_tasks, config_.exec.num_reduce_tasks);
-  exec::Plan ordering_plan("ordering");
-  exec::StageHints ordering_hints;
-  ordering_hints.task_factory = ordering_cfg.task_factory;
-  ordering_hints.task_payload = ordering_cfg.task_payload;
-  ordering_plan
-      .FlatMap("tokenize", ordering_cfg.mapper_factory)
-      .GroupByKey("ordering", ordering_cfg.reducer_factory,
-                  ordering_cfg.partitioner, ordering_cfg.combiner_factory,
-                  std::move(ordering_hints));
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset freq_out,
-                          backend.Execute(ordering_plan, input));
-  FSJOIN_ASSIGN_OR_RETURN(
-      GlobalOrder order,
-      BuildGlobalOrderFromJobOutput(freq_out, corpus.dictionary.size()));
-  auto shared_order = std::make_shared<const GlobalOrder>(std::move(order));
-
-  // --- Pivot selection (driver-side, like the paper's setup() phase) ----
   auto filtering_ctx = std::make_shared<FilteringContext>();
   filtering_ctx->config = config_;
-  filtering_ctx->order = shared_order;
-  if (config_.exec.parallel_fragment_join) {
-    // One pool for the whole run: morsels steal work across fragments, so
-    // a skewed fragment is consumed by every worker. With num_threads == 0
-    // ParallelFor runs inline (deterministic-debug mode).
-    filtering_ctx->join_pool =
-        std::make_unique<ThreadPool>(config_.exec.num_threads);
-  }
-  // Validate guarantees at least one fragment.
-  filtering_ctx->pivots =
-      SelectPivots(*shared_order, config_.pivot_strategy,
-                   config_.num_vertical_partitions - 1, config_.seed);
-  if (config_.num_horizontal_partitions > 0) {
-    // Record sizes are ordering-invariant, so length pivots come straight
-    // from the corpus token counts — no OrderedRecord materialization.
-    std::vector<uint32_t> lengths;
-    lengths.reserve(corpus.records.size());
-    for (const Record& rec : corpus.records) {
-      lengths.push_back(static_cast<uint32_t>(rec.tokens.size()));
-    }
-    filtering_ctx->horizontal = HorizontalScheme(
-        SelectLengthPivotsFromLengths(std::move(lengths),
-                                      config_.num_horizontal_partitions,
-                                      config_.function, config_.theta),
-        config_.function, config_.theta);
-  }
-  output.report.pivots = filtering_ctx->pivots;
-  output.report.length_pivots = filtering_ctx->horizontal.pivots();
+  mr::Dataset partials;
+  {
+    // The corpus dataset feeds the ordering and filtering jobs and is
+    // freed before verification.
+    const mr::Dataset input = MakeCorpusDataset(corpus);
 
-  // --- Plan 2: filtering + verification ----------------------------------
-  // Each GroupByKey materializes as one MapReduce job (the paper's
-  // substrate).
+    // --- Job 1: ordering ------------------------------------------------
+    FSJOIN_ASSIGN_OR_RETURN(
+        filtering_ctx->order,
+        RunOrderingJob(&backend, input, corpus.dictionary.size()));
+    output.report.ordering_job = backend.history().back();
+
+    // --- Pivot selection (driver-side, like the paper's setup() phase) --
+    if (config_.exec.parallel_fragment_join) {
+      // One pool for the whole run: morsels steal work across fragments,
+      // so a skewed fragment is consumed by every worker. With
+      // num_threads == 0 ParallelFor runs inline (deterministic-debug
+      // mode).
+      filtering_ctx->join_pool =
+          std::make_unique<ThreadPool>(config_.exec.num_threads);
+    }
+    // Validate guarantees at least one fragment.
+    filtering_ctx->pivots =
+        SelectPivots(*filtering_ctx->order, config_.pivot_strategy,
+                     config_.num_vertical_partitions - 1, config_.seed);
+    if (config_.num_horizontal_partitions > 0) {
+      // Record sizes are ordering-invariant, so length pivots come straight
+      // from the corpus token counts — no OrderedRecord materialization.
+      std::vector<uint32_t> lengths;
+      lengths.reserve(corpus.records.size());
+      for (const Record& rec : corpus.records) {
+        lengths.push_back(static_cast<uint32_t>(rec.tokens.size()));
+      }
+      filtering_ctx->horizontal = HorizontalScheme(
+          SelectLengthPivotsFromLengths(std::move(lengths),
+                                        config_.num_horizontal_partitions,
+                                        config_.function, config_.theta),
+          config_.function, config_.theta);
+    }
+    output.report.pivots = filtering_ctx->pivots;
+    output.report.length_pivots = filtering_ctx->horizontal.pivots();
+
+    // --- Job 2: filtering (vertical split + fragment joins) -------------
+    FSJOIN_ASSIGN_OR_RETURN(
+        partials, backend.Run(MakeFilteringJobConfig(filtering_ctx), input));
+    output.report.filtering_job = backend.history().back();
+  }
+
+  // --- Job 3: verification ----------------------------------------------
+  // The partials move into a temporary, freed as soon as the job returns.
   auto verification_ctx = std::make_shared<VerificationContext>();
   verification_ctx->config = config_;
-  mr::JobConfig filtering_cfg = MakeFilteringJobConfig(filtering_ctx);
-  mr::JobConfig verification_cfg = MakeVerificationJobConfig(verification_ctx);
-  exec::Plan join_plan("join");
-  exec::StageHints filtering_hints;
-  filtering_hints.side = filtering_cfg.side;
-  exec::StageHints verification_hints;
-  verification_hints.side = verification_cfg.side;
-  join_plan
-      .FlatMap("vertical-split", filtering_cfg.mapper_factory)
-      .GroupByKey("filtering", filtering_cfg.reducer_factory,
-                  filtering_cfg.partitioner, nullptr,
-                  std::move(filtering_hints))
-      .GroupByKey("verification", verification_cfg.reducer_factory, nullptr,
-                  nullptr, std::move(verification_hints));
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results_out,
-                          backend.Execute(join_plan, input));
-  FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results_out));
+  FSJOIN_ASSIGN_OR_RETURN(
+      mr::Dataset results,
+      backend.Run(MakeVerificationJobConfig(verification_ctx),
+                  mr::Dataset(std::move(partials))));
+  output.report.verification_job = backend.history().back();
+  FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results));
 
-  const std::vector<mr::JobMetrics>& history = backend.history();
-  output.report.ordering_job = history[0];
-  output.report.filtering_job = history[1];
-  output.report.verification_job = history[2];
   // Self-describing A/B runs: record which kernel pipeline the filtering
   // reducers actually used, with the ISA the auto mode resolved to.
   output.report.filtering_job.join_kernel = StrFormat(
@@ -228,7 +208,7 @@ Result<FsJoinOutput> FsJoin::Run(const JoinInput& input) const {
   WallTimer timer;
   FSJOIN_ASSIGN_OR_RETURN(
       FsJoinOutput output,
-      FsJoin(std::move(config)).RunPlans(MergeJoinInput(input)));
+      FsJoin(std::move(config)).RunJobs(MergeJoinInput(input)));
   output.report.total_wall_ms = timer.ElapsedMillis();
   return output;
 }

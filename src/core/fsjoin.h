@@ -51,7 +51,7 @@ struct JoinInput {
   const Corpus& s;
 };
 
-/// Builds the merged corpus every R-S plan runs on. R's records keep both
+/// Builds the merged corpus every R-S join runs on. R's records keep both
 /// their record ids and their token ids: R's dictionary is interned first,
 /// in token-id order, so the union mapping is the identity on R and probe
 /// tokens are never remapped (the disjoint-vocabulary invariant the check
@@ -72,12 +72,12 @@ struct FsJoinOutput {
   std::vector<PartialOverlap> partial_overlaps;
 };
 
-/// FS-Join (§III–§V), described as two logical plans
-///   1. ordering             — token frequencies -> global ordering
-///   2. filtering+verification — vertical (+ horizontal) partitioning,
-///      fragment joins, then partial-overlap aggregation and thresholding
-/// and executed on the Hadoop-style MapReduce engine, one materialized job
-/// per wide stage (the paper's substrate).
+/// FS-Join (§III–§V) as a chain of three jobs on the Hadoop-style
+/// MapReduce engine (the paper's substrate):
+///   1. ordering     — token frequencies -> global ordering
+///   2. filtering    — vertical (+ horizontal) partitioning, fragment joins
+///   3. verification — partial-overlap aggregation and thresholding
+/// Pivot selection runs driver-side between jobs 1 and 2.
 ///
 /// Usage:
 ///   FsJoinConfig config;
@@ -93,7 +93,7 @@ class FsJoin {
   Result<FsJoinOutput> Run(const Corpus& corpus) const;
 
   /// Runs the two-collection join R ⋈_θ S: merges the input through
-  /// MergeJoinInput, sets rs_boundary = |R| and executes the same plans.
+  /// MergeJoinInput, sets rs_boundary = |R| and runs the same jobs.
   /// Result pairs have `a` in R's id space and `b` offset by |R|.
   Result<FsJoinOutput> Run(const JoinInput& input) const;
 
@@ -101,7 +101,7 @@ class FsJoin {
 
  private:
   /// Run's body on a validated config, minus the wall timer.
-  Result<FsJoinOutput> RunPlans(const Corpus& corpus) const;
+  Result<FsJoinOutput> RunJobs(const Corpus& corpus) const;
 
   FsJoinConfig config_;
 };

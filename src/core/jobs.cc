@@ -172,14 +172,6 @@ class FilteringReducer : public mr::Reducer {
 
 // ---- Verification job --------------------------------------------------
 
-class IdentityMapper : public mr::Mapper {
- public:
-  Status Map(const mr::KeyValue& record, mr::Emitter* out) override {
-    out->Emit(record.key, record.value);
-    return Status::OK();
-  }
-};
-
 class VerificationReducer : public mr::Reducer {
  public:
   explicit VerificationReducer(std::shared_ptr<VerificationContext> ctx)
@@ -399,6 +391,21 @@ Result<GlobalOrder> BuildGlobalOrderFromJobOutput(const mr::Dataset& output,
     frequency[token] = count;
   }
   return GlobalOrder::FromFrequencies(std::move(frequency));
+}
+
+Result<std::shared_ptr<const GlobalOrder>> RunOrderingJob(
+    exec::MapReduceBackend* backend, const mr::Dataset& input,
+    size_t vocab_size) {
+  const exec::ExecConfig& exec = backend->config();
+  FSJOIN_ASSIGN_OR_RETURN(
+      mr::Dataset frequencies,
+      backend->Run(
+          MakeOrderingJobConfig(exec.num_map_tasks, exec.num_reduce_tasks),
+          input));
+  FSJOIN_ASSIGN_OR_RETURN(
+      GlobalOrder order,
+      BuildGlobalOrderFromJobOutput(frequencies, vocab_size));
+  return std::make_shared<const GlobalOrder>(std::move(order));
 }
 
 uint32_t FragmentPartitioner::Partition(std::string_view key,

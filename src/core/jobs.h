@@ -9,6 +9,7 @@
 #include "core/fragment_join.h"
 #include "core/fsjoin_config.h"
 #include "core/horizontal.h"
+#include "exec/backend.h"
 #include "mr/job.h"
 #include "mr/kv.h"
 #include "sim/global_order.h"
@@ -41,6 +42,13 @@ mr::JobConfig MakeOrderingJobConfig(uint32_t num_map_tasks,
 /// is the dictionary size (tokens with no output record get frequency 0).
 Result<GlobalOrder> BuildGlobalOrderFromJobOutput(const mr::Dataset& output,
                                                   size_t vocab_size);
+
+/// Runs the ordering job over `input` on `backend` (task counts from its
+/// config) and builds the global ordering from the job's output. The job's
+/// metrics land in backend->history().
+Result<std::shared_ptr<const GlobalOrder>> RunOrderingJob(
+    exec::MapReduceBackend* backend, const mr::Dataset& input,
+    size_t vocab_size);
 
 /// ---- Job 2: filtering (vertical partition + fragment join) ----------
 /// map:    (rid, tokens) -> ((h, v), segment) per horizontal group h and
@@ -88,6 +96,16 @@ class FragmentPartitioner : public mr::Partitioner {
 /// ---- Job 3: verification (overlap aggregation) -----------------------
 /// map:    identity
 /// reduce: sum partial overlaps; emit (pair, similarity) when >= theta.
+
+/// Passes every record through unchanged (the verification job's map; the
+/// MassJoin verify job reuses it).
+class IdentityMapper : public mr::Mapper {
+ public:
+  Status Map(const mr::KeyValue& record, mr::Emitter* out) override {
+    out->Emit(record.key, record.value);
+    return Status::OK();
+  }
+};
 
 /// Shared verification counters.
 struct VerificationContext {

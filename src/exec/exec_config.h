@@ -34,7 +34,7 @@ KernelMode ResolveKernelMode(KernelMode mode);
 /// Engine-shape knobs shared by every algorithm in the repo (FS-Join and
 /// the three baselines). Previously duplicated across FsJoinConfig and
 /// BaselineConfig; consolidated here so a driver describes *what* to run
-/// (the plan) and this struct describes *where and how wide*.
+/// (its jobs) and this struct describes *where and how wide*.
 struct ExecConfig {
   /// Number of map tasks the input is split into (Hadoop: one per block).
   uint32_t num_map_tasks = 8;
@@ -76,11 +76,6 @@ struct ExecConfig {
   /// are unchanged. This is the knob that lets a corpus whose intermediate
   /// data outgrows RAM still run to completion.
   uint64_t shuffle_memory_bytes = 0;
-  /// Process-wide ceiling shared by all concurrent jobs (0 = leave the
-  /// global store::ProcessMemoryBudget() untouched). Applied by the
-  /// MapReduceBackend constructor; only consulted by jobs that also set
-  /// shuffle_memory_bytes.
-  uint64_t process_memory_bytes = 0;
   /// Base directory for spill scratch space; every job creates and removes
   /// its own unique subdirectory underneath. Empty = system temp
   /// directory.

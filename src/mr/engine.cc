@@ -155,8 +155,7 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
     scratch.emplace(std::move(dir));
   }
   if (options_.shuffle_memory_bytes > 0) {
-    job_budget.emplace(options_.shuffle_memory_bytes,
-                       &store::ProcessMemoryBudget());
+    job_budget.emplace(options_.shuffle_memory_bytes);
   }
 
   TaskScheduler scheduler(runner_, options_.task_retries);

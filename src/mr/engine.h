@@ -26,9 +26,9 @@ struct EngineOptions {
   size_t num_threads = 0;
   /// Per-job cap on shuffle arena payload bytes (0 = unlimited, shuffle
   /// stays fully in memory). When a job's buffered shuffle data exceeds
-  /// the cap — or the process-wide store::ProcessMemoryBudget() trips —
-  /// shards spill key-sorted run files to disk and the reduce side streams
-  /// a k-way merge. Results are byte-identical to the in-memory path.
+  /// the cap, shards spill key-sorted run files to disk and the reduce
+  /// side streams a k-way merge. Results are byte-identical to the
+  /// in-memory path.
   uint64_t shuffle_memory_bytes = 0;
   /// Base directory for spill runs and task interchange files; every job
   /// creates (and removes, even on failure) its own unique subdirectory

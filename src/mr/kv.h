@@ -19,8 +19,8 @@ struct KeyValue {
   uint64_t SizeBytes() const { return key.size() + value.size(); }
 };
 
-/// An in-memory dataset: the unit stored in the MiniDfs and passed between
-/// chained jobs. Inside a job the engine moves KvBuffer arenas instead; a
+/// An in-memory dataset: a job's input or output, passed by the driver
+/// from one job to the next. Inside a job the engine moves KvBuffer arenas instead; a
 /// Dataset only materializes at job boundaries.
 using Dataset = std::vector<KeyValue>;
 

@@ -53,32 +53,4 @@ std::string JobMetrics::Summary() const {
   return os.str();
 }
 
-JobMetrics CombineJobMetrics(const std::vector<JobMetrics>& jobs,
-                             const std::string& name) {
-  JobMetrics out;
-  out.job_name = name;
-  for (const JobMetrics& j : jobs) {
-    if (out.join_kernel.empty()) out.join_kernel = j.join_kernel;
-    out.map_input_records += j.map_input_records;
-    out.map_input_bytes += j.map_input_bytes;
-    out.map_output_records += j.map_output_records;
-    out.map_output_bytes += j.map_output_bytes;
-    out.combine_input_records += j.combine_input_records;
-    out.shuffle_records += j.shuffle_records;
-    out.shuffle_bytes += j.shuffle_bytes;
-    out.spilled_bytes += j.spilled_bytes;
-    out.spill_runs += j.spill_runs;
-    out.reduce_output_records += j.reduce_output_records;
-    out.reduce_output_bytes += j.reduce_output_bytes;
-    out.map_tasks.insert(out.map_tasks.end(), j.map_tasks.begin(),
-                         j.map_tasks.end());
-    out.reduce_tasks.insert(out.reduce_tasks.end(), j.reduce_tasks.begin(),
-                            j.reduce_tasks.end());
-    out.map_wall_micros += j.map_wall_micros;
-    out.reduce_wall_micros += j.reduce_wall_micros;
-    out.total_wall_micros += j.total_wall_micros;
-  }
-  return out;
-}
-
 }  // namespace fsjoin::mr

@@ -78,11 +78,6 @@ struct JobMetrics {
   std::string Summary() const;
 };
 
-/// Aggregates the counters of several chained jobs (phase times add up,
-/// shuffle volumes add up; task vectors are concatenated).
-JobMetrics CombineJobMetrics(const std::vector<JobMetrics>& jobs,
-                             const std::string& name);
-
 }  // namespace fsjoin::mr
 
 #endif  // FSJOIN_MR_METRICS_H_

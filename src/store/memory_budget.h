@@ -18,56 +18,38 @@ namespace fsjoin::store {
 /// single record larger than the whole budget still passes through, it
 /// just gets spilled immediately afterwards.
 ///
-/// Budgets chain: a per-job budget constructed with a parent forwards every
-/// charge upward, so concurrent jobs sharing the process-wide budget
-/// (ProcessMemoryBudget()) spill when *either* their own limit or the
-/// global one trips. All methods are thread-safe.
+/// The engine keeps one budget per job (EngineOptions::shuffle_memory_bytes).
+/// All methods are thread-safe.
 class MemoryBudget {
  public:
   /// Sentinel limit meaning "never trips".
   static constexpr uint64_t kUnlimited = UINT64_MAX;
 
-  explicit MemoryBudget(uint64_t limit_bytes = kUnlimited,
-                        MemoryBudget* parent = nullptr)
-      : limit_(limit_bytes), used_(0), parent_(parent) {}
+  explicit MemoryBudget(uint64_t limit_bytes = kUnlimited)
+      : limit_(limit_bytes), used_(0) {}
 
   MemoryBudget(const MemoryBudget&) = delete;
   MemoryBudget& operator=(const MemoryBudget&) = delete;
 
-  /// Accounts for `bytes` here and in every parent. Returns true while this
-  /// budget and all ancestors stay within their limits; false means the
-  /// caller should spill what it holds and Release() the charge.
+  /// Accounts for `bytes`. Returns true while the budget stays within its
+  /// limit; false means the caller should spill what it holds and
+  /// Release() the charge.
   bool Charge(uint64_t bytes) {
-    const uint64_t now = used_.fetch_add(bytes, std::memory_order_relaxed) +
-                         bytes;
-    const bool here_ok = now <= limit_.load(std::memory_order_relaxed);
-    const bool parent_ok = parent_ == nullptr || parent_->Charge(bytes);
-    return here_ok && parent_ok;
+    return used_.fetch_add(bytes, std::memory_order_relaxed) + bytes <=
+           limit_;
   }
 
-  /// Returns `bytes` previously Charge()d, here and in every parent.
+  /// Returns `bytes` previously Charge()d.
   void Release(uint64_t bytes) {
     used_.fetch_sub(bytes, std::memory_order_relaxed);
-    if (parent_ != nullptr) parent_->Release(bytes);
   }
 
   uint64_t used() const { return used_.load(std::memory_order_relaxed); }
-  uint64_t limit() const { return limit_.load(std::memory_order_relaxed); }
-  void set_limit(uint64_t limit_bytes) {
-    limit_.store(limit_bytes, std::memory_order_relaxed);
-  }
 
  private:
-  std::atomic<uint64_t> limit_;
+  const uint64_t limit_;
   std::atomic<uint64_t> used_;
-  MemoryBudget* parent_;
 };
-
-/// The process-wide budget that every per-job shuffle budget chains to.
-/// Unlimited until narrowed via set_limit() (wired to
-/// exec::ExecConfig::process_memory_bytes by the exec::MapReduceBackend
-/// constructor).
-MemoryBudget& ProcessMemoryBudget();
 
 }  // namespace fsjoin::store
 

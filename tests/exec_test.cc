@@ -1,8 +1,6 @@
-// The logical-plan layer: plan validation, MapReduce lowering (narrow-chain
-// fusion into map phases, identity maps, map-only tails, unions), the
-// per-wide-stage history contract, and the headline property — FS-Join and
-// every baseline, run through the plan layer, produce result sets
-// byte-identical to the serial oracle.
+// The MapReduce backend: the per-job history contract, and the headline
+// property — FS-Join and every baseline, run job by job on the backend,
+// produce result sets byte-identical to the serial oracle.
 
 #include <gtest/gtest.h>
 
@@ -15,8 +13,6 @@
 #include "check/invariants.h"
 #include "core/fsjoin.h"
 #include "exec/backend.h"
-#include "exec/plan.h"
-#include "store/memory_budget.h"
 #include "test_util.h"
 #include "util/serde.h"
 
@@ -42,16 +38,6 @@ class SplitMapper : public mr::Mapper {
         current.push_back(c);
       }
     }
-    return Status::OK();
-  }
-};
-
-class UpperMapper : public mr::Mapper {
- public:
-  Status Map(const mr::KeyValue& record, mr::Emitter* out) override {
-    std::string key = record.key;
-    for (char& c : key) c = static_cast<char>(std::toupper(c));
-    out->Emit(std::move(key), record.value);
     return Status::OK();
   }
 };
@@ -105,133 +91,33 @@ TEST(ExecConfigTest, ValidateRejectsZeroTaskCounts) {
   EXPECT_FALSE(config.Validate().ok());
 }
 
-// ---- Plan validation -----------------------------------------------------
+// ---- Backend ----------------------------------------------------------------
 
-TEST(PlanTest, ValidationCatchesMissingOperators) {
-  Plan ok_plan("ok");
-  ok_plan.FlatMap("m", [] { return std::make_unique<SplitMapper>(); })
-      .GroupByKey("g", [] { return std::make_unique<SumReducer>(); });
-  EXPECT_TRUE(ok_plan.Validate().ok());
-  EXPECT_EQ(ok_plan.NumWideStages(), 1u);
-
-  Plan no_mapper("bad");
-  no_mapper.FlatMap("m", nullptr);
-  EXPECT_FALSE(no_mapper.Validate().ok());
-
-  Plan no_reducer("bad");
-  no_reducer.GroupByKey("g", nullptr);
-  EXPECT_FALSE(no_reducer.Validate().ok());
-
-  Plan no_dataset("bad");
-  no_dataset.UnionWith("u", nullptr);
-  EXPECT_FALSE(no_dataset.Validate().ok());
-}
-
-// ---- Lowering --------------------------------------------------------------
-
-TEST(BackendTest, ChainedNarrowStagesFuseIntoOneJob) {
-  MapReduceBackend backend(SmallExec());
-  Plan plan("wordcount");
-  plan.FlatMap("split", [] { return std::make_unique<SplitMapper>(); })
-      .FlatMap("upper", [] { return std::make_unique<UpperMapper>(); })
-      .GroupByKey("sum", [] { return std::make_unique<SumReducer>(); });
-  Result<mr::Dataset> out = backend.Execute(plan, Words());
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  auto counts = Counts(*out);
-  EXPECT_EQ(counts["A"], 4u);
-  EXPECT_EQ(counts["B"], 2u);
-  EXPECT_EQ(counts["C"], 1u);
-  EXPECT_EQ(counts["D"], 1u);
-  // One wide stage -> exactly one history entry, named after the stage,
-  // regardless of how many narrow stages preceded it.
-  ASSERT_EQ(backend.history().size(), 1u);
-  EXPECT_EQ(backend.history()[0].job_name, "sum");
-  EXPECT_EQ(backend.history()[0].shuffle_records, 8u);
-}
-
-TEST(BackendTest, WideStageWithNoNarrowPrefixGetsIdentityMap) {
-  MapReduceBackend backend(SmallExec());
-  Plan plan("presplit");
-  plan.GroupByKey("sum", [] { return std::make_unique<SumReducer>(); });
-  mr::Dataset input;
-  for (const char* word : {"a", "b", "a", "a", "c"}) {
-    std::string one;
-    PutVarint64(&one, 1);
-    input.push_back({word, one});
-  }
-  Result<mr::Dataset> out = backend.Execute(plan, input);
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  auto counts = Counts(*out);
-  EXPECT_EQ(counts["a"], 3u);
-  EXPECT_EQ(counts["b"], 1u);
-  EXPECT_EQ(counts["c"], 1u);
-}
-
-TEST(BackendTest, TrailingNarrowStagesRun) {
-  MapReduceBackend backend(SmallExec());
-  Plan plan("tailcase");
-  plan.FlatMap("split", [] { return std::make_unique<SplitMapper>(); })
-      .GroupByKey("sum", [] { return std::make_unique<SumReducer>(); })
-      .FlatMap("upper", [] { return std::make_unique<UpperMapper>(); });
-  Result<mr::Dataset> out = backend.Execute(plan, Words());
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  auto counts = Counts(*out);
-  EXPECT_EQ(counts["A"], 4u);
-  EXPECT_EQ(counts["D"], 1u);
-  EXPECT_EQ(counts.count("a"), 0u);
-}
-
-TEST(BackendTest, UnionSplicesSideDataset) {
-  auto side = std::make_shared<const mr::Dataset>(
-      mr::Dataset{{"5", "d d"}, {"6", "e"}});
-  MapReduceBackend backend(SmallExec());
-  Plan plan("unioned");
-  plan.UnionWith("extra", side)
-      .FlatMap("split", [] { return std::make_unique<SplitMapper>(); })
-      .GroupByKey("sum", [] { return std::make_unique<SumReducer>(); });
-  Result<mr::Dataset> out = backend.Execute(plan, Words());
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  auto counts = Counts(*out);
-  EXPECT_EQ(counts["a"], 4u);
-  EXPECT_EQ(counts["d"], 3u);  // 1 from the input, 2 from the side dataset
-  EXPECT_EQ(counts["e"], 1u);
-}
-
-TEST(BackendTest, MapReduceRejectsUnionAfterUnflushedFlatMap) {
-  auto side = std::make_shared<const mr::Dataset>(mr::Dataset{{"5", "d"}});
-  MapReduceBackend backend(SmallExec());
-  Plan plan("bad-union");
-  plan.FlatMap("split", [] { return std::make_unique<SplitMapper>(); })
-      .UnionWith("extra", side)
-      .GroupByKey("sum", [] { return std::make_unique<SumReducer>(); });
-  Result<mr::Dataset> out = backend.Execute(plan, Words());
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kUnimplemented);
+mr::JobConfig WordCountJob() {
+  mr::JobConfig job;
+  job.name = "sum";
+  job.num_map_tasks = 3;
+  job.num_reduce_tasks = 4;
+  job.mapper_factory = [] { return std::make_unique<SplitMapper>(); };
+  job.reducer_factory = [] { return std::make_unique<SumReducer>(); };
+  return job;
 }
 
 TEST(BackendTest, HistoryAccumulatesAcrossExecuteCalls) {
   MapReduceBackend backend(SmallExec());
-  Plan plan("repeat");
-  plan.FlatMap("split", [] { return std::make_unique<SplitMapper>(); })
-      .GroupByKey("sum", [] { return std::make_unique<SumReducer>(); });
-  ASSERT_TRUE(backend.Execute(plan, Words()).ok());
-  ASSERT_TRUE(backend.Execute(plan, Words()).ok());
+  Result<mr::Dataset> first = backend.Run(WordCountJob(), Words());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto counts = Counts(*first);
+  EXPECT_EQ(counts["a"], 4u);
+  EXPECT_EQ(counts["b"], 2u);
+  EXPECT_EQ(counts["c"], 1u);
+  EXPECT_EQ(counts["d"], 1u);
+  ASSERT_TRUE(backend.Run(WordCountJob(), Words()).ok());
+  // One entry per Run, named after the job, in run order.
   ASSERT_EQ(backend.history().size(), 2u);
   EXPECT_EQ(backend.history()[0].job_name, "sum");
+  EXPECT_EQ(backend.history()[0].shuffle_records, 8u);
   EXPECT_EQ(backend.history()[1].job_name, "sum");
-}
-
-TEST(BackendTest, ConstructorAppliesProcessMemoryLimit) {
-  store::MemoryBudget& process = store::ProcessMemoryBudget();
-  const uint64_t before = process.limit();
-  { MapReduceBackend unset(SmallExec()); }
-  EXPECT_EQ(process.limit(), before);  // 0 leaves the global budget alone
-
-  ExecConfig config = SmallExec();
-  config.process_memory_bytes = 1 << 20;
-  { MapReduceBackend backend(config); }
-  EXPECT_EQ(process.limit(), uint64_t{1} << 20);
-  process.set_limit(before);
 }
 
 // ---- Oracle equivalence: FS-Join and every baseline -----------------------
@@ -260,8 +146,8 @@ const CorpusShape kShapes[] = {
     {kShapeNames[2], 90, 220, 1.2, 16, 9103},
 };
 
-/// Digest of the serial brute-force join: the reference every plan-layer
-/// run must match byte for byte.
+/// Digest of the serial brute-force join: the reference every backend run
+/// must match byte for byte.
 uint32_t OracleDigest(const Corpus& corpus, double theta) {
   return check::ResultDigest(BruteForceJoin(
       ::fsjoin::testing::OrderedView(corpus), SimilarityFunction::kJaccard,
@@ -270,8 +156,8 @@ uint32_t OracleDigest(const Corpus& corpus, double theta) {
 
 class BackendEquivalence : public ::testing::TestWithParam<CorpusShape> {};
 
-// FS-Join through the plan layer matches the serial oracle at three
-// thresholds, and its three jobs land in the history in plan order.
+// FS-Join on the backend matches the serial oracle at three thresholds, and
+// its three jobs land in the report under their names.
 TEST_P(BackendEquivalence, FsJoinSameResultsOnBothBackends) {
   const CorpusShape& shape = GetParam();
   Corpus corpus = RandomCorpus(shape.records, shape.vocab, shape.skew,
@@ -290,13 +176,13 @@ TEST_P(BackendEquivalence, FsJoinSameResultsOnBothBackends) {
     EXPECT_EQ(out->report.ordering_job.job_name, "ordering");
     EXPECT_EQ(out->report.filtering_job.job_name, "filtering");
     EXPECT_EQ(out->report.verification_job.job_name, "verification");
-    // The verification stage's reduce output is the result set.
+    // The verification job's reduce output is the result set.
     EXPECT_EQ(out->report.verification_job.reduce_output_records,
               out->pairs.size());
   }
 }
 
-// Every baseline through the plan layer matches the serial oracle, and its
+// Every baseline on the backend matches the serial oracle, and its
 // signature stage resolves by name.
 TEST_P(BackendEquivalence, BaselinesSameResultsOnBothBackends) {
   const CorpusShape& shape = GetParam();
@@ -324,7 +210,7 @@ TEST_P(BackendEquivalence, BaselinesSameResultsOnBothBackends) {
 }
 
 // Acceptance for the external shuffle: with the budget far below the
-// shuffle volume every wide stage spills run files to disk, yet FS-Join
+// shuffle volume every job spills run files to disk, yet FS-Join
 // produces the identical result set, and the report carries real measured
 // spill volume.
 TEST_P(BackendEquivalence, FsJoinForcedSpillMatchesInMemory) {

@@ -1,6 +1,6 @@
 // Tests of the MapReduce substrate: execution semantics (record-at-a-time
 // map, combiner, partitioning, sorted grouping), error propagation, metric
-// accounting, the MiniDfs/Pipeline layer and the cluster makespan simulator.
+// accounting and the cluster makespan simulator.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "mr/cluster_sim.h"
 #include "mr/engine.h"
-#include "mr/pipeline.h"
 #include "store/temp_dir.h"
 #include "util/hash.h"
 #include "util/random.h"
@@ -298,50 +297,6 @@ TEST(PartitionerTest, PrefixIdPartitionerSingleAndWrapAround) {
   EXPECT_EQ(p.Partition("", 1), 0u);
   // Bytes after the 4-byte id prefix don't affect routing.
   EXPECT_EQ(p.Partition(key + "trailing-token-bytes", 7), p.Partition(key, 7));
-}
-
-// ---- MiniDfs / Pipeline ------------------------------------------------
-
-TEST(MiniDfsTest, PutGetRemove) {
-  MiniDfs dfs;
-  EXPECT_FALSE(dfs.Has("x"));
-  EXPECT_FALSE(dfs.Get("x").ok());
-  dfs.Put("x", {{"k", "v"}});
-  ASSERT_TRUE(dfs.Has("x"));
-  EXPECT_EQ(dfs.Get("x").value()->size(), 1u);
-  dfs.Put("x", {});  // replace
-  EXPECT_EQ(dfs.Get("x").value()->size(), 0u);
-  dfs.Remove("x");
-  EXPECT_FALSE(dfs.Has("x"));
-}
-
-TEST(PipelineTest, ChainsJobsAndRecordsHistory) {
-  Engine engine(0);
-  MiniDfs dfs;
-  Pipeline pipeline(&engine, &dfs);
-  dfs.Put("in", WordsInput());
-  ASSERT_TRUE(
-      pipeline.RunJob(WordCountConfig(2, 2, false), "in", "counts").ok());
-  // Second job over the first job's output (identity-ish re-reduce).
-  ASSERT_TRUE(pipeline
-                  .RunJob(WordCountConfig(2, 2, false), "counts",
-                          "counts2")
-                  .ok());
-  EXPECT_EQ(pipeline.history().size(), 2u);
-  EXPECT_TRUE(dfs.Has("counts2"));
-  JobMetrics total = pipeline.TotalMetrics("all");
-  EXPECT_EQ(total.map_input_records,
-            pipeline.history()[0].map_input_records +
-                pipeline.history()[1].map_input_records);
-}
-
-TEST(PipelineTest, MissingInputFails) {
-  Engine engine(0);
-  MiniDfs dfs;
-  Pipeline pipeline(&engine, &dfs);
-  EXPECT_EQ(
-      pipeline.RunJob(WordCountConfig(1, 1, false), "nope", "out").code(),
-      StatusCode::kNotFound);
 }
 
 // ---- Cluster simulator -----------------------------------------------------

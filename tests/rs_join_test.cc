@@ -1,4 +1,4 @@
-// R-S two-collection join correctness across the whole plan layer: the
+// R-S two-collection join correctness end to end: the
 // RS(C, C) ≡ Self(C) property (R-S over two copies of a corpus must equal
 // the self-join plus exactly the symmetric and reflexive pairs a self-join
 // suppresses), the edge cases ISSUE 10 calls out (empty R or S, disjoint
@@ -199,7 +199,7 @@ TEST(RsJoinEdgeCases, EmptyCollectionThroughJoinInputApi) {
 }
 
 // FsJoinReport::total_wall_ms covers the whole Run(JoinInput), including
-// the R-S merge before the plans and the merged corpus's release after. A
+// the R-S merge before the jobs and the merged corpus's release after. A
 // large flat vocabulary makes the merge, which interns every S token
 // string into the union dictionary, about half of the call.
 TEST(RsJoinReport, ReportedWallCoversTheMergeAndTheJoin) {

@@ -90,29 +90,6 @@ TEST(MemoryBudgetTest, UnlimitedNeverTrips) {
   budget.Release(UINT64_MAX / 2);
 }
 
-TEST(MemoryBudgetTest, ParentLimitTripsChildCharge) {
-  MemoryBudget parent(100);
-  MemoryBudget wide_child(1000, &parent);
-  MemoryBudget other_child(1000, &parent);
-  EXPECT_TRUE(wide_child.Charge(80));  // parent at 80/100
-  // The second child is far under its own limit, but the shared parent
-  // trips — this is how concurrent jobs share one process ceiling.
-  EXPECT_FALSE(other_child.Charge(30));
-  EXPECT_EQ(parent.used(), 110u);
-  other_child.Release(30);
-  wide_child.Release(80);
-  EXPECT_EQ(parent.used(), 0u);
-  EXPECT_EQ(wide_child.used(), 0u);
-}
-
-TEST(MemoryBudgetTest, SetLimitNarrowsLater) {
-  MemoryBudget budget;
-  EXPECT_TRUE(budget.Charge(500));
-  budget.set_limit(100);
-  EXPECT_FALSE(budget.Charge(1));
-  budget.Release(501);
-}
-
 // ---- TempSpillDir ----------------------------------------------------
 
 TEST(TempSpillDirTest, RemovesContentsOnScopeExit) {
