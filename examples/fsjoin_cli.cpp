@@ -24,7 +24,8 @@
 //                       work-stealing over --threads workers)
 //   --morsel N          probe segments per morsel             [64]
 //   --shuffle-mem SIZE  spill the shuffle to disk past this many buffered
-//                       bytes; accepts k/m/g suffixes         [0 = in memory]
+//                       bytes (0 or at least 64); accepts k/m/g
+//                       suffixes                              [0 = in memory]
 //   --spill-dir PATH    where spill runs are written (removed when the job
 //                       finishes)                             [system temp]
 //   --runner NAME       inline | threads | subprocess | cluster task
@@ -38,7 +39,7 @@
 //   --spawn-local-workers N
 //                       cluster: fork/exec N loopback workers from this
 //                       binary instead of dialing --workers
-//   --heartbeat-ms N    cluster liveness probe interval       [2000]
+//   --heartbeat-ms N    cluster liveness probe interval, >= 50 [2000]
 //   --output PATH       write "idA idB similarity" lines; a failed
 //                       write exits 1                         [stdout]
 //   --report            print the execution report to stderr
@@ -58,6 +59,7 @@
 #include <string_view>
 
 #include "core/fsjoin.h"
+#include "mr/engine.h"
 #include "mr/worker.h"
 #include "net/worker.h"
 #include "text/corpus_io.h"
@@ -282,6 +284,15 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad --shuffle-mem value\n");
         return Usage(argv[0]);
       }
+      if (opts.shuffle_mem > 0 &&
+          opts.shuffle_mem < fsjoin::mr::kMinShuffleMemoryBytes) {
+        std::fprintf(stderr,
+                     "bad --shuffle-mem value: %s is below the %llu-byte "
+                     "minimum (0 keeps the shuffle in memory)\n",
+                     v, static_cast<unsigned long long>(
+                            fsjoin::mr::kMinShuffleMemoryBytes));
+        return Usage(argv[0]);
+      }
     } else if (arg == "--spill-dir") {
       const char* v = next();
       if (!v) return Usage(argv[0]);
@@ -305,7 +316,9 @@ int main(int argc, char** argv) {
         return Usage(argv[0]);
       }
     } else if (arg == "--heartbeat-ms") {
-      if (!ParseFlag(arg, next(), IntIn(1, INT32_MAX), &opts.heartbeat_ms)) {
+      if (!ParseFlag(arg, next(), IntIn(fsjoin::exec::kMinHeartbeatMs,
+                                        INT32_MAX),
+                     &opts.heartbeat_ms)) {
         return Usage(argv[0]);
       }
     } else if (arg == "--aggressive") {
@@ -329,6 +342,31 @@ int main(int argc, char** argv) {
   }
   const bool rs_mode = opts.join == "rs";
 
+  fsjoin::FsJoinConfig config;
+  config.theta = opts.theta;
+  config.num_vertical_partitions = opts.fragments;
+  config.num_horizontal_partitions = opts.horizontal;
+  config.exec.num_threads = opts.threads;
+  config.exec.parallel_fragment_join = opts.parallel_join;
+  config.exec.join_morsel_size = opts.morsel;
+  config.exec.shuffle_memory_bytes = opts.shuffle_mem;
+  config.exec.spill_dir = opts.spill_dir;
+  config.exec.task_retries = opts.task_retries;
+  config.exec.workers = opts.workers;
+  config.exec.spawn_local_workers = opts.spawn_local_workers;
+  config.exec.heartbeat_ms = opts.heartbeat_ms;
+  config.exec.runner = opts.runner;
+  config.exec.kernel = opts.kernel;
+  config.aggressive_segment_prefix = opts.aggressive;
+  config.function = opts.function;
+  config.join_method = opts.method;
+  // Flag combinations (runner topology, spill floor, ...) fail here as bad
+  // arguments, before any input is read.
+  if (fsjoin::Status st = config.Validate(); !st.ok()) {
+    std::fprintf(stderr, "%s\n", st.message().c_str());
+    return Usage(argv[0]);
+  }
+
   auto tokenizer_result = MakeTokenizer(opts.tokenizer);
   if (!tokenizer_result.ok()) {
     std::fprintf(stderr, "bad --tokenizer value: %s\n",
@@ -349,25 +387,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
     return 1;
   }
-
-  fsjoin::FsJoinConfig config;
-  config.theta = opts.theta;
-  config.num_vertical_partitions = opts.fragments;
-  config.num_horizontal_partitions = opts.horizontal;
-  config.exec.num_threads = opts.threads;
-  config.exec.parallel_fragment_join = opts.parallel_join;
-  config.exec.join_morsel_size = opts.morsel;
-  config.exec.shuffle_memory_bytes = opts.shuffle_mem;
-  config.exec.spill_dir = opts.spill_dir;
-  config.exec.task_retries = opts.task_retries;
-  config.exec.workers = opts.workers;
-  config.exec.spawn_local_workers = opts.spawn_local_workers;
-  config.exec.heartbeat_ms = opts.heartbeat_ms;
-  config.exec.runner = opts.runner;
-  config.exec.kernel = opts.kernel;
-  config.aggressive_segment_prefix = opts.aggressive;
-  config.function = opts.function;
-  config.join_method = opts.method;
 
   fsjoin::Result<fsjoin::FsJoinOutput> out =
       [&]() -> fsjoin::Result<fsjoin::FsJoinOutput> {

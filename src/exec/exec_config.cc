@@ -77,10 +77,11 @@ Status ExecConfig::Validate() const {
           "spawn_local_workers must be >= 0, got " +
           std::to_string(spawn_local_workers));
     }
-    if (heartbeat_ms < 50) {
+    if (heartbeat_ms < kMinHeartbeatMs) {
       return Status::InvalidArgument(
-          "heartbeat_ms must be >= 50 (got " + std::to_string(heartbeat_ms) +
-          "); sub-50ms probes misdiagnose a busy loopback worker as dead");
+          "heartbeat_ms must be >= " + std::to_string(kMinHeartbeatMs) +
+          " (got " + std::to_string(heartbeat_ms) +
+          "); shorter probes misdiagnose a busy loopback worker as dead");
     }
   } else if (!workers.empty() || spawn_local_workers != 0) {
     return Status::InvalidArgument(

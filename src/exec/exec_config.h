@@ -31,6 +31,10 @@ Result<KernelMode> KernelModeFromName(std::string_view name);
 /// What kAuto means on this build + machine (kSimd or kPacked).
 KernelMode ResolveKernelMode(KernelMode mode);
 
+/// Smallest cluster heartbeat interval: sub-50ms probes misdiagnose a busy
+/// loopback worker as dead.
+inline constexpr int kMinHeartbeatMs = 50;
+
 /// Engine-shape knobs shared by every algorithm in the repo (FS-Join and
 /// the three baselines). Previously duplicated across FsJoinConfig and
 /// BaselineConfig; consolidated here so a driver describes *what* to run

@@ -46,6 +46,14 @@ expect_bad --morsel "${join[@]}" --morsel ""
 expect_bad --task-retries "${join[@]}" --task-retries two
 expect_bad --spawn-local-workers "${join[@]}" --spawn-local-workers -3
 expect_bad --heartbeat-ms "${join[@]}" --heartbeat-ms 1e3
+# Engine settings and flag combinations are checked before any input is
+# read: the input path here does not exist.
+missing=("$cli" --input "$tmp/missing.txt")
+expect_bad --spawn-local-workers "${missing[@]}" --spawn-local-workers 2
+expect_bad --runner "${missing[@]}" --runner cluster
+expect_bad --shuffle-mem "${missing[@]}" --shuffle-mem 1
+expect_bad --heartbeat-ms "${missing[@]}" --runner cluster \
+  --spawn-local-workers 1 --heartbeat-ms 10
 expect_bad --tokenizer "${join[@]}" --tokenizer qgramx
 expect_bad --tokenizer "${join[@]}" --tokenizer qgram0
 expect_bad --kernel "${join[@]}" --kernel warp
