@@ -30,10 +30,11 @@
 //                       finishes)                             [system temp]
 //   --runner NAME       inline | threads | subprocess | cluster task
 //                       execution (subprocess forks/re-execs one child per
-//                       task attempt and retries failures; cluster runs
-//                       tasks on socket-RPC workers)          [threads]
-//   --task-retries N    re-executions per failed task on the subprocess
-//                       or cluster runner                     [2]
+//                       task attempt and retries lost attempts; cluster
+//                       runs tasks on socket-RPC workers)     [threads]
+//   --task-retries N    re-executions per lost task attempt (crash, kill,
+//                       timeout, dead worker) on the subprocess or
+//                       cluster runner                        [2]
 //   --workers LIST      cluster: comma-separated host:port list of
 //                       pre-started fsjoin_worker processes to dial
 //   --spawn-local-workers N

@@ -90,7 +90,8 @@ struct ExecConfig {
   /// each in its own forked/re-execed child process, or on socket-RPC
   /// cluster workers (DESIGN.md §5j).
   mr::RunnerKind runner = mr::RunnerKind::kThreads;
-  /// Re-executions allowed per failed task on the subprocess runner.
+  /// Re-executions allowed per task whose attempt was lost (crash, kill,
+  /// timeout, dead worker) on the subprocess and cluster runners.
   int task_retries = 2;
 
   /// Cluster runner only: comma-separated "host:port" list of pre-started

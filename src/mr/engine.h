@@ -38,9 +38,11 @@ struct EngineOptions {
   /// How task attempts execute (mr/runner.h). kThreads with num_threads
   /// == 0 reproduces the seed engine exactly: inline, deterministic.
   RunnerKind runner = RunnerKind::kThreads;
-  /// Re-executions allowed per failed task, on runners whose attempts are
-  /// hermetic (subprocess). In-process runners fail the job on first error
-  /// regardless — a half-run reducer may have mutated shared state.
+  /// Re-executions allowed per task whose attempt was lost (crash, kill,
+  /// timeout, dead worker), on runners whose attempts are hermetic
+  /// (subprocess, cluster). A task's own error is never retried, and
+  /// in-process runners fail the job on first error regardless — a
+  /// half-run reducer may have mutated shared state.
   int task_retries = 2;
   /// Externally-owned runner overriding `runner`; must outlive the engine.
   /// Needed for RunnerKind::kCluster, whose runner lives in src/net (it

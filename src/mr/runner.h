@@ -42,10 +42,10 @@ class TaskRunner {
   /// mutations only travel through the TaskSideChannel.
   virtual bool isolated() const { return false; }
 
-  /// True when a failed attempt may be re-executed. In-process runners
+  /// True when a lost attempt may be re-executed. In-process runners
   /// return false: user reducers mutate shared driver context directly, so
   /// a half-run attempt cannot be safely repeated. Subprocess attempts are
-  /// hermetic (side effects die with the child) and always retryable.
+  /// hermetic (side effects die with the child) and retryable.
   virtual bool retryable() const { return false; }
 
   /// True when tasks run on networked workers that can hold retained map
@@ -65,7 +65,9 @@ class TaskRunner {
 
   /// Executes one attempt of one task. `side` is only consulted by
   /// isolated runners (see TaskSideChannel); the captured bytes come back
-  /// in out->side_state for the scheduler to merge.
+  /// in out->side_state for the scheduler to merge. An attempt lost before
+  /// the task could report (crash, kill, timeout, dead worker) returns
+  /// StatusCode::kUnavailable; any other error is the task's own, final.
   virtual Status RunAttempt(const TaskSpec& spec, const TaskBody& body,
                             const TaskSideChannel& side, TaskOutput* out) = 0;
 };
@@ -112,9 +114,10 @@ class ThreadPoolRunner : public TaskRunner {
 ///
 /// Either way the child writes its results through WriteTaskOutputFiles
 /// (CRC32C-framed run files) and exits without running destructors
-/// (_exit), and the parent re-reads them — a crashed or killed child is
-/// detected by exit status or by run-file corruption and surfaces as a
-/// retryable Internal error.
+/// (_exit), and the parent re-reads them. A crashed, killed or timed-out
+/// child is detected by exit status, deadline or run-file corruption and
+/// surfaces as a retryable Unavailable error; a task body's own failure,
+/// persisted by the child, is final.
 class SubprocessRunner : public TaskRunner {
  public:
   /// `num_threads` bounds how many children run concurrently (0 = one at

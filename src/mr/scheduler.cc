@@ -67,6 +67,7 @@ Status TaskScheduler::RunStage(
       TaskRecord& record = records_[t];
       if (record.state != TaskState::kFailed) continue;
       if (runner_->retryable() &&
+          record.last_error.code() == StatusCode::kUnavailable &&
           record.attempts <= static_cast<uint32_t>(max_task_retries_)) {
         record.state = TaskState::kPending;
         pending.push_back(t);

@@ -39,10 +39,11 @@ struct TaskRecord {
 /// reduce — is the caller's sequencing, so the "DAG" a job forms is
 /// expressed as consecutive RunStage calls over shared state.
 ///
-/// Retry semantics: a failed attempt is re-run only when the runner says
-/// attempts are hermetic (TaskRunner::retryable), at most `max_task_retries`
-/// times per task; in-process runners fail the stage on first error, like
-/// the seed engine. Metrics-merge rule: on_done and the side-channel merge
+/// Retry semantics: only a lost attempt (StatusCode::kUnavailable: crash,
+/// kill, timeout, dead worker) is re-run, only when the runner says
+/// attempts are hermetic (TaskRunner::retryable), and at most
+/// `max_task_retries` times per task. A task's own error is deterministic
+/// and fails the stage at once, as does any error on an in-process runner. Metrics-merge rule: on_done and the side-channel merge
 /// run once per *logical* task, with the final successful attempt's output,
 /// after every task finished, in task-index order — so retries never
 /// double-count and completion order never leaks into results.

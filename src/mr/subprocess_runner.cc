@@ -182,7 +182,7 @@ Status SubprocessRunner::RunAttempt(const TaskSpec& spec_in,
     }
   }
   if (pid < 0) {
-    return Status::Internal("fork failed for task '" + spec.job_name + "/" +
+    return Status::Unavailable("fork failed for task '" + spec.job_name + "/" +
                             TaskKindName(spec.kind) + std::to_string(spec.task_index) +
                             "': " + std::strerror(errno));
   }
@@ -193,7 +193,7 @@ Status SubprocessRunner::RunAttempt(const TaskSpec& spec_in,
   FSJOIN_ASSIGN_OR_RETURN(ChildWait waited,
                           WaitChildUntil(pid, deadline, &status));
   if (waited == ChildWait::kTimedOut) {
-    return Status::Internal(
+    return Status::Unavailable(
         "task '" + spec.job_name + "/" + TaskKindName(spec.kind) +
         std::to_string(spec.task_index) + "' attempt " +
         std::to_string(spec.attempt) + " timed out after " +
@@ -201,14 +201,22 @@ Status SubprocessRunner::RunAttempt(const TaskSpec& spec_in,
   }
 
   if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-    return ReadTaskOutputFiles(base, out);
+    // A torn output file means the child died mid-write: a lost attempt.
+    Status read = ReadTaskOutputFiles(base, out);
+    if (read.ok()) return read;
+    return Status::Unavailable("task '" + spec.job_name + "/" +
+                               TaskKindName(spec.kind) +
+                               std::to_string(spec.task_index) +
+                               "' attempt " + std::to_string(spec.attempt) +
+                               " output unreadable: " + read.ToString());
   }
   if (WIFEXITED(status) && WEXITSTATUS(status) == 2) {
-    // Protocol error exit: the child persisted its real Status.
+    // Protocol error exit: the child persisted the task's own Status,
+    // which is final — a re-run would fail the same way.
     Status persisted;
     if (ReadTaskError(base, &persisted).ok()) return persisted;
   }
-  return Status::Internal(
+  return Status::Unavailable(
       "task '" + spec.job_name + "/" + TaskKindName(spec.kind) +
       std::to_string(spec.task_index) + "' attempt " +
       std::to_string(spec.attempt) + " subprocess " +

@@ -550,7 +550,7 @@ Status ReadTaskError(const std::string& base, Status* error) {
   std::string_view message;
   FSJOIN_RETURN_NOT_OK(dec.GetVarint32(&code));
   FSJOIN_RETURN_NOT_OK(dec.GetLengthPrefixed(&message));
-  if (code > static_cast<uint32_t>(StatusCode::kCorruption) || code == 0) {
+  if (code > static_cast<uint32_t>(StatusCode::kUnavailable) || code == 0) {
     return Status::Corruption("task error file " + path + ": bad code");
   }
   *error = Status(static_cast<StatusCode>(code), std::string(message));

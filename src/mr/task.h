@@ -115,7 +115,7 @@ struct TaskOutput {
 /// The work of one task, shared by every runner: in-process runners call it
 /// directly, the subprocess runner calls it in a forked child or re-execed
 /// worker. Must be safe to invoke multiple times with the same spec (the
-/// scheduler re-runs failed tasks).
+/// scheduler re-runs lost attempts).
 using TaskBody = std::function<Status(const TaskSpec&, TaskOutput*)>;
 
 /// User-logic bundle a task-factory name resolves to.

@@ -269,8 +269,9 @@ Status ClusterTaskRunner::DispatchToWorker(size_t w, const mr::TaskSpec& spec,
   const std::string label = TaskLabel(spec);
   auto died = [&](const Status& st) {
     *worker_died = true;
-    return Status::Internal("worker " + std::to_string(w) + " died during '" +
-                            label + "': " + st.message());
+    return Status::Unavailable("worker " + std::to_string(w) +
+                               " died during '" + label +
+                               "': " + st.message());
   };
 
   std::string payload;
@@ -337,6 +338,11 @@ Status ClusterTaskRunner::DispatchToWorker(size_t w, const mr::TaskSpec& spec,
         FSJOIN_ASSIGN_OR_RETURN(TaskErrorMsg msg,
                                 TaskErrorMsg::Decode(frame.payload));
         *lost_endpoint = msg.lost_endpoint;
+        // A failed fetch from a dead peer loses the attempt; any other
+        // task error is the task's own and final.
+        if (!msg.lost_endpoint.empty()) {
+          return Status::Unavailable(msg.error.message());
+        }
         return msg.error;
       }
       default:
@@ -429,7 +435,7 @@ Result<mr::TaskSpec> ClusterTaskRunner::ResolveSources(
   for (mr::ShuffleSource& src : resolved.shuffle_sources) {
     auto it = locations_.find({src.job, src.map_task});
     if (it == locations_.end() || !workers_[it->second].alive) {
-      return Status::Internal(
+      return Status::Unavailable(
           "map output of job '" + src.job + "' task " +
           std::to_string(src.map_task) +
           " is lost (worker died and recovery failed)");

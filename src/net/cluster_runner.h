@@ -56,9 +56,10 @@ inline constexpr int kMaxMissedHeartbeats = 3;
 /// worker's retained map tasks on survivors (it kept their specs, and
 /// their input runs live in the job scratch dir until the job ends),
 /// repairs the location table, and fails the in-flight task with a
-/// retryable error — the scheduler's ordinary retry budget covers the
-/// rest, and metrics still merge exactly once because only the final
-/// successful attempt reaches on_done.
+/// retryable Unavailable error — the scheduler's ordinary retry budget
+/// covers the rest, and metrics still merge exactly once because only the
+/// final successful attempt reaches on_done. A task error a worker reports
+/// without a lost shuffle endpoint is the task's own, and final.
 class ClusterTaskRunner : public mr::TaskRunner {
  public:
   static Result<std::unique_ptr<ClusterTaskRunner>> Create(

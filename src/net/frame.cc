@@ -203,7 +203,7 @@ Result<TaskErrorMsg> TaskErrorMsg::Decode(std::string_view data) {
   FSJOIN_RETURN_NOT_OK(dec.GetVarint32(&code));
   FSJOIN_RETURN_NOT_OK(dec.GetLengthPrefixed(&message));
   FSJOIN_RETURN_NOT_OK(dec.GetLengthPrefixed(&lost));
-  if (code == 0 || code > static_cast<uint32_t>(StatusCode::kCorruption)) {
+  if (code == 0 || code > static_cast<uint32_t>(StatusCode::kUnavailable)) {
     return Status::Corruption("task error: bad status code " +
                               std::to_string(code));
   }

@@ -26,6 +26,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "ResourceExhausted";
     case StatusCode::kCorruption:
       return "Corruption";
+    case StatusCode::kUnavailable:
+      return "Unavailable";
   }
   return "Unknown";
 }

@@ -22,6 +22,10 @@ enum class StatusCode {
   kUnimplemented = 8,
   kResourceExhausted = 9,
   kCorruption = 10,
+  /// A task attempt was lost before it could report its own status: its
+  /// process crashed, was killed or timed out, or its worker died. The
+  /// only failure the task scheduler retries.
+  kUnavailable = 11,
 };
 
 /// Returns a stable, human-readable name for a status code ("OK",
@@ -75,6 +79,9 @@ class Status {
   }
   static Status Corruption(std::string msg) {
     return Status(StatusCode::kCorruption, std::move(msg));
+  }
+  static Status Unavailable(std::string msg) {
+    return Status(StatusCode::kUnavailable, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -295,6 +295,26 @@ TEST(MultiprocTest, RetryBudgetExhaustionFailsTheJob) {
       << st.ToString();
 }
 
+// A task body's own error is deterministic, so the subprocess runner runs
+// it once instead of re-forking it for every retry: V-Smart-Join past its
+// emission limit fails its first attempt with the body's status.
+TEST(MultiprocTest, TaskBodyErrorIsNotRetried) {
+  const Corpus corpus = testing::RandomCorpus(300, 100, 1.2, 15.0, 908);
+  BaselineConfig config;
+  config.theta = 0.8;
+  config.exec = SmallExec(RunnerKind::kSubprocess);
+  config.exec.num_map_tasks = 4;
+  config.exec.num_reduce_tasks = 4;
+  config.exec.emission_limit = 5000;
+  auto out = RunVSmartJoin(corpus, config);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted)
+      << out.status().ToString();
+  EXPECT_NE(out.status().message().find("after 1 attempt(s)"),
+            std::string::npos)
+      << out.status().ToString();
+}
+
 TEST(MultiprocTest, KilledFilteringTaskReRunsToIdenticalFsJoinResult) {
   const Corpus corpus = testing::RandomCorpus(40, 50, 0.8, 8.0, 5);
   FsJoinConfig config;

@@ -92,7 +92,8 @@ TEST(TaskFactoryTest, RegistryRejectsDuplicatesAndUnknownNames) {
 }
 
 /// Scripted runner: runs tasks inline (optionally in reverse submission
-/// order) and fails attempt i of task t when `fail(t, i)` says so.
+/// order) and loses attempt i of task t when `fail(t, i)` says so, the way
+/// a crashed child or a dead worker does.
 class MockRunner : public TaskRunner {
  public:
   const char* name() const override { return "mock"; }
@@ -106,7 +107,7 @@ class MockRunner : public TaskRunner {
                     const TaskSideChannel& side, TaskOutput* out) override {
     attempts_seen += 1;
     if (fail && fail(spec.task_index, spec.attempt)) {
-      return Status::Internal("scripted failure");
+      return Status::Unavailable("scripted lost attempt");
     }
     FSJOIN_RETURN_NOT_OK(body(spec, out));
     if (capture_side && side.capture) out->side_state = side.capture();
@@ -200,7 +201,7 @@ TEST(TaskSchedulerTest, FailsStageWhenRetryBudgetExhausted) {
         return Status::OK();
       });
   ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
   EXPECT_NE(st.message().find("failed after 3 attempt(s)"),
             std::string::npos)
       << st.ToString();
@@ -226,6 +227,28 @@ TEST(TaskSchedulerTest, InProcessRunnersFailOnFirstErrorWithoutRetry) {
             std::string::npos)
       << st.ToString();
   EXPECT_EQ(scheduler.records()[0].attempts, 1u);
+}
+
+TEST(TaskSchedulerTest, TaskBodyErrorIsFinalOnRetryableRunner) {
+  MockRunner runner;  // retryable, and no attempt is lost
+  TaskScheduler scheduler(&runner, 2);
+
+  const Status st = scheduler.RunStage(
+      MakeSpecs(3),
+      [](const TaskSpec& spec, TaskOutput*) {
+        return spec.task_index == 1
+                   ? Status::ResourceExhausted("budget exceeded")
+                   : Status::OK();
+      },
+      TaskSideChannel{},
+      [](const TaskSpec&, TaskOutput) { return Status::OK(); });
+  ASSERT_FALSE(st.ok());
+  // The body's own error is deterministic: one attempt, code preserved.
+  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(st.message().find("failed after 1 attempt(s)"),
+            std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(scheduler.records()[1].attempts, 1u);
 }
 
 TEST(TaskSchedulerTest, SideChannelMergesOncePerLogicalTaskAcrossRetries) {
