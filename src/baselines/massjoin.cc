@@ -339,8 +339,12 @@ Result<BaselineOutput> RunMassJoin(const Corpus& corpus,
     return job;
   };
 
-  // Ordering, then signatures -> candidate pairs, both over the corpus
-  // dataset, which is freed once the signatures job returns.
+  mr::Dataset input = MakeCorpusDataset(corpus);
+  FSJOIN_ASSIGN_OR_RETURN(
+      ctx->order, RunOrderingJob(&backend, input, corpus.dictionary.size()));
+
+  // Signatures -> candidate pairs. From here on each job's input moves into
+  // a temporary, freed as soon as the job returns.
   mr::JobConfig signatures = job("massjoin-signatures");
   signatures.mapper_factory = [ctx] {
     return std::make_unique<SignatureMapper>(ctx);
@@ -348,17 +352,12 @@ Result<BaselineOutput> RunMassJoin(const Corpus& corpus,
   signatures.reducer_factory = [ctx] {
     return std::make_unique<CandidateReducer>(ctx);
   };
-  mr::Dataset candidates;
-  {
-    const mr::Dataset input = MakeCorpusDataset(corpus);
-    FSJOIN_ASSIGN_OR_RETURN(
-        ctx->order, RunOrderingJob(&backend, input, corpus.dictionary.size()));
-    FSJOIN_ASSIGN_OR_RETURN(candidates, backend.Run(signatures, input));
-  }
+  FSJOIN_ASSIGN_OR_RETURN(
+      mr::Dataset candidates,
+      backend.Run(signatures, mr::Dataset(std::move(input))));
 
   // The merge and verify jobs read the previous job's output side by side
-  // with the ranked record content, appended to their input. Each input
-  // moves into a temporary, freed as soon as its job returns.
+  // with the ranked record content, appended to their input.
   mr::Dataset ranked = MakeRankedDataset(corpus, *ctx->order);
   candidates.insert(candidates.end(), ranked.begin(), ranked.end());
   mr::JobConfig merge = job("massjoin-merge");

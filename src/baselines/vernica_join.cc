@@ -198,7 +198,7 @@ Result<BaselineOutput> RunVernicaJoin(const Corpus& corpus,
   WallTimer timer;
 
   exec::MapReduceBackend backend(config.exec);
-  const mr::Dataset input = MakeCorpusDataset(corpus);
+  mr::Dataset input = MakeCorpusDataset(corpus);
 
   auto ctx = std::make_shared<VernicaContext>();
   ctx->config = config;
@@ -207,7 +207,8 @@ Result<BaselineOutput> RunVernicaJoin(const Corpus& corpus,
       ctx->order, RunOrderingJob(&backend, input, corpus.dictionary.size()));
 
   // RID-pairs kernel. The candidate counter crosses fork-isolated reduce
-  // tasks through the job's side channel.
+  // tasks through the job's side channel. The input moves into a
+  // temporary, freed as soon as the job returns.
   mr::JobConfig kernel;
   kernel.name = "vernica-kernel";
   kernel.num_map_tasks = config.exec.num_map_tasks;
@@ -233,7 +234,9 @@ Result<BaselineOutput> RunVernicaJoin(const Corpus& corpus,
     ctx->candidate_pairs += count;
     return Status::OK();
   };
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset results, backend.Run(kernel, input));
+  FSJOIN_ASSIGN_OR_RETURN(
+      mr::Dataset results,
+      backend.Run(kernel, mr::Dataset(std::move(input))));
 
   BaselineOutput output;
   FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results));

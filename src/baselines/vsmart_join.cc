@@ -135,7 +135,7 @@ Result<BaselineOutput> RunVSmartJoin(const Corpus& corpus,
                           backend.Run(join, MakeCorpusDataset(corpus)));
 
   // Similarity: aggregate + threshold, with FS-Join's verification job.
-  // The partials move into a temporary as well.
+  // The partials move into a temporary, freed as soon as the job returns.
   auto verification_ctx = std::make_shared<VerificationContext>();
   verification_ctx->config.theta = config.theta;
   verification_ctx->config.function = config.function;

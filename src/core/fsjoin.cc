@@ -80,58 +80,55 @@ Result<FsJoinOutput> FsJoin::RunJobs(const Corpus& corpus) const {
   FsJoinOutput output;
   output.report.config = config_;
 
+  mr::Dataset input = MakeCorpusDataset(corpus);
+
+  // --- Job 1: ordering ----------------------------------------------------
   auto filtering_ctx = std::make_shared<FilteringContext>();
   filtering_ctx->config = config_;
-  mr::Dataset partials;
-  {
-    // The corpus dataset feeds the ordering and filtering jobs and is
-    // freed before verification.
-    const mr::Dataset input = MakeCorpusDataset(corpus);
+  FSJOIN_ASSIGN_OR_RETURN(
+      filtering_ctx->order,
+      RunOrderingJob(&backend, input, corpus.dictionary.size()));
+  output.report.ordering_job = backend.history().back();
 
-    // --- Job 1: ordering ------------------------------------------------
-    FSJOIN_ASSIGN_OR_RETURN(
-        filtering_ctx->order,
-        RunOrderingJob(&backend, input, corpus.dictionary.size()));
-    output.report.ordering_job = backend.history().back();
-
-    // --- Pivot selection (driver-side, like the paper's setup() phase) --
-    if (config_.exec.parallel_fragment_join) {
-      // One pool for the whole run: morsels steal work across fragments,
-      // so a skewed fragment is consumed by every worker. With
-      // num_threads == 0 ParallelFor runs inline (deterministic-debug
-      // mode).
-      filtering_ctx->join_pool =
-          std::make_unique<ThreadPool>(config_.exec.num_threads);
-    }
-    // Validate guarantees at least one fragment.
-    filtering_ctx->pivots =
-        SelectPivots(*filtering_ctx->order, config_.pivot_strategy,
-                     config_.num_vertical_partitions - 1, config_.seed);
-    if (config_.num_horizontal_partitions > 0) {
-      // Record sizes are ordering-invariant, so length pivots come straight
-      // from the corpus token counts — no OrderedRecord materialization.
-      std::vector<uint32_t> lengths;
-      lengths.reserve(corpus.records.size());
-      for (const Record& rec : corpus.records) {
-        lengths.push_back(static_cast<uint32_t>(rec.tokens.size()));
-      }
-      filtering_ctx->horizontal = HorizontalScheme(
-          SelectLengthPivotsFromLengths(std::move(lengths),
-                                        config_.num_horizontal_partitions,
-                                        config_.function, config_.theta),
-          config_.function, config_.theta);
-    }
-    output.report.pivots = filtering_ctx->pivots;
-    output.report.length_pivots = filtering_ctx->horizontal.pivots();
-
-    // --- Job 2: filtering (vertical split + fragment joins) -------------
-    FSJOIN_ASSIGN_OR_RETURN(
-        partials, backend.Run(MakeFilteringJobConfig(filtering_ctx), input));
-    output.report.filtering_job = backend.history().back();
+  // --- Pivot selection (driver-side, like the paper's setup() phase) ----
+  if (config_.exec.parallel_fragment_join) {
+    // One pool for the whole run: morsels steal work across fragments, so
+    // a skewed fragment is consumed by every worker. With num_threads == 0
+    // ParallelFor runs inline (deterministic-debug mode).
+    filtering_ctx->join_pool =
+        std::make_unique<ThreadPool>(config_.exec.num_threads);
   }
+  // Validate guarantees at least one fragment.
+  filtering_ctx->pivots =
+      SelectPivots(*filtering_ctx->order, config_.pivot_strategy,
+                   config_.num_vertical_partitions - 1, config_.seed);
+  if (config_.num_horizontal_partitions > 0) {
+    // Record sizes are ordering-invariant, so length pivots come straight
+    // from the corpus token counts — no OrderedRecord materialization.
+    std::vector<uint32_t> lengths;
+    lengths.reserve(corpus.records.size());
+    for (const Record& rec : corpus.records) {
+      lengths.push_back(static_cast<uint32_t>(rec.tokens.size()));
+    }
+    filtering_ctx->horizontal = HorizontalScheme(
+        SelectLengthPivotsFromLengths(std::move(lengths),
+                                      config_.num_horizontal_partitions,
+                                      config_.function, config_.theta),
+        config_.function, config_.theta);
+  }
+  output.report.pivots = filtering_ctx->pivots;
+  output.report.length_pivots = filtering_ctx->horizontal.pivots();
 
-  // --- Job 3: verification ----------------------------------------------
-  // The partials move into a temporary, freed as soon as the job returns.
+  // --- Job 2: filtering ---------------------------------------------------
+  // The input's last reader: it moves into a temporary, freed as soon as
+  // the job returns.
+  FSJOIN_ASSIGN_OR_RETURN(
+      mr::Dataset partials,
+      backend.Run(MakeFilteringJobConfig(filtering_ctx),
+                  mr::Dataset(std::move(input))));
+  output.report.filtering_job = backend.history().back();
+
+  // --- Job 3: verification ------------------------------------------------
   auto verification_ctx = std::make_shared<VerificationContext>();
   verification_ctx->config = config_;
   FSJOIN_ASSIGN_OR_RETURN(
