@@ -182,9 +182,10 @@ Status SubprocessRunner::RunAttempt(const TaskSpec& spec_in,
     }
   }
   if (pid < 0) {
-    return Status::Unavailable("fork failed for task '" + spec.job_name + "/" +
-                            TaskKindName(spec.kind) + std::to_string(spec.task_index) +
-                            "': " + std::strerror(errno));
+    return Status::Unavailable("fork failed for task '" + spec.job_name +
+                               "/" + TaskKindName(spec.kind) +
+                               std::to_string(spec.task_index) +
+                               "': " + std::strerror(errno));
   }
 
   const auto deadline =
