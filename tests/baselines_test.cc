@@ -174,7 +174,7 @@ TEST(BaselineCostShape, MassJoinLightEmitsLessThanMerge) {
 
 // ---- Metrics regression ---------------------------------------------------
 
-/// One job's data-plane counters, in the order the driver runs the jobs.
+/// One job's data-plane counters; a history lists them in run order.
 struct JobPin {
   const char* name;
   uint64_t map_input_records, map_input_bytes, map_output_records;
