@@ -284,7 +284,7 @@ TEST(FsJoinRsTest, IdenticalCollectionsMatchEverywhere) {
 // revisions. Expected counters were captured from the seed implementation on
 // this fixed-seed corpus and configuration; any drift here means the data
 // plane changed what it counts, not just how it stores bytes.
-TEST(MetricsRegressionTest, CountersMatchSeedEngine) {
+Corpus MetricsRegressionCorpus() {
   SyntheticCorpusConfig cfg;
   cfg.num_records = 300;
   cfg.vocab_size = 400;
@@ -296,15 +296,22 @@ TEST(MetricsRegressionTest, CountersMatchSeedEngine) {
   cfg.near_duplicate_fraction = 0.35;
   cfg.mutation_rate = 0.12;
   cfg.seed = 4242;
-  Corpus corpus = GenerateCorpus(cfg);
+  return GenerateCorpus(cfg);
+}
 
+FsJoinConfig MetricsRegressionConfig() {
   FsJoinConfig config;
   config.theta = 0.8;
   config.num_vertical_partitions = 6;
   config.exec.num_map_tasks = 4;
   config.exec.num_reduce_tasks = 5;
   config.num_horizontal_partitions = 2;
-  Result<FsJoinOutput> out = FsJoin(config).Run(corpus);
+  return config;
+}
+
+TEST(MetricsRegressionTest, CountersMatchSeedEngine) {
+  const Corpus corpus = MetricsRegressionCorpus();
+  Result<FsJoinOutput> out = FsJoin(MetricsRegressionConfig()).Run(corpus);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   auto max_group_bytes = [](const mr::JobMetrics& m) {
@@ -352,6 +359,48 @@ TEST(MetricsRegressionTest, CountersMatchSeedEngine) {
 
   EXPECT_EQ(out->report.result_pairs, 71u);
   EXPECT_EQ(out->report.candidate_pairs, 4471u);
+
+  // Table IV counters of the filtering reducer. Every probe-loop change
+  // must leave the pairs it considers and where each one is pruned as is.
+  const FilterCounters& f = out->report.filters;
+  EXPECT_EQ(f.pairs_considered, 22051u);
+  EXPECT_EQ(f.pruned_role, 6789u);
+  EXPECT_EQ(f.pruned_strl, 0u);
+  EXPECT_EQ(f.pruned_segl, 5981u);
+  EXPECT_EQ(f.pruned_segi, 3653u);
+  EXPECT_EQ(f.pruned_segd, 0u);
+  EXPECT_EQ(f.empty_overlap, 0u);
+  EXPECT_EQ(f.emitted, 5628u);
+}
+
+// R-S twin of the pin above: the same corpus split into R (the first 100
+// records) and S (the other 200), joined through FsJoin::Run(JoinInput), so
+// the side-tagged probe loops are pinned too.
+TEST(MetricsRegressionTest, RsCountersMatchSeedEngine) {
+  const Corpus corpus = MetricsRegressionCorpus();
+  std::vector<RecordId> r_ids, s_ids;
+  for (RecordId id = 0; id < corpus.NumRecords(); ++id) {
+    (id < 100 ? r_ids : s_ids).push_back(id);
+  }
+  const Corpus r = SampleCorpus(corpus, r_ids);
+  const Corpus s = SampleCorpus(corpus, s_ids);
+  Result<FsJoinOutput> out =
+      FsJoin(MetricsRegressionConfig()).Run(JoinInput{r, s});
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+
+  EXPECT_EQ(out->report.filtering_job.shuffle_records, 2390u);
+  EXPECT_EQ(out->report.filtering_job.shuffle_bytes, 42329u);
+  EXPECT_EQ(out->report.result_pairs, 27u);
+  EXPECT_EQ(out->report.candidate_pairs, 1949u);
+  const FilterCounters& f = out->report.filters;
+  EXPECT_EQ(f.pairs_considered, 9874u);
+  EXPECT_EQ(f.pruned_role, 3094u);
+  EXPECT_EQ(f.pruned_strl, 0u);
+  EXPECT_EQ(f.pruned_segl, 2779u);
+  EXPECT_EQ(f.pruned_segi, 1646u);
+  EXPECT_EQ(f.pruned_segd, 0u);
+  EXPECT_EQ(f.empty_overlap, 0u);
+  EXPECT_EQ(f.emitted, 2355u);
 }
 
 // ---- Emission budget ------------------------------------------------------
