@@ -6,19 +6,30 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
+#include <string>
+#include <string_view>
 
+#include "core/filters.h"
 #include "core/fragment_join.h"
 #include "core/pivots.h"
 #include "core/segments.h"
+#include "sim/set_ops.h"
 #include "test_util.h"
 #include "util/random.h"
 
 namespace fsjoin {
 namespace {
 
+// Head and tail (the record's tokens outside this fragment) are drawn from
+// [context_lo, context_hi]. A short context leaves most segment prefixes
+// partial; a long one makes every segment its own prefix.
 std::vector<SegmentRecord> RandomFragment(Rng& rng, size_t n,
-                                          uint32_t rank_lo, uint32_t rank_hi) {
+                                          uint32_t rank_lo, uint32_t rank_hi,
+                                          uint32_t context_lo = 0,
+                                          uint32_t context_hi = 5) {
   std::vector<SegmentRecord> segments;
+  const uint64_t context_span = context_hi - context_lo + 1;
   for (size_t i = 0; i < n; ++i) {
     SegmentRecord seg;
     seg.rid = static_cast<RecordId>(i);
@@ -26,13 +37,44 @@ std::vector<SegmentRecord> RandomFragment(Rng& rng, size_t n,
       if (rng.NextBool(0.3)) seg.tokens.push_back(r);
     }
     if (seg.tokens.empty()) seg.tokens.push_back(rank_lo);
-    seg.head = static_cast<uint32_t>(rng.NextBounded(6));
-    uint32_t tail = static_cast<uint32_t>(rng.NextBounded(6));
+    seg.head = context_lo + static_cast<uint32_t>(rng.NextBounded(context_span));
+    uint32_t tail =
+        context_lo + static_cast<uint32_t>(rng.NextBounded(context_span));
     seg.record_size =
         seg.head + static_cast<uint32_t>(seg.tokens.size()) + tail;
     segments.push_back(std::move(seg));
   }
   return segments;
+}
+
+/// A fragment family: rank range [0, rank_hi) and head/tail context range.
+struct FragmentShape {
+  const char* name;
+  uint32_t rank_hi;
+  uint32_t context_lo;
+  uint32_t context_hi;
+};
+
+/// "narrow": short context, mostly partial segment prefixes (probes take
+/// the overlap-kernel path). "wide": long context, every prefix is the
+/// whole segment (probes count overlaps during the posting scan).
+constexpr FragmentShape kShapes[] = {{"narrow", 30, 0, 5}, {"wide", 24, 20, 40}};
+
+/// Self join, and R-S with the first third of the rows on the probe side.
+std::optional<RecordId> BoundaryFor(bool rs, size_t n) {
+  if (!rs) return std::nullopt;
+  return static_cast<RecordId>(n / 3);
+}
+
+void ExpectSameCounters(const FilterCounters& x, const FilterCounters& y) {
+  EXPECT_EQ(x.pairs_considered, y.pairs_considered);
+  EXPECT_EQ(x.pruned_role, y.pruned_role);
+  EXPECT_EQ(x.pruned_strl, y.pruned_strl);
+  EXPECT_EQ(x.pruned_segl, y.pruned_segl);
+  EXPECT_EQ(x.pruned_segi, y.pruned_segi);
+  EXPECT_EQ(x.pruned_segd, y.pruned_segd);
+  EXPECT_EQ(x.empty_overlap, y.empty_overlap);
+  EXPECT_EQ(x.emitted, y.emitted);
 }
 
 void SortPartials(std::vector<PartialOverlap>* v) {
@@ -56,29 +98,108 @@ bool SamePartials(const std::vector<PartialOverlap>& x,
 }
 
 TEST(FragmentJoinTest, MethodsProduceIdenticalPartials) {
-  Rng rng(2024);
-  for (int iter = 0; iter < 50; ++iter) {
-    std::vector<SegmentRecord> fragment = RandomFragment(rng, 25, 0, 30);
-    for (double theta : {0.5, 0.8}) {
-      FragmentJoinOptions opts;
-      opts.theta = theta;
-      std::vector<PartialOverlap> loop, index, prefix;
-      FilterCounters cl, ci, cp;
-      opts.method = JoinMethod::kLoop;
-      JoinFragment(fragment, opts, &loop, &cl);
-      opts.method = JoinMethod::kIndex;
-      JoinFragment(fragment, opts, &index, &ci);
-      opts.method = JoinMethod::kPrefix;
-      JoinFragment(fragment, opts, &prefix, &cp);
-      SortPartials(&loop);
-      SortPartials(&index);
-      SortPartials(&prefix);
-      EXPECT_TRUE(SamePartials(loop, index));
-      EXPECT_TRUE(SamePartials(loop, prefix));
-      // Prefix considers no more candidates than Index, which considers no
-      // more than Loop.
-      EXPECT_LE(ci.pairs_considered, cl.pairs_considered);
-      EXPECT_LE(cp.pairs_considered, ci.pairs_considered);
+  for (const FragmentShape& shape : kShapes) {
+    for (bool rs : {false, true}) {
+      SCOPED_TRACE(std::string(shape.name) + (rs ? "/rs" : "/self"));
+      Rng rng(2024);
+      for (int iter = 0; iter < 50; ++iter) {
+        std::vector<SegmentRecord> fragment = RandomFragment(
+            rng, 25, 0, shape.rank_hi, shape.context_lo, shape.context_hi);
+        for (double theta : {0.5, 0.8}) {
+          FragmentJoinOptions opts;
+          opts.theta = theta;
+          opts.rs_boundary = BoundaryFor(rs, fragment.size());
+          std::vector<PartialOverlap> loop, index, prefix;
+          FilterCounters cl, ci, cp;
+          opts.method = JoinMethod::kLoop;
+          JoinFragment(fragment, opts, &loop, &cl);
+          opts.method = JoinMethod::kIndex;
+          JoinFragment(fragment, opts, &index, &ci);
+          opts.method = JoinMethod::kPrefix;
+          JoinFragment(fragment, opts, &prefix, &cp);
+          SortPartials(&loop);
+          SortPartials(&index);
+          SortPartials(&prefix);
+          EXPECT_TRUE(SamePartials(loop, index));
+          EXPECT_TRUE(SamePartials(loop, prefix));
+          // Prefix considers no more candidates than Index, which considers
+          // no more than Loop.
+          EXPECT_LE(ci.pairs_considered, cl.pairs_considered);
+          EXPECT_LE(cp.pairs_considered, ci.pairs_considered);
+        }
+      }
+    }
+  }
+}
+
+// The indexed probes (kIndex, kPrefix) learn a pair's overlap either from
+// the posting scan itself (both prefixes are the whole segment) or from the
+// overlap kernel. Whichever path a pair takes, every kernel family must emit
+// the same partials in the same order with the same counters, and every
+// emitted overlap must be the exact segment overlap.
+TEST(FragmentJoinTest, IndexedProbeIsKernelInvariantAndExact) {
+  for (const FragmentShape& shape : kShapes) {
+    for (bool rs : {false, true}) {
+      SCOPED_TRACE(std::string(shape.name) + (rs ? "/rs" : "/self"));
+      Rng rng(31337);
+      uint64_t emitted = 0;
+      for (int iter = 0; iter < 20; ++iter) {
+        const std::vector<SegmentRecord> fragment = RandomFragment(
+            rng, 30, 0, shape.rank_hi, shape.context_lo, shape.context_hi);
+        for (double theta : {0.5, 0.8}) {
+          if (std::string_view(shape.name) == "wide") {
+            // The shape's claim: every segment is its own prefix.
+            for (const SegmentRecord& seg : fragment) {
+              ASSERT_EQ(SegmentPrefixLength(SimilarityFunction::kJaccard,
+                                            theta, seg),
+                        seg.tokens.size());
+            }
+          }
+          for (JoinMethod method : {JoinMethod::kIndex, JoinMethod::kPrefix}) {
+            for (bool aggressive : {false, true}) {
+              FragmentJoinOptions opts;
+              opts.theta = theta;
+              opts.method = method;
+              opts.aggressive_segment_prefix = aggressive;
+              opts.rs_boundary = BoundaryFor(rs, fragment.size());
+              opts.kernel = exec::KernelMode::kScalar;
+              std::vector<PartialOverlap> scalar_out;
+              FilterCounters scalar_counters;
+              JoinFragment(fragment, opts, &scalar_out, &scalar_counters);
+              emitted += scalar_counters.emitted;
+              for (exec::KernelMode kernel :
+                   {exec::KernelMode::kPacked, exec::KernelMode::kSimd}) {
+                opts.kernel = kernel;
+                std::vector<PartialOverlap> out;
+                FilterCounters counters;
+                JoinFragment(fragment, opts, &out, &counters);
+                EXPECT_TRUE(SamePartials(scalar_out, out))
+                    << exec::KernelModeName(kernel);
+                ExpectSameCounters(scalar_counters, counters);
+              }
+              // The row adapter and the batch path agree under the
+              // aggressive per-segment prefix as well.
+              opts.kernel = exec::KernelMode::kAuto;
+              SegmentBatch batch = SegmentBatch::FromRecords(fragment);
+              if (rs) batch.TagSides(*opts.rs_boundary);
+              std::vector<PartialOverlap> row_out, batch_out;
+              FilterCounters row_counters, batch_counters;
+              JoinFragment(fragment, opts, &row_out, &row_counters);
+              JoinFragmentBatch(batch, opts, &batch_out, &batch_counters);
+              EXPECT_TRUE(SamePartials(row_out, batch_out));
+              ExpectSameCounters(row_counters, batch_counters);
+              for (const PartialOverlap& p : scalar_out) {
+                const std::vector<TokenRank>& a = fragment[p.a].tokens;
+                const std::vector<TokenRank>& b = fragment[p.b].tokens;
+                EXPECT_EQ(p.overlap, SortedOverlap(a.data(), a.size(),
+                                                   b.data(), b.size()))
+                    << p.a << "," << p.b;
+              }
+            }
+          }
+        }
+      }
+      EXPECT_GT(emitted, 0u);  // the shape exercises the emit path
     }
   }
 }
@@ -158,39 +279,39 @@ TEST(FragmentJoinTest, EmptyFragment) {
 // morsel size and every thread count (including 0 = inline debug mode),
 // output order and counters are byte-identical to the serial run.
 TEST(FragmentJoinTest, MorselJoinIsDeterministicAcrossSizesAndThreads) {
-  Rng rng(99);
-  std::vector<SegmentRecord> fragment = RandomFragment(rng, 40, 0, 30);
-  for (JoinMethod method :
-       {JoinMethod::kLoop, JoinMethod::kIndex, JoinMethod::kPrefix}) {
-    FragmentJoinOptions serial_opts;
-    serial_opts.theta = 0.5;
-    serial_opts.method = method;
-    std::vector<PartialOverlap> serial_out;
-    FilterCounters serial_counters;
-    JoinFragment(fragment, serial_opts, &serial_out, &serial_counters);
+  for (const FragmentShape& shape : kShapes) {
+    for (bool rs : {false, true}) {
+      SCOPED_TRACE(std::string(shape.name) + (rs ? "/rs" : "/self"));
+      Rng rng(99);
+      std::vector<SegmentRecord> fragment = RandomFragment(
+          rng, 40, 0, shape.rank_hi, shape.context_lo, shape.context_hi);
+      for (JoinMethod method :
+           {JoinMethod::kLoop, JoinMethod::kIndex, JoinMethod::kPrefix}) {
+        FragmentJoinOptions serial_opts;
+        serial_opts.theta = 0.5;
+        serial_opts.method = method;
+        serial_opts.rs_boundary = BoundaryFor(rs, fragment.size());
+        std::vector<PartialOverlap> serial_out;
+        FilterCounters serial_counters;
+        JoinFragment(fragment, serial_opts, &serial_out, &serial_counters);
 
-    for (size_t threads : {size_t{0}, size_t{1}, size_t{8}}) {
-      ThreadPool pool(threads);
-      for (size_t morsel :
-           {size_t{1}, size_t{7}, size_t{64}, std::numeric_limits<size_t>::max()}) {
-        FragmentJoinOptions opts = serial_opts;
-        opts.morsel_pool = &pool;
-        opts.morsel_size = morsel;
-        std::vector<PartialOverlap> out;
-        FilterCounters counters;
-        JoinFragment(fragment, opts, &out, &counters);
-        // Unsorted comparison: order itself must match the serial run.
-        EXPECT_TRUE(SamePartials(serial_out, out))
-            << "method=" << static_cast<int>(method) << " threads=" << threads
-            << " morsel=" << morsel;
-        EXPECT_EQ(serial_counters.pairs_considered, counters.pairs_considered);
-        EXPECT_EQ(serial_counters.pruned_role, counters.pruned_role);
-        EXPECT_EQ(serial_counters.pruned_strl, counters.pruned_strl);
-        EXPECT_EQ(serial_counters.pruned_segl, counters.pruned_segl);
-        EXPECT_EQ(serial_counters.pruned_segi, counters.pruned_segi);
-        EXPECT_EQ(serial_counters.pruned_segd, counters.pruned_segd);
-        EXPECT_EQ(serial_counters.empty_overlap, counters.empty_overlap);
-        EXPECT_EQ(serial_counters.emitted, counters.emitted);
+        for (size_t threads : {size_t{0}, size_t{1}, size_t{8}}) {
+          ThreadPool pool(threads);
+          for (size_t morsel : {size_t{1}, size_t{7}, size_t{64},
+                                std::numeric_limits<size_t>::max()}) {
+            FragmentJoinOptions opts = serial_opts;
+            opts.morsel_pool = &pool;
+            opts.morsel_size = morsel;
+            std::vector<PartialOverlap> out;
+            FilterCounters counters;
+            JoinFragment(fragment, opts, &out, &counters);
+            // Unsorted comparison: order itself must match the serial run.
+            EXPECT_TRUE(SamePartials(serial_out, out))
+                << "method=" << static_cast<int>(method)
+                << " threads=" << threads << " morsel=" << morsel;
+            ExpectSameCounters(serial_counters, counters);
+          }
+        }
       }
     }
   }
