@@ -4,7 +4,8 @@
 #include <limits>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <numeric>
+#include <span>
 #include <utility>
 
 #include "core/filters.h"
@@ -89,6 +90,78 @@ uint64_t ContainerOverlapBounded(const SegmentBatch& b, uint32_t i, uint32_t j,
   return 0;  // unreachable
 }
 
+/// Filters that run before the overlap is known: the pairing rule, Lemma 1
+/// and Lemma 2. Counts the pair as considered; false = pruned.
+template <uint32_t Mask>
+bool PassesPreOverlapT(const FragmentJoinOptions& opts, const SegmentView& x,
+                       const SegmentView& y, FilterCounters* counters) {
+  ++counters->pairs_considered;
+  if (opts.pair_allowed && !opts.pair_allowed(x, y)) {
+    ++counters->pruned_role;
+    return false;
+  }
+  if constexpr ((Mask & kPipelineStrL) != 0) {
+    if (StrLengthPrunes(opts.function, opts.theta, x.record_size,
+                        y.record_size)) {
+      ++counters->pruned_strl;
+      return false;
+    }
+  }
+  if constexpr ((Mask & kPipelineSegL) != 0) {
+    if (SegmentLengthPrunes(opts.function, opts.theta, x, y)) {
+      ++counters->pruned_segl;
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Lemma 4, then the emit: the tail of every path once the exact overlap
+/// has passed SegI.
+template <uint32_t Mask>
+void EmitPairT(const FragmentJoinOptions& opts, const SegmentView& x,
+               const SegmentView& y, uint64_t overlap,
+               std::vector<PartialOverlap>* out, FilterCounters* counters) {
+  if constexpr ((Mask & kPipelineSegD) != 0) {
+    if (SegmentDifferencePrunes(opts.function, opts.theta, x, y, overlap)) {
+      ++counters->pruned_segd;
+      return;
+    }
+  }
+  if (x.rid <= y.rid) {
+    out->push_back(
+        PartialOverlap{x.rid, y.rid, x.record_size, y.record_size, overlap});
+  } else {
+    out->push_back(
+        PartialOverlap{y.rid, x.rid, y.record_size, x.record_size, overlap});
+  }
+  ++counters->emitted;
+}
+
+/// The filters after a known, non-zero exact overlap: Lemma 3 with the
+/// local-overlap gate, then EmitPairT.
+template <uint32_t Mask>
+void FinishPairT(const FragmentJoinOptions& opts, const SegmentView& x,
+                 const SegmentView& y, uint64_t overlap,
+                 std::vector<PartialOverlap>* out, FilterCounters* counters) {
+  if constexpr ((Mask & kPipelineSegI) != 0) {
+    if (SegmentIntersectionPrunes(opts.function, opts.theta, x, y, overlap)) {
+      ++counters->pruned_segi;
+      return;
+    }
+    // Local-overlap gate: any θ-similar pair satisfies
+    // c_i >= SegmentMinLocalOverlap for BOTH segments (the bound behind
+    // the Prefix Join; see DESIGN.md), so partial counts below it belong
+    // to dissimilar pairs and can be dropped without affecting the result.
+    if (overlap < SegmentMinLocalOverlap(opts.function, opts.theta, x) ||
+        overlap < SegmentMinLocalOverlap(opts.function, opts.theta, y)) {
+      ++counters->pruned_segi;
+      return;
+    }
+  }
+  EmitPairT<Mask>(opts, x, y, overlap, out, counters);
+}
+
 /// The filter pipeline on one candidate segment pair, monomorphized on the
 /// enabled-filter mask and kernel family; disabled filters compile away.
 ///
@@ -98,32 +171,16 @@ uint64_t ContainerOverlapBounded(const SegmentBatch& b, uint32_t i, uint32_t j,
 /// its exact overlap is 0 (the scalar/packed paths, which always finish the
 /// merge, would count empty_overlap first). The split is deterministic —
 /// the bounded contract makes `result < required` ISA-independent — so
-/// counters still agree between any two runs of the same kernel mode.
+/// counters still agree between any two runs of the same kernel mode. The
+/// indexed probes only hand over pairs that share a token, so for them the
+/// split never arises and every kernel attributes alike.
 template <uint32_t Mask, KernelMode K>
 void ProcessPairT(const SegmentBatch& batch, uint32_t i, uint32_t j,
                   const FragmentJoinOptions& opts,
                   std::vector<PartialOverlap>* out, FilterCounters* counters) {
-  ++counters->pairs_considered;
   const SegmentView x = batch.View(i);
   const SegmentView y = batch.View(j);
-  if (opts.pair_allowed && !opts.pair_allowed(x, y)) {
-    ++counters->pruned_role;
-    return;
-  }
-  if constexpr ((Mask & kPipelineStrL) != 0) {
-    if (StrLengthPrunes(opts.function, opts.theta, x.record_size,
-                        y.record_size)) {
-      ++counters->pruned_strl;
-      return;
-    }
-  }
-  if constexpr ((Mask & kPipelineSegL) != 0) {
-    if (SegmentLengthPrunes(opts.function, opts.theta, x, y)) {
-      ++counters->pruned_segl;
-      return;
-    }
-  }
-  uint64_t overlap = 0;
+  if (!PassesPreOverlapT<Mask>(opts, x, y, counters)) return;
   if constexpr (K == KernelMode::kSimd) {
     if (BitmapGateRejects(batch, i, j)) {
       ++counters->empty_overlap;
@@ -140,7 +197,7 @@ void ProcessPairT(const SegmentBatch& batch, uint32_t i, uint32_t j,
           std::max(SegmentMinLocalOverlap(opts.function, opts.theta, x),
                    SegmentMinLocalOverlap(opts.function, opts.theta, y));
     }
-    overlap = ContainerOverlapBounded(batch, i, j, required);
+    const uint64_t overlap = ContainerOverlapBounded(batch, i, j, required);
     if (overlap < required) {
       // Exact overlap is provably < required too. required == 1 means the
       // merge ran to completion and the pair is truly token-disjoint.
@@ -160,6 +217,7 @@ void ProcessPairT(const SegmentBatch& batch, uint32_t i, uint32_t j,
         return;
       }
     }
+    EmitPairT<Mask>(opts, x, y, overlap, out, counters);
   } else {
     if constexpr (K == KernelMode::kPacked) {
       if (BitmapGateRejects(batch, i, j)) {
@@ -167,44 +225,27 @@ void ProcessPairT(const SegmentBatch& batch, uint32_t i, uint32_t j,
         return;
       }
     }
-    overlap = SortedOverlap(x.tokens, x.num_tokens, y.tokens, y.num_tokens);
+    const uint64_t overlap =
+        SortedOverlap(x.tokens, x.num_tokens, y.tokens, y.num_tokens);
     if (overlap == 0) {
       ++counters->empty_overlap;
       return;
     }
-    if constexpr ((Mask & kPipelineSegI) != 0) {
-      if (SegmentIntersectionPrunes(opts.function, opts.theta, x, y,
-                                    overlap)) {
-        ++counters->pruned_segi;
-        return;
-      }
-      // Local-overlap gate: any θ-similar pair satisfies
-      // c_i >= SegmentMinLocalOverlap for BOTH segments (the bound behind
-      // the Prefix Join; see DESIGN.md), so partial counts below it belong
-      // to dissimilar pairs and can be dropped without affecting the result.
-      if (overlap < SegmentMinLocalOverlap(opts.function, opts.theta, x) ||
-          overlap < SegmentMinLocalOverlap(opts.function, opts.theta, y)) {
-        ++counters->pruned_segi;
-        return;
-      }
-    }
+    FinishPairT<Mask>(opts, x, y, overlap, out, counters);
   }
-  if constexpr ((Mask & kPipelineSegD) != 0) {
-    if (SegmentDifferencePrunes(opts.function, opts.theta, x, y, overlap)) {
-      ++counters->pruned_segd;
-      return;
-    }
-  }
-  PartialOverlap result;
-  if (x.rid <= y.rid) {
-    result =
-        PartialOverlap{x.rid, y.rid, x.record_size, y.record_size, overlap};
-  } else {
-    result =
-        PartialOverlap{y.rid, x.rid, y.record_size, x.record_size, overlap};
-  }
-  out->push_back(result);
-  ++counters->emitted;
+}
+
+/// ProcessPairT for a pair whose exact overlap the probe already counted:
+/// the same filter chain, minus the kernel.
+template <uint32_t Mask>
+void ProcessCountedPairT(const SegmentBatch& batch, uint32_t i, uint32_t j,
+                         uint64_t overlap, const FragmentJoinOptions& opts,
+                         std::vector<PartialOverlap>* out,
+                         FilterCounters* counters) {
+  const SegmentView x = batch.View(i);
+  const SegmentView y = batch.View(j);
+  if (!PassesPreOverlapT<Mask>(opts, x, y, counters)) return;
+  FinishPairT<Mask>(opts, x, y, overlap, out, counters);
 }
 
 /// Runs probes [0, probes) in morsels of opts.morsel_size on the shared
@@ -245,27 +286,47 @@ void RunMorsels(uint32_t probes, const FragmentJoinOptions& opts,
   }
 }
 
-/// Prefix index over the whole batch, built once up front so probe morsels
-/// are independent. `order` sorts rows by ascending (record_size, rid);
-/// postings hold order *positions*, so each list ascends both in insertion
-/// position and in record size. A probe at position `oi` considers exactly
-/// the postings with position < oi and record_size above its length-filter
-/// bound — the same candidates, in the same order, as the incremental
-/// build-while-probing formulation (whose front-trimming this replaces
-/// with a stateless binary search; sound because the bound is monotone in
-/// the probe's record size).
+/// Prefix index over the indexed rows of a batch: every row for a self
+/// join, the build (S) rows for an R-S join. Built once up front so probe
+/// morsels are independent. `order` sorts the rows by ascending
+/// (record_size, rid); postings hold order *positions*, so each list
+/// ascends both in insertion position and in record size. A self-join probe
+/// at position `oi` considers exactly the postings with position < oi and
+/// record_size above its length-filter bound — the same candidates, in the
+/// same order, as the incremental build-while-probing formulation (whose
+/// front-trimming this replaces with a stateless binary search; sound
+/// because the bound is monotone in the probe's record size).
+///
+/// The postings are one CSR table over the window [lo, lo + starts.size()
+/// - 1) of prefix ranks observed in the batch: rank t's list is
+/// entries[starts[t - lo], starts[t - lo + 1]). A fragment is one pivot
+/// interval, so its ranks are dense and the window is no wider than the
+/// interval — never the vocabulary.
 struct PrefixIndex {
-  std::vector<uint32_t> order;       ///< batch rows in probe order
-  std::vector<uint32_t> prefix_len;  ///< per order position
-  std::unordered_map<TokenRank, std::vector<uint32_t>> postings;
+  std::vector<uint32_t> order;        ///< indexed rows in probe order
+  std::vector<uint32_t> prefix_len;   ///< per order position
+  std::vector<uint32_t> record_size;  ///< per order position
+  TokenRank lo = 0;
+  std::vector<size_t> starts;    ///< window width + 1; empty: no postings
+  std::vector<uint32_t> entries;  ///< order positions, ascending per rank
+
+  /// Posting list of rank t; empty outside the window.
+  std::span<const uint32_t> Postings(TokenRank t) const {
+    if (t < lo || size_t{t - lo} + 1 >= starts.size()) return {};
+    return {entries.data() + starts[t - lo],
+            entries.data() + starts[t - lo + 1]};
+  }
 };
 
+/// Builds the index over `rows` in three linear passes over the prefixes:
+/// count per rank, prefix-sum into list ends, then fill each list back to
+/// front, walking positions in descending order so every list ends up
+/// ascending.
 template <typename LenFn>
-PrefixIndex BuildPrefixIndex(const SegmentBatch& batch, LenFn prefix_len) {
+PrefixIndex BuildPrefixIndex(const SegmentBatch& batch,
+                             std::vector<uint32_t> rows, LenFn prefix_len) {
   PrefixIndex index;
-  const uint32_t n = batch.size();
-  index.order.resize(n);
-  for (uint32_t i = 0; i < n; ++i) index.order[i] = i;
+  index.order = std::move(rows);
   std::sort(index.order.begin(), index.order.end(),
             [&](uint32_t a, uint32_t b) {
               if (batch.record_size(a) != batch.record_size(b)) {
@@ -273,57 +334,62 @@ PrefixIndex BuildPrefixIndex(const SegmentBatch& batch, LenFn prefix_len) {
               }
               return batch.rid(a) < batch.rid(b);
             });
+  const uint32_t n = static_cast<uint32_t>(index.order.size());
   index.prefix_len.resize(n);
+  index.record_size.resize(n);
+  TokenRank lo = std::numeric_limits<TokenRank>::max();
+  TokenRank hi = 0;
+  size_t total = 0;
   for (uint32_t oi = 0; oi < n; ++oi) {
     const uint32_t row = index.order[oi];
     const uint32_t px = static_cast<uint32_t>(prefix_len(row));
     index.prefix_len[oi] = px;
-    const TokenRank* tokens = batch.tokens(row);
-    for (uint32_t p = 0; p < px; ++p) {
-      index.postings[tokens[p]].push_back(oi);
+    index.record_size[oi] = batch.record_size(row);
+    if (px == 0) continue;
+    lo = std::min(lo, batch.tokens(row)[0]);  // prefixes ascend
+    hi = std::max(hi, batch.tokens(row)[px - 1]);
+    total += px;
+  }
+  if (total == 0) return index;
+  index.lo = lo;
+  index.starts.assign(size_t{hi - lo} + 2, 0);
+  for (uint32_t oi = 0; oi < n; ++oi) {
+    const TokenRank* tokens = batch.tokens(index.order[oi]);
+    for (uint32_t p = 0; p < index.prefix_len[oi]; ++p) {
+      ++index.starts[tokens[p] - lo];
+    }
+  }
+  std::partial_sum(index.starts.begin(), index.starts.end(),
+                   index.starts.begin());
+  index.entries.resize(total);
+  for (uint32_t oi = n; oi-- > 0;) {
+    const TokenRank* tokens = batch.tokens(index.order[oi]);
+    for (uint32_t p = 0; p < index.prefix_len[oi]; ++p) {
+      index.entries[--index.starts[tokens[p] - lo]] = oi;
     }
   }
   return index;
 }
 
-/// R-S variant: indexes only the given rows (the build/S side). The probe
-/// side is never inserted, so the index is static and every probe sees the
-/// full build side — there is no position-<-probe cut like the self-join
-/// formulation needs to avoid double enumeration.
-template <typename LenFn>
-PrefixIndex BuildPrefixIndexOverRows(const SegmentBatch& batch,
-                                     const std::vector<uint32_t>& rows,
-                                     LenFn prefix_len) {
-  PrefixIndex index;
-  index.order = rows;
-  std::sort(index.order.begin(), index.order.end(),
-            [&](uint32_t a, uint32_t b) {
-              if (batch.record_size(a) != batch.record_size(b)) {
-                return batch.record_size(a) < batch.record_size(b);
-              }
-              return batch.rid(a) < batch.rid(b);
-            });
-  index.prefix_len.resize(index.order.size());
-  for (uint32_t oi = 0; oi < index.order.size(); ++oi) {
-    const uint32_t row = index.order[oi];
-    const uint32_t px = static_cast<uint32_t>(prefix_len(row));
-    index.prefix_len[oi] = px;
-    const TokenRank* tokens = batch.tokens(row);
-    for (uint32_t p = 0; p < px; ++p) {
-      index.postings[tokens[p]].push_back(oi);
-    }
-  }
-  return index;
-}
+/// Per-morsel probe scratch over the indexed order positions: for each, the
+/// probe that last reached it and how many of that probe's prefix tokens
+/// did; plus the probe's candidates in first-seen order. Probe ids are
+/// unique within one batch join, so a recycled scratch is never reset.
+struct ProbeScratch {
+  struct Slot {
+    uint32_t stamp = std::numeric_limits<uint32_t>::max();
+    uint32_t hits = 0;
+  };
+  std::vector<Slot> slots;
+  std::vector<uint32_t> candidates;
+};
 
-/// Per-morsel candidate-dedup scratch: probe-stamp arrays recycled across
-/// morsels. Stamps are order positions, unique per probe within one batch
-/// join, so a recycled array never needs resetting.
-class StampPool {
+/// Recycles ProbeScratch across the morsels of one batch join.
+class ScratchPool {
  public:
-  explicit StampPool(size_t n) : n_(n) {}
+  explicit ScratchPool(size_t n) : n_(n) {}
 
-  std::unique_ptr<std::vector<uint32_t>> Acquire() {
+  std::unique_ptr<ProbeScratch> Acquire() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!free_.empty()) {
@@ -332,11 +398,12 @@ class StampPool {
         return scratch;
       }
     }
-    return std::make_unique<std::vector<uint32_t>>(
-        n_, std::numeric_limits<uint32_t>::max());
+    auto scratch = std::make_unique<ProbeScratch>();
+    scratch->slots.resize(n_);
+    return scratch;
   }
 
-  void Release(std::unique_ptr<std::vector<uint32_t>> scratch) {
+  void Release(std::unique_ptr<ProbeScratch> scratch) {
     std::lock_guard<std::mutex> lock(mu_);
     free_.push_back(std::move(scratch));
   }
@@ -344,8 +411,61 @@ class StampPool {
  private:
   size_t n_;
   std::mutex mu_;
-  std::vector<std::unique_ptr<std::vector<uint32_t>>> free_;
+  std::vector<std::unique_ptr<ProbeScratch>> free_;
 };
+
+/// One indexed probe, PPJoin/AllPairs style. Scans the probe's prefix
+/// postings, cut by `window(list) -> [first, last)`, counting per candidate
+/// how many prefix tokens reached it; then runs the filter chain once per
+/// candidate in first-seen order. Both window cuts depend on the candidate
+/// only, never on the token, so a candidate's hit count is
+/// |prefix(probe) ∩ prefix(candidate)|. When both prefixes are the whole
+/// segment that is the exact segment overlap and the kernel is skipped;
+/// otherwise the pair takes the kernel merge.
+template <uint32_t Mask, KernelMode K, typename WindowFn>
+void ProbeT(const SegmentBatch& batch, const FragmentJoinOptions& opts,
+            const PrefixIndex& index, uint32_t xi, uint32_t px,
+            uint32_t probe_id, const WindowFn& window, ProbeScratch* scratch,
+            std::vector<PartialOverlap>* out, FilterCounters* counters) {
+  std::vector<uint32_t>& candidates = scratch->candidates;
+  candidates.clear();
+  ProbeScratch::Slot* slots = scratch->slots.data();
+  const TokenRank* tokens = batch.tokens(xi);
+  for (uint32_t p = 0; p < px; ++p) {
+    const auto [first, last] = window(index.Postings(tokens[p]));
+    for (const uint32_t* e = first; e != last; ++e) {
+      ProbeScratch::Slot& slot = slots[*e];
+      if (slot.stamp != probe_id) {
+        slot.stamp = probe_id;
+        slot.hits = 1;
+        candidates.push_back(*e);
+      } else {
+        ++slot.hits;
+      }
+    }
+  }
+  const bool probe_full = px == batch.length(xi);
+  for (uint32_t e : candidates) {
+    const uint32_t j = index.order[e];
+    if (probe_full && index.prefix_len[e] == batch.length(j)) {
+      ProcessCountedPairT<Mask>(batch, j, xi, slots[e].hits, opts, out,
+                                counters);
+    } else {
+      ProcessPairT<Mask, K>(batch, j, xi, opts, out, counters);
+    }
+  }
+}
+
+/// First posting of `list` whose record size reaches `bound` (record sizes
+/// ascend along every list).
+inline const uint32_t* FirstAtLeast(const PrefixIndex& index,
+                                    std::span<const uint32_t> list,
+                                    uint64_t bound) {
+  return std::lower_bound(list.data(), list.data() + list.size(), bound,
+                          [&](uint32_t e, uint64_t b) {
+                            return index.record_size[e] < b;
+                          });
+}
 
 template <uint32_t Mask, KernelMode K>
 void LoopJoinRangeT(const SegmentBatch& batch, const FragmentJoinOptions& opts,
@@ -377,45 +497,33 @@ void RsLoopJoinRangeT(const SegmentBatch& batch,
   }
 }
 
+/// Self-join probes at order positions [begin, end): candidates are the
+/// postings before the probe whose record size passes the length-filter
+/// bound.
 template <uint32_t Mask, KernelMode K>
 void IndexedProbeRangeT(const SegmentBatch& batch,
                         const FragmentJoinOptions& opts,
                         const PrefixIndex& index, uint32_t begin, uint32_t end,
-                        std::vector<uint32_t>* last_probe,
+                        ProbeScratch* scratch,
                         std::vector<PartialOverlap>* out,
                         FilterCounters* counters) {
   for (uint32_t oi = begin; oi < end; ++oi) {
     const uint32_t xi = index.order[oi];
-    const uint32_t px = index.prefix_len[oi];
     uint64_t min_partner = 0;
     if constexpr ((Mask & kPipelineStrL) != 0) {
       min_partner = PartnerSizeLowerBound(opts.function, opts.theta,
                                           batch.record_size(xi));
     }
-    const TokenRank* tokens = batch.tokens(xi);
-    for (uint32_t p = 0; p < px; ++p) {
-      auto it = index.postings.find(tokens[p]);
-      if (it == index.postings.end()) continue;
-      const std::vector<uint32_t>& list = it->second;
-      // Candidates: postings inserted before this probe whose record size
-      // passes the length-filter bound. Record sizes ascend along the list,
-      // so both bounds are binary searches.
-      auto first = list.begin();
-      if (min_partner > 0) {
-        first = std::lower_bound(
-            list.begin(), list.end(), min_partner,
-            [&](uint32_t e, uint64_t bound) {
-              return batch.record_size(index.order[e]) < bound;
-            });
-      }
-      auto last = std::lower_bound(first, list.end(), oi);
-      for (auto e = first; e != last; ++e) {
-        const uint32_t j = index.order[*e];
-        if ((*last_probe)[j] == oi) continue;  // already a candidate
-        (*last_probe)[j] = oi;
-        ProcessPairT<Mask, K>(batch, j, xi, opts, out, counters);
-      }
-    }
+    const auto window = [&](std::span<const uint32_t> list) {
+      const uint32_t* first =
+          min_partner > 0 ? FirstAtLeast(index, list, min_partner)
+                          : list.data();
+      const uint32_t* last =
+          std::lower_bound(first, list.data() + list.size(), oi);
+      return std::pair{first, last};
+    };
+    ProbeT<Mask, K>(batch, opts, index, xi, index.prefix_len[oi], oi, window,
+                    scratch, out, counters);
   }
 }
 
@@ -423,8 +531,8 @@ void IndexedProbeRangeT(const SegmentBatch& batch,
 /// prefix index built over the build side only. Unlike the self-join
 /// formulation the index holds records both shorter AND longer than the
 /// probe, so the candidate window is bounded by the partner-size bounds on
-/// both ends (record sizes ascend along every posting list — two binary
-/// searches). `probe_prefix` holds the probe rows' own prefix lengths,
+/// both ends, and there is no position-<-probe cut: probes are never
+/// inserted. `probe_prefix` holds the probe rows' own prefix lengths,
 /// computed with the same per-row policy as the index side, which keeps the
 /// prefix-sharing soundness argument pairwise identical to the self-join.
 template <uint32_t Mask, KernelMode K>
@@ -432,14 +540,12 @@ void RsIndexedProbeRangeT(const SegmentBatch& batch,
                           const FragmentJoinOptions& opts,
                           const PrefixIndex& index,
                           const std::vector<uint32_t>& probe_prefix,
-                          uint32_t begin, uint32_t end,
-                          std::vector<uint32_t>* last_probe,
+                          uint32_t begin, uint32_t end, ProbeScratch* scratch,
                           std::vector<PartialOverlap>* out,
                           FilterCounters* counters) {
   const std::vector<uint32_t>& probes = batch.probe_rows();
   for (uint32_t pi = begin; pi < end; ++pi) {
     const uint32_t xi = probes[pi];
-    const uint32_t px = probe_prefix[pi];
     uint64_t min_partner = 0;
     uint64_t max_partner = std::numeric_limits<uint64_t>::max();
     if constexpr ((Mask & kPipelineStrL) != 0) {
@@ -448,31 +554,20 @@ void RsIndexedProbeRangeT(const SegmentBatch& batch,
       max_partner = PartnerSizeUpperBound(opts.function, opts.theta,
                                           batch.record_size(xi));
     }
-    const TokenRank* tokens = batch.tokens(xi);
-    for (uint32_t p = 0; p < px; ++p) {
-      auto it = index.postings.find(tokens[p]);
-      if (it == index.postings.end()) continue;
-      const std::vector<uint32_t>& list = it->second;
-      auto first = list.begin();
-      auto last = list.end();
+    const auto window = [&](std::span<const uint32_t> list) {
+      const uint32_t* first = list.data();
+      const uint32_t* last = list.data() + list.size();
       if constexpr ((Mask & kPipelineStrL) != 0) {
-        first = std::lower_bound(
-            list.begin(), list.end(), min_partner,
-            [&](uint32_t e, uint64_t bound) {
-              return batch.record_size(index.order[e]) < bound;
-            });
-        last = std::upper_bound(
-            first, list.end(), max_partner, [&](uint64_t bound, uint32_t e) {
-              return bound < batch.record_size(index.order[e]);
-            });
+        first = FirstAtLeast(index, list, min_partner);
+        last = std::upper_bound(first, last, max_partner,
+                                [&](uint64_t bound, uint32_t e) {
+                                  return bound < index.record_size[e];
+                                });
       }
-      for (auto e = first; e != last; ++e) {
-        const uint32_t j = index.order[*e];
-        if ((*last_probe)[j] == pi) continue;  // already a candidate
-        (*last_probe)[j] = pi;
-        ProcessPairT<Mask, K>(batch, j, xi, opts, out, counters);
-      }
-    }
+      return std::pair{first, last};
+    };
+    ProbeT<Mask, K>(batch, opts, index, xi, probe_prefix[pi], pi, window,
+                    scratch, out, counters);
   }
 }
 
@@ -527,37 +622,39 @@ void IndexedPipeline(const SegmentBatch& batch,
     // Index the build (S) side only; probe with the R side. Probes are
     // never inserted, so same-side pairs are structurally impossible.
     const PrefixIndex index =
-        BuildPrefixIndexOverRows(batch, batch.build_rows(), prefix_len);
+        BuildPrefixIndex(batch, batch.build_rows(), prefix_len);
     const std::vector<uint32_t>& probes = batch.probe_rows();
     std::vector<uint32_t> probe_prefix(probes.size());
     for (uint32_t pi = 0; pi < probes.size(); ++pi) {
       probe_prefix[pi] = static_cast<uint32_t>(prefix_len(probes[pi]));
     }
-    StampPool stamps(batch.size());
+    ScratchPool scratch_pool(index.order.size());
     RunMorsels(
         static_cast<uint32_t>(probes.size()), opts,
         [&](uint32_t begin, uint32_t end,
             std::vector<PartialOverlap>* range_out,
             FilterCounters* range_counters) {
-          auto scratch = stamps.Acquire();
+          auto scratch = scratch_pool.Acquire();
           RsIndexedProbeRangeT<Mask, K>(batch, opts, index, probe_prefix,
                                         begin, end, scratch.get(), range_out,
                                         range_counters);
-          stamps.Release(std::move(scratch));
+          scratch_pool.Release(std::move(scratch));
         },
         out, counters);
     return;
   }
-  const PrefixIndex index = BuildPrefixIndex(batch, prefix_len);
-  StampPool stamps(batch.size());
+  std::vector<uint32_t> rows(batch.size());
+  std::iota(rows.begin(), rows.end(), 0u);
+  const PrefixIndex index = BuildPrefixIndex(batch, std::move(rows), prefix_len);
+  ScratchPool scratch_pool(index.order.size());
   RunMorsels(
       batch.size(), opts,
       [&](uint32_t begin, uint32_t end, std::vector<PartialOverlap>* range_out,
           FilterCounters* range_counters) {
-        auto scratch = stamps.Acquire();
+        auto scratch = scratch_pool.Acquire();
         IndexedProbeRangeT<Mask, K>(batch, opts, index, begin, end,
                                     scratch.get(), range_out, range_counters);
-        stamps.Release(std::move(scratch));
+        scratch_pool.Release(std::move(scratch));
       },
       out, counters);
 }

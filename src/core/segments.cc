@@ -71,8 +71,10 @@ Status SegmentBatch::AppendEncoded(std::string_view data) {
     // Each token takes at least one byte, so this is malformed.
     return Status::OutOfRange("truncated segment token vector");
   }
+  // No exact-size reserve here: it would defeat the arena's geometric
+  // growth and copy the whole arena on every append. Callers that know the
+  // fragment's size call Reserve() once up front.
   const size_t start = arena_.size();
-  arena_.reserve(start + num_tokens);
   for (uint64_t i = 0; i < num_tokens; ++i) {
     uint32_t token = 0;
     Status st = dec.GetVarint32(&token);
