@@ -107,13 +107,12 @@ class FilteringReducer : public mr::Reducer {
     FSJOIN_RETURN_NOT_OK(key_dec.GetFixed32BE(&fragment));
 
     // Columnar build: shuffle values decode straight into one flat token
-    // arena — no per-segment token vector is ever allocated. Every varint
-    // token takes at least one byte, so the summed value bytes bound the
-    // arena and one reserve covers the whole fragment.
-    size_t value_bytes = 0;
-    for (std::string_view v : values) value_bytes += v.size();
+    // arena — no per-segment token vector is ever allocated. One reserve,
+    // sized from the values' headers, covers the whole fragment.
+    size_t num_tokens = 0;
+    for (std::string_view v : values) num_tokens += EncodedSegmentTokens(v);
     SegmentBatch batch;
-    batch.Reserve(values.size(), value_bytes);
+    batch.Reserve(values.size(), num_tokens);
     for (std::string_view v : values) {
       FSJOIN_RETURN_NOT_OK(batch.AppendEncoded(v));
     }

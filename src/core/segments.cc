@@ -229,6 +229,18 @@ void EncodeSegment(const SegmentRecord& segment, std::string* out) {
   PutUint32Vector(out, segment.tokens);
 }
 
+uint64_t EncodedSegmentTokens(std::string_view data) {
+  Decoder dec(data);
+  uint32_t rid = 0, record_size = 0, head = 0;
+  uint64_t num_tokens = 0;
+  if (!dec.GetVarint32(&rid).ok() || !dec.GetVarint32(&record_size).ok() ||
+      !dec.GetVarint32(&head).ok() || !dec.GetVarint64(&num_tokens).ok() ||
+      num_tokens > dec.remaining()) {
+    return 0;
+  }
+  return num_tokens;
+}
+
 Status DecodeSegment(std::string_view data, SegmentRecord* segment) {
   Decoder dec(data);
   FSJOIN_RETURN_NOT_OK(dec.GetVarint32(&segment->rid));

@@ -201,6 +201,12 @@ void EncodeSegment(const SegmentRecord& segment, std::string* out);
 /// Parses a value produced by EncodeSegment.
 Status DecodeSegment(std::string_view data, SegmentRecord* segment);
 
+/// Number of tokens an EncodeSegment payload holds, read from its header
+/// alone; 0 when the header is malformed or claims more tokens than the
+/// payload has bytes (SegmentBatch::AppendEncoded then reports the error).
+/// Summed over a fragment's values it sizes SegmentBatch::Reserve.
+uint64_t EncodedSegmentTokens(std::string_view data);
+
 }  // namespace fsjoin
 
 #endif  // FSJOIN_CORE_SEGMENTS_H_

@@ -9,6 +9,7 @@
 #include "sim/set_ops.h"
 #include "test_util.h"
 #include "util/random.h"
+#include "util/serde.h"
 
 namespace fsjoin {
 namespace {
@@ -214,6 +215,23 @@ TEST(SegmentBatchTest, AppendEncodedRollsBackOnCorruption) {
   batch.Seal();
   EXPECT_EQ(batch.size(), 1u);
   EXPECT_EQ(batch.length(0), 3u);
+}
+
+TEST(SegmentBatchTest, EncodedSegmentTokensReadsTheHeader) {
+  SegmentRecord seg = {1000000, 123456, 77, {5, 300, 99999}};
+  std::string buf;
+  EncodeSegment(seg, &buf);
+  EXPECT_EQ(EncodedSegmentTokens(buf), 3u);
+  // A header claiming more tokens than the payload has bytes, or one cut
+  // short, counts as 0 so a reserve never trusts it.
+  std::string bad;
+  PutVarint32(&bad, 1);
+  PutVarint32(&bad, 2);
+  PutVarint32(&bad, 0);
+  PutVarint64(&bad, uint64_t{1} << 40);
+  EXPECT_EQ(EncodedSegmentTokens(bad), 0u);
+  EXPECT_EQ(EncodedSegmentTokens(std::string_view(buf).substr(0, 2)), 0u);
+  EXPECT_EQ(EncodedSegmentTokens(""), 0u);
 }
 
 TEST(SegmentBatchTest, SealedBitmapsAreSound) {
