@@ -8,12 +8,15 @@
 //                    (scalar vs galloping vs word-packed vs SIMD overlap on
 //                    short segments, bounded overlap under the SegI bound,
 //                    mid-length block merge, container kernels; serial vs
-//                    morsel-parallel JoinFragment on a skewed fragment set).
+//                    morsel-parallel JoinFragment on a skewed fragment set;
+//                    the filtering reducer's fragment build at three sizes).
 //                    Prints the detected SIMD ISA. Honors --warmup/--repeat.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -349,6 +352,47 @@ BENCHMARK(BM_FragmentJoinMorsel)
     ->Args({1000, 0})   // inline morsels (scheduling overhead floor)
     ->Args({1000, 4})
     ->Args({1000, 8});
+
+// Shuffle values of one fragment: n EncodeSegment payloads of ~12 tokens.
+std::vector<std::string> EncodedFragmentValues(size_t n) {
+  Rng rng(11);
+  std::vector<std::string> values(n);
+  for (size_t i = 0; i < n; ++i) {
+    SegmentRecord seg;
+    seg.rid = static_cast<RecordId>(i);
+    seg.tokens = RandomSortedSet(rng, 12, 4096);
+    seg.head = 30;
+    seg.record_size = 30 + static_cast<uint32_t>(seg.tokens.size()) + 30;
+    EncodeSegment(seg, &values[i]);
+  }
+  return values;
+}
+
+// The filtering reducer's fragment build: one Reserve sized from the
+// segment headers, AppendEncoded per shuffle value, then Seal. Its cost
+// must grow linearly in the fragment size.
+SegmentBatch BuildFragmentBatch(const std::vector<std::string>& values) {
+  size_t num_tokens = 0;
+  for (const std::string& v : values) num_tokens += EncodedSegmentTokens(v);
+  SegmentBatch batch;
+  batch.Reserve(values.size(), num_tokens);
+  for (const std::string& v : values) {
+    if (!batch.AppendEncoded(v).ok()) std::abort();
+  }
+  batch.Seal();
+  return batch;
+}
+
+void BM_FragmentBatchBuild(benchmark::State& state) {
+  const std::vector<std::string> values =
+      EncodedFragmentValues(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    SegmentBatch batch = BuildFragmentBatch(values);
+    benchmark::DoNotOptimize(batch);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_FragmentBatchBuild)->Arg(1000)->Arg(10000)->Arg(50000);
 
 void BM_CorpusGeneration(benchmark::State& state) {
   for (auto _ : state) {
@@ -724,6 +768,31 @@ int RunKernelComparison(int argc, char** argv) {
         "  note: only %u hardware threads available; the 8-thread speedup "
         "is bounded by the machine, not the morsel path.\n",
         cores);
+  }
+
+  // 3) Fragment build as the filtering reducer does it. Rows are named
+  // like the google-benchmark ones; per-segment cost must stay flat
+  // across them, so a quadratic build shows as a superlinear jump.
+  std::printf("fragment_batch_build (~12-token segments):\n");
+  for (size_t n : {1000, 10000, 50000}) {
+    const std::vector<std::string> values = EncodedFragmentValues(n);
+    size_t built_tokens = 0;
+    const double build_us = bench::MinWallMicros(options, [&] {
+      built_tokens = BuildFragmentBatch(values).total_tokens();
+    });
+    size_t expected_tokens = 0;
+    for (const std::string& v : values) {
+      expected_tokens += EncodedSegmentTokens(v);
+    }
+    if (built_tokens != expected_tokens) {
+      std::fprintf(stderr, "fragment build mismatch at n=%zu: %zu vs %zu\n",
+                   n, built_tokens, expected_tokens);
+      return 1;
+    }
+    records.push_back(
+        {"BM_FragmentBatchBuild/" + std::to_string(n), build_us});
+    std::printf("  %6zu segments %10.0f us  (%.1f ns per segment)\n", n,
+                build_us, build_us * 1000.0 / static_cast<double>(n));
   }
 
   bench::WriteBenchJson(options, "kernels", records);
