@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot kernels under everything:
 // sorted-set operations, serde, Zipf sampling, prefix math, segment
-// splitting and the fragment join.
+// splitting, the fragment join and corpus ingest.
 //
 // Two modes:
 //   (default)        google-benchmark suite, standard --benchmark_* flags.
@@ -9,7 +9,8 @@
 //                    short segments, bounded overlap under the SegI bound,
 //                    mid-length block merge, container kernels; serial vs
 //                    morsel-parallel JoinFragment on a skewed fragment set;
-//                    the filtering reducer's fragment build at three sizes).
+//                    the filtering reducer's fragment build at three sizes;
+//                    corpus ingest, serial and default).
 //                    Prints the detected SIMD ISA. Honors --warmup/--repeat.
 
 #include <benchmark/benchmark.h>
@@ -27,7 +28,9 @@
 #include "core/segments.h"
 #include "sim/set_ops.h"
 #include "sim/similarity.h"
+#include "text/corpus.h"
 #include "text/generator.h"
+#include "text/tokenizer.h"
 #include "util/random.h"
 #include "util/serde.h"
 #include "util/simd.h"
@@ -401,6 +404,47 @@ void BM_CorpusGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CorpusGeneration);
+
+// Ingest input: PubMed-like text lines, the generated corpus rendered as
+// "t<id>" words as the repository benchmark's input is.
+const std::vector<std::string>& PubMedLines() {
+  static const std::vector<std::string> lines = [] {
+    const Corpus corpus = GenerateCorpus(PubMedLikeConfig(0.25));
+    std::vector<std::string> out;
+    for (const Record& record : corpus.records) {
+      std::string line;
+      for (const TokenId t : record.tokens) {
+        if (!line.empty()) line += ' ';
+        line += corpus.dictionary.TokenString(t);
+      }
+      out.push_back(std::move(line));
+    }
+    return out;
+  }();
+  return lines;
+}
+
+// BuildCorpus with the word tokenizer. Arg 0 is the serial path (one
+// partition); arg 1 the default, which interns by hash partition on up to
+// hardware_concurrency() threads.
+Corpus BuildPubMed(int64_t path) {
+  const WordTokenizer tokenizer;
+  return path == 0 ? internal::BuildCorpusSharded(PubMedLines(), tokenizer, 1)
+                   : BuildCorpus(PubMedLines(), tokenizer);
+}
+
+// Items are tokens, so the rate reads as tokens per second.
+void BM_BuildCorpus(benchmark::State& state) {
+  PubMedLines();  // generate the input outside the timed loop
+  uint64_t tokens = 0;
+  for (auto _ : state) {
+    Corpus corpus = BuildPubMed(state.range(0));
+    tokens = corpus.TotalTokens();
+    benchmark::DoNotOptimize(corpus);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(tokens));
+}
+BENCHMARK(BM_BuildCorpus)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // ---- --json mode: focused kernel comparison -------------------------------
 
@@ -793,6 +837,30 @@ int RunKernelComparison(int argc, char** argv) {
         {"BM_FragmentBatchBuild/" + std::to_string(n), build_us});
     std::printf("  %6zu segments %10.0f us  (%.1f ns per segment)\n", n,
                 build_us, build_us * 1000.0 / static_cast<double>(n));
+  }
+
+  // 4) Corpus ingest, serial and default paths; both must build the same
+  // corpus.
+  std::printf("build_corpus (PubMed-like lines, word tokenizer):\n");
+  for (int64_t path : {0, 1}) {
+    uint64_t tokens = 0;
+    const double build_us = bench::MinWallMicros(
+        options, [&] { tokens = BuildPubMed(path).TotalTokens(); });
+    records.push_back({"BM_BuildCorpus/" + std::to_string(path), build_us});
+    std::printf("  %-8s %10.0f us  (%.1f ns per token)\n",
+                path == 0 ? "serial" : "default", build_us,
+                build_us * 1000.0 / static_cast<double>(tokens));
+  }
+  const Corpus serial = BuildPubMed(0);
+  const Corpus parallel = BuildPubMed(1);
+  bool same = serial.dictionary.size() == parallel.dictionary.size() &&
+              serial.NumRecords() == parallel.NumRecords();
+  for (size_t i = 0; same && i < serial.NumRecords(); ++i) {
+    same = serial.records[i].tokens == parallel.records[i].tokens;
+  }
+  if (!same) {
+    std::fprintf(stderr, "build_corpus mismatch between serial and default\n");
+    return 1;
   }
 
   bench::WriteBenchJson(options, "kernels", records);

@@ -226,7 +226,7 @@ std::vector<std::vector<uint32_t>> SetsFromCorpus(const Corpus& corpus) {
     std::vector<uint32_t> set;
     set.reserve(rec.tokens.size());
     for (TokenId t : rec.tokens) {
-      const std::string& s = corpus.dictionary.TokenString(t);
+      const std::string_view s = corpus.dictionary.TokenString(t);
       uint32_t id = 0;
       bool parsed = s.size() > 1 && s[0] == 't';
       if (parsed) {

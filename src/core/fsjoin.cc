@@ -166,13 +166,11 @@ Result<FsJoinOutput> FsJoin::RunJobs(const Corpus& corpus) const {
 Corpus MergeJoinInput(const JoinInput& input) {
   Corpus merged;
   merged.records.reserve(input.r.records.size() + input.s.records.size());
-  // R's dictionary first, in token-id order: the union mapping is the
-  // identity on R, so probe-side token ids survive the merge unchanged even
-  // when the vocabularies are disjoint.
-  for (TokenId t = 0; t < static_cast<TokenId>(input.r.dictionary.size());
-       ++t) {
-    merged.dictionary.Intern(input.r.dictionary.TokenString(t));
-  }
+  // R's dictionary first, whole: the union mapping is the identity on R, so
+  // probe-side token ids survive the merge unchanged even when the
+  // vocabularies are disjoint. Frequencies are recounted over both sides.
+  merged.dictionary = input.r.dictionary;
+  merged.dictionary.ClearFrequencies();
   for (const Record& rec : input.r.records) {
     Record copy;
     copy.id = static_cast<RecordId>(merged.records.size());
@@ -180,14 +178,14 @@ Corpus MergeJoinInput(const JoinInput& input) {
     for (TokenId t : copy.tokens) merged.dictionary.AddFrequency(t, 1);
     merged.records.push_back(std::move(copy));
   }
+  // S tokens are interned at their first sight in this scan, so merged ids
+  // follow S's record order, not its dictionary order.
+  TokenRemap remap(input.s.dictionary, merged.dictionary);
   for (const Record& rec : input.s.records) {
     Record copy;
     copy.id = static_cast<RecordId>(merged.records.size());
     copy.tokens.reserve(rec.tokens.size());
-    for (TokenId t : rec.tokens) {
-      copy.tokens.push_back(
-          merged.dictionary.Intern(input.s.dictionary.TokenString(t)));
-    }
+    for (TokenId t : rec.tokens) copy.tokens.push_back(remap(t));
     std::sort(copy.tokens.begin(), copy.tokens.end());
     copy.tokens.erase(std::unique(copy.tokens.begin(), copy.tokens.end()),
                       copy.tokens.end());

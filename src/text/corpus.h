@@ -34,9 +34,23 @@ struct Corpus {
 
 /// Tokenizes raw lines (one record per line) into a Corpus: per-record
 /// token sets are deduplicated and sorted; dictionary frequencies are the
-/// per-record (set) term frequencies used for the global ordering.
+/// per-record (set) term frequencies used for the global ordering. Token
+/// ids are assigned in order of first occurrence (line by line, left to
+/// right). Large inputs are interned by hash partition on up to
+/// hardware_concurrency() threads, all joined before this returns; the
+/// result does not depend on the thread count (DESIGN.md §5l).
 Corpus BuildCorpus(const std::vector<std::string>& lines,
                    const Tokenizer& tokenizer);
+
+namespace internal {
+
+/// BuildCorpus with an explicit number of hash partitions, each interned on
+/// its own thread (1 = the serial path). For tests that check the output is
+/// the same for every partition count.
+Corpus BuildCorpusSharded(const std::vector<std::string>& lines,
+                          const Tokenizer& tokenizer, size_t shards);
+
+}  // namespace internal
 
 /// Keeps records[i] for the given ids, renumbering them densely (used for
 /// the paper's 4X/6X/8X/10X random samples). Frequencies are recomputed.

@@ -10,7 +10,8 @@ Result<std::vector<std::string>> ReadLines(const std::string& path) {
   if (!in) return Status::IoError("cannot open for reading: " + path);
   std::vector<std::string> lines;
   std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
+  // getline clears `line` before reading, so each line can be moved out.
+  while (std::getline(in, line)) lines.push_back(std::move(line));
   if (in.bad()) return Status::IoError("read failure: " + path);
   return lines;
 }

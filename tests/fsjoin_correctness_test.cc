@@ -235,7 +235,7 @@ TEST(FsJoinCorrectness, RsJoinMatchesFilteredBruteForce) {
         for (TokenId t : rec.tokens) {
           // Token strings are "t<i>"; re-parse to ids in a shared space.
           set.push_back(static_cast<uint32_t>(
-              std::stoul(c.dictionary.TokenString(t).substr(1))));
+              std::stoul(std::string(c.dictionary.TokenString(t).substr(1)))));
         }
         sets.push_back(std::move(set));
       }

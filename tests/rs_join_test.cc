@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -251,6 +252,45 @@ TEST(RsJoinEdgeCases, DisjointVocabulariesNeverRemapProbeTokens) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_TRUE(out->pairs.empty());
   EXPECT_EQ(out->report.candidate_pairs, 0u);
+}
+
+TEST(RsJoinEdgeCases, MergeMatchesInterningEveryOccurrence) {
+  // GenerateCorpus dictionaries pre-intern the whole vocabulary, so most ids
+  // are unused and S meets its tokens out of id order. The merge must give
+  // the ids of the plain algorithm: R's dictionary in id order, then every
+  // S occurrence interned in record order.
+  const Corpus r = RandomCorpus(60, 500, 1.0, 8, 5);
+  const Corpus s = RandomCorpus(90, 700, 0.8, 10, 6);
+  Corpus expected;
+  for (TokenId t = 0; t < r.dictionary.size(); ++t) {
+    expected.dictionary.Intern(r.dictionary.TokenString(t));
+  }
+  for (const Corpus* side : {&r, &s}) {
+    for (const Record& rec : side->records) {
+      Record copy;
+      copy.id = static_cast<RecordId>(expected.records.size());
+      for (TokenId t : rec.tokens) {
+        copy.tokens.push_back(
+            expected.dictionary.Intern(side->dictionary.TokenString(t)));
+      }
+      std::sort(copy.tokens.begin(), copy.tokens.end());
+      for (TokenId t : copy.tokens) expected.dictionary.AddFrequency(t, 1);
+      expected.records.push_back(std::move(copy));
+    }
+  }
+
+  const Corpus merged = MergeJoinInput(JoinInput{r, s});
+  ASSERT_TRUE(merged.Validate().ok());
+  ASSERT_EQ(merged.dictionary.size(), expected.dictionary.size());
+  for (TokenId t = 0; t < merged.dictionary.size(); ++t) {
+    ASSERT_EQ(merged.dictionary.TokenString(t),
+              expected.dictionary.TokenString(t));
+    ASSERT_EQ(merged.dictionary.Frequency(t), expected.dictionary.Frequency(t));
+  }
+  ASSERT_EQ(merged.records.size(), expected.records.size());
+  for (size_t i = 0; i < merged.records.size(); ++i) {
+    EXPECT_EQ(merged.records[i].tokens, expected.records[i].tokens) << i;
+  }
 }
 
 // ---- Edge case: one side entirely outside the length-filter window -------
