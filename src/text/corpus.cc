@@ -204,21 +204,14 @@ Corpus BuildCorpusSharded(const std::vector<std::string>& lines,
   } else {
     global = MergeShards(parts, corpus.dictionary, pool);
   }
-  // Record storage is allocated here, on the calling thread: the corpus
-  // outlives the pool, and left in the malloc arenas of exited pool threads
-  // it slowed the joins whose threads later reuse those arenas (wiki-batches
-  // `join_s` +14-17%, EXPERIMENTS.md "ingest at memory speed").
   corpus.records.resize(lines.size());
-  for (size_t i = 0; i < lines.size(); ++i) {
-    Record& rec = corpus.records[i];
-    rec.id = static_cast<RecordId>(i);
-    size_t n = 0;
-    for (const Shard& part : parts) n += part.line_end[i] - part.LineBegin(i);
-    rec.tokens.reserve(n);
-  }
   pool.ParallelFor(lines.size(), kRecordChunk, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       Record& rec = corpus.records[i];
+      rec.id = static_cast<RecordId>(i);
+      size_t n = 0;
+      for (const Shard& part : parts) n += part.line_end[i] - part.LineBegin(i);
+      rec.tokens.reserve(n);
       for (size_t p = 0; p < shards; ++p) {
         const Shard& part = parts[p];
         for (size_t k = part.LineBegin(i); k < part.line_end[i]; ++k) {
