@@ -208,7 +208,9 @@ PathResult RunSpillPath(const std::vector<uint32_t>& tokens,
   CollectingEmitter emitter(&result.output);
   for (uint32_t r = 0; r < kNumShards; ++r) {
     mr::ShuffleShard shard;
-    shard.EnableSpill(&budget, scratch->path(), "r" + std::to_string(r));
+    std::string prefix = "r";
+    prefix += std::to_string(r);
+    shard.EnableSpill(&budget, scratch->path(), std::move(prefix));
     for (uint32_t m = 0; m < kNumMapTasks; ++m) {
       Status st = shard.AddBuffer(std::move(task_out[m][r]));
       if (!st.ok()) FSJOIN_LOG(Fatal) << st.ToString();

@@ -338,7 +338,8 @@ Scenario MakeScenario(uint64_t seed, SimilarityFunction fn, double theta,
     }
     (to_r ? r_sets : s_sets).push_back(std::move(sets[i]));
   }
-  scenario.family += "/" + shape.Name();
+  scenario.family += '/';
+  scenario.family += shape.Name();
   scenario.rs_boundary = static_cast<RecordId>(r_sets.size());
   for (std::vector<uint32_t>& set : s_sets) r_sets.push_back(std::move(set));
   scenario.corpus = CorpusFromSets(r_sets);

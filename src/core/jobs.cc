@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "core/segments.h"
@@ -14,40 +15,123 @@ namespace {
 
 // ---- Ordering job ------------------------------------------------------
 
+/// Parses the ordering task payload: the vocabulary size as one varint.
+Result<size_t> DecodeOrderingPayload(std::string_view payload) {
+  Decoder dec(payload);
+  uint64_t vocab_size = 0;
+  FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&vocab_size));
+  if (!dec.done()) {
+    return Status::Corruption("ordering payload: trailing bytes");
+  }
+  if (vocab_size > (uint64_t{1} << 32)) {
+    return Status::InvalidArgument(
+        "ordering payload: vocabulary exceeds the 32-bit token id space");
+  }
+  return static_cast<size_t>(vocab_size);
+}
+
+/// Collects the non-zero slots of one stripe's dense counters as entries.
+template <typename Count>
+void CollectStripe(uint32_t stripe, const Count* slots,
+                   std::vector<StripeEntry>* entries) {
+  entries->clear();
+  const TokenId base = stripe * kOrderingStripeWidth;
+  for (uint32_t i = 0; i < kOrderingStripeWidth; ++i) {
+    if (slots[i] != 0) entries->push_back(StripeEntry{base + i, slots[i]});
+  }
+}
+
+/// Counts the task's token ids in dense per-stripe counters, allocated on
+/// first touch, and emits one record per touched stripe from Finish.
 class OrderingMapper : public mr::Mapper {
  public:
-  Status Map(const mr::KeyValue& record, mr::Emitter* out) override {
+  explicit OrderingMapper(size_t vocab_size)
+      : vocab_size_(vocab_size),
+        stripes_((vocab_size + kOrderingStripeWidth - 1) /
+                 kOrderingStripeWidth) {}
+
+  Status Map(const mr::KeyValue& record, mr::Emitter* /*out*/) override {
     RecordId rid = 0;
-    std::vector<TokenId> tokens;
-    FSJOIN_RETURN_NOT_OK(DecodeCorpusRecord(record, &rid, &tokens));
-    std::string one;
-    PutVarint64(&one, 1);
-    for (TokenId t : tokens) {
-      std::string key;
-      PutFixed32BE(&key, t);
-      out->Emit(std::move(key), one);
+    FSJOIN_RETURN_NOT_OK(DecodeCorpusRecord(record, &rid, &tokens_));
+    for (size_t i = 0; i < tokens_.size(); ++i) {
+      const TokenId t = tokens_[i];
+      // Records are sorted sets; an adjacent repeat counts once.
+      if (i > 0 && t == tokens_[i - 1]) continue;
+      if (t >= vocab_size_) {
+        return Status::InvalidArgument(
+            "ordering: token id " + std::to_string(t) +
+            " outside the vocabulary of " + std::to_string(vocab_size_));
+      }
+      std::unique_ptr<uint32_t[]>& slots = stripes_[t / kOrderingStripeWidth];
+      if (slots == nullptr) {
+        slots = std::make_unique<uint32_t[]>(kOrderingStripeWidth);
+      }
+      ++slots[t % kOrderingStripeWidth];
     }
     return Status::OK();
   }
+
+  Status Finish(mr::Emitter* out) override {
+    std::vector<StripeEntry> entries;
+    std::string key, value;
+    for (size_t s = 0; s < stripes_.size(); ++s) {
+      if (stripes_[s] == nullptr) continue;
+      CollectStripe(static_cast<uint32_t>(s), stripes_[s].get(), &entries);
+      key.clear();
+      value.clear();
+      EncodeOrderingStripe(static_cast<uint32_t>(s), entries, &key, &value);
+      out->Emit(key, value);
+    }
+    return Status::OK();
+  }
+
+ private:
+  size_t vocab_size_;
+  std::vector<TokenId> tokens_;  ///< decode buffer reused across records
+  std::vector<std::unique_ptr<uint32_t[]>> stripes_;
 };
 
-class SumReducer : public mr::Reducer {
+/// Sums every value of one stripe key into a dense accumulator and emits
+/// the summed stripe.
+class StripeSumReducer : public mr::Reducer {
  public:
+  explicit StripeSumReducer(size_t vocab_size)
+      : vocab_size_(vocab_size), sums_(kOrderingStripeWidth, 0) {}
+
   Status Reduce(std::string_view key, mr::ValueList values,
                 mr::Emitter* out) override {
-    uint64_t total = 0;
+    std::fill(sums_.begin(), sums_.end(), 0);
+    uint32_t stripe = 0;
     for (std::string_view v : values) {
-      Decoder dec(v);
-      uint64_t x = 0;
-      FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&x));
-      total += x;
+      FSJOIN_RETURN_NOT_OK(
+          DecodeOrderingStripe(key, v, vocab_size_, &stripe, &entries_));
+      for (const StripeEntry& e : entries_) {
+        sums_[e.id % kOrderingStripeWidth] += e.count;
+      }
     }
-    std::string value;
-    PutVarint64(&value, total);
-    out->Emit(key, value);
+    CollectStripe(stripe, sums_.data(), &entries_);
+    std::string out_key, out_value;
+    EncodeOrderingStripe(stripe, entries_, &out_key, &out_value);
+    out->Emit(out_key, out_value);
     return Status::OK();
   }
+
+ private:
+  size_t vocab_size_;
+  std::vector<uint64_t> sums_;
+  std::vector<StripeEntry> entries_;
 };
+
+mr::TaskFactories OrderingFactories(size_t vocab_size) {
+  mr::TaskFactories factories;
+  factories.mapper = [vocab_size] {
+    return std::make_unique<OrderingMapper>(vocab_size);
+  };
+  factories.reducer = [vocab_size] {
+    return std::make_unique<StripeSumReducer>(vocab_size);
+  };
+  return factories;
+}
 
 // ---- Filtering job -----------------------------------------------------
 
@@ -224,21 +308,19 @@ class VerificationReducer : public mr::Reducer {
 
 // ---- Task factories and side channels ----------------------------------
 
-/// The ordering job's operators are stateless and parameter-free, so its
-/// tasks can be described by a registered name and re-executed by a
-/// re-execed --worker-task process (mr/task.h). The filtering and
-/// verification jobs capture driver-built shared contexts in their
-/// closures; their tasks stay fork-only and report context mutations
-/// through the side channels below.
+/// The ordering job's operators depend only on the vocabulary size, which
+/// travels in the task payload, so its tasks can be described by a
+/// registered name and re-executed by a re-execed --worker-task process or
+/// a cluster worker (mr/task.h). The filtering and verification jobs
+/// capture driver-built shared contexts in their closures; their tasks stay
+/// fork-only and report context mutations through the side channels below.
 [[maybe_unused]] const bool kOrderingFactoryRegistered =
     mr::RegisterTaskFactory(
         "core.ordering",
-        [](const std::string&) -> Result<mr::TaskFactories> {
-          mr::TaskFactories factories;
-          factories.mapper = [] { return std::make_unique<OrderingMapper>(); };
-          factories.reducer = [] { return std::make_unique<SumReducer>(); };
-          factories.combiner = [] { return std::make_unique<SumReducer>(); };
-          return factories;
+        [](const std::string& payload) -> Result<mr::TaskFactories> {
+          FSJOIN_ASSIGN_OR_RETURN(size_t vocab_size,
+                                  DecodeOrderingPayload(payload));
+          return OrderingFactories(vocab_size);
         });
 
 /// Fork-boundary channel for FilteringContext: a child task starts from
@@ -364,34 +446,90 @@ Status DecodeCorpusRecord(const mr::KeyValue& kv, RecordId* rid,
   return Status::OK();
 }
 
+void EncodeOrderingStripe(uint32_t stripe,
+                          const std::vector<StripeEntry>& entries,
+                          std::string* key, std::string* value) {
+  PutFixed32BE(key, stripe);
+  PutVarint64(value, entries.size());
+  TokenId prev = stripe * kOrderingStripeWidth;
+  for (const StripeEntry& e : entries) {
+    PutVarint32(value, e.id - prev);
+    PutVarint64(value, e.count);
+    prev = e.id;
+  }
+}
+
+Status DecodeOrderingStripe(std::string_view key, std::string_view value,
+                            size_t vocab_size, uint32_t* stripe,
+                            std::vector<StripeEntry>* entries) {
+  entries->clear();
+  Decoder key_dec(key);
+  FSJOIN_RETURN_NOT_OK(key_dec.GetFixed32BE(stripe));
+  if (!key_dec.done()) {
+    return Status::Corruption("ordering stripe: key longer than 4 bytes");
+  }
+  const uint64_t begin = uint64_t{*stripe} * kOrderingStripeWidth;
+  Decoder dec(value);
+  uint64_t n = 0;
+  FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&n));
+  if (n > kOrderingStripeWidth) {
+    return Status::Corruption("ordering stripe: " + std::to_string(n) +
+                              " entries exceed the stripe width");
+  }
+  entries->reserve(n);
+  uint64_t id = begin;
+  for (uint64_t i = 0; i < n; ++i) {
+    uint64_t delta = 0, count = 0;
+    FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&delta));
+    FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&count));
+    if (i > 0 && delta == 0) {
+      return Status::Corruption("ordering stripe: ids do not ascend");
+    }
+    if (delta >= kOrderingStripeWidth ||
+        id + delta >= begin + kOrderingStripeWidth) {
+      return Status::Corruption("ordering stripe: id outside stripe " +
+                                std::to_string(*stripe));
+    }
+    id += delta;
+    if (id >= vocab_size) {
+      return Status::Corruption("ordering stripe: token id " +
+                                std::to_string(id) +
+                                " outside the vocabulary of " +
+                                std::to_string(vocab_size));
+    }
+    entries->push_back(StripeEntry{static_cast<TokenId>(id), count});
+  }
+  if (!dec.done()) {
+    return Status::Corruption("ordering stripe: trailing bytes");
+  }
+  return Status::OK();
+}
+
 mr::JobConfig MakeOrderingJobConfig(uint32_t num_map_tasks,
-                                    uint32_t num_reduce_tasks) {
+                                    uint32_t num_reduce_tasks,
+                                    size_t vocab_size) {
+  mr::TaskFactories factories = OrderingFactories(vocab_size);
   mr::JobConfig config;
   config.name = "ordering";
   config.num_map_tasks = num_map_tasks;
   config.num_reduce_tasks = num_reduce_tasks;
-  config.mapper_factory = [] { return std::make_unique<OrderingMapper>(); };
-  config.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-  config.combiner_factory = [] { return std::make_unique<SumReducer>(); };
-  // Stateless operators: tasks of this job can run via binary re-exec.
+  config.mapper_factory = std::move(factories.mapper);
+  config.reducer_factory = std::move(factories.reducer);
+  // The payload rebuilds the same operators in another process.
   config.task_factory = "core.ordering";
+  PutVarint64(&config.task_payload, vocab_size);
   return config;
 }
 
 Result<GlobalOrder> BuildGlobalOrderFromJobOutput(const mr::Dataset& output,
                                                   size_t vocab_size) {
   std::vector<uint64_t> frequency(vocab_size, 0);
+  std::vector<StripeEntry> entries;
+  uint32_t stripe = 0;
   for (const mr::KeyValue& kv : output) {
-    Decoder key_dec(kv.key);
-    uint32_t token = 0;
-    FSJOIN_RETURN_NOT_OK(key_dec.GetFixed32BE(&token));
-    if (token >= vocab_size) {
-      return Status::Internal("ordering output token outside vocabulary");
-    }
-    Decoder value_dec(kv.value);
-    uint64_t count = 0;
-    FSJOIN_RETURN_NOT_OK(value_dec.GetVarint64(&count));
-    frequency[token] = count;
+    FSJOIN_RETURN_NOT_OK(DecodeOrderingStripe(kv.key, kv.value, vocab_size,
+                                              &stripe, &entries));
+    for (const StripeEntry& e : entries) frequency[e.id] += e.count;
   }
   return GlobalOrder::FromFrequencies(std::move(frequency));
 }
@@ -403,7 +541,8 @@ Result<std::shared_ptr<const GlobalOrder>> RunOrderingJob(
   FSJOIN_ASSIGN_OR_RETURN(
       mr::Dataset frequencies,
       backend->Run(
-          MakeOrderingJobConfig(exec.num_map_tasks, exec.num_reduce_tasks),
+          MakeOrderingJobConfig(exec.num_map_tasks, exec.num_reduce_tasks,
+                                vocab_size),
           input));
   FSJOIN_ASSIGN_OR_RETURN(
       GlobalOrder order,
@@ -446,10 +585,6 @@ mr::JobConfig MakeVerificationJobConfig(
   config.num_map_tasks = context->config.exec.num_map_tasks;
   config.num_reduce_tasks = context->config.exec.num_reduce_tasks;
   config.mapper_factory = [] { return std::make_unique<IdentityMapper>(); };
-  // No combiner: a pair's partial overlaps come from different fragments
-  // (different filtering reducers), so map-side splits of the partials
-  // dataset almost never hold two records of the same pair — a combiner
-  // would only add sort cost.
   config.reducer_factory = [context] {
     return std::make_unique<VerificationReducer>(context);
   };

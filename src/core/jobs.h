@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <mutex>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -31,12 +32,45 @@ Status DecodeCorpusRecord(const mr::KeyValue& kv, RecordId* rid,
                           std::vector<TokenId>* tokens);
 
 /// ---- Job 1: ordering (token frequency) -------------------------------
-/// map:    (rid, tokens)  -> (token, 1) per distinct token
-/// combine/reduce: sum counts -> (token, frequency)
+/// map:    (rid, tokens) -> one stripe record per non-empty 4096-id stripe
+///         of the task's dense per-token counters
+/// reduce: sum a stripe's counts -> one summed stripe
+///
+/// A stripe record's key is the stripe index as Fixed32BE; its value is a
+/// varint entry count, then one (id delta, count) varint pair per entry in
+/// ascending id order. The first delta is taken from the stripe's first id,
+/// each later one from the previous entry's id, so ids strictly ascend.
 
-/// Mapper/combiner/reducer factories for the ordering job.
+/// Token ids per ordering stripe record.
+inline constexpr uint32_t kOrderingStripeWidth = 4096;
+
+/// One decoded stripe entry: a token id and its (partial) set frequency.
+struct StripeEntry {
+  TokenId id = 0;
+  uint64_t count = 0;
+
+  bool operator==(const StripeEntry&) const = default;
+};
+
+/// Encodes one stripe record. `entries` must ascend strictly by id and lie
+/// inside the stripe.
+void EncodeOrderingStripe(uint32_t stripe,
+                          const std::vector<StripeEntry>& entries,
+                          std::string* key, std::string* value);
+
+/// Decodes one stripe record into its index and `entries` (cleared first).
+/// A malformed key, a truncated value, trailing bytes, ids that do not
+/// ascend or leave the stripe and ids at or above `vocab_size` are each a
+/// non-OK Status.
+Status DecodeOrderingStripe(std::string_view key, std::string_view value,
+                            size_t vocab_size, uint32_t* stripe,
+                            std::vector<StripeEntry>* entries);
+
+/// Job config of the ordering job. `vocab_size` bounds the token ids and
+/// travels in the task payload, so re-execed and cluster workers get it.
 mr::JobConfig MakeOrderingJobConfig(uint32_t num_map_tasks,
-                                    uint32_t num_reduce_tasks);
+                                    uint32_t num_reduce_tasks,
+                                    size_t vocab_size);
 
 /// Builds the global ordering from the ordering job's output. `vocab_size`
 /// is the dictionary size (tokens with no output record get frequency 0).

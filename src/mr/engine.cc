@@ -134,7 +134,7 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
     partitioner = std::make_shared<HashPartitioner>();
   }
   const TaskFactories factories{config.mapper_factory, config.reducer_factory,
-                                config.combiner_factory, partitioner};
+                                partitioner};
 
   const uint32_t num_maps = std::min<uint32_t>(
       config.num_map_tasks,
@@ -244,7 +244,6 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
     jm.map_output_records += out.metrics.output_records;
     jm.map_output_bytes += out.metrics.output_bytes;
     jm.map_wall_micros += out.metrics.wall_micros;
-    jm.combine_input_records += out.combine_input_records;
     jm.map_tasks.push_back(out.metrics);
     return Status::OK();
   };
@@ -265,8 +264,10 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
     std::vector<Status> shuffle_status(num_reds);
     runner_->ParallelRun(num_reds, [&](size_t r) {
       if (job_budget.has_value()) {
+        std::string prefix = "r";
+        prefix += std::to_string(r);
         shards[r].EnableSpill(&*job_budget, scratch->path(),
-                              "r" + std::to_string(r));
+                              std::move(prefix));
       }
       Status st;
       for (uint32_t m = 0; st.ok() && m < num_maps; ++m) {

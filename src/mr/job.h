@@ -47,7 +47,7 @@ class Mapper {
 using ValueList = std::span<const std::string_view>;
 
 /// Hadoop-style reduce task: invoked once per distinct key with every value
-/// shuffled for it. Also used as the combiner interface. Key and values are
+/// shuffled for it. Key and values are
 /// windows over the sorted shuffle arena — grouping performs no per-value
 /// copies.
 class Reducer {
@@ -120,15 +120,13 @@ struct JobConfig {
   uint32_t num_reduce_tasks = 4;
   MapperFactory mapper_factory;
   ReducerFactory reducer_factory;
-  /// Optional combiner run on each map task's output before the shuffle.
-  ReducerFactory combiner_factory;
   /// Key router; HashPartitioner when null.
   std::shared_ptr<const Partitioner> partitioner;
   /// Fork-boundary bridge for shared mutable context (see above). Empty
   /// members are simply skipped — stateless jobs leave this default.
   TaskSideChannel side;
   /// Registered task-factory name (mr/task.h) that rebuilds this job's
-  /// mapper/reducer/combiner/partitioner in another process. Empty = the
+  /// mapper/reducer/partitioner in another process. Empty = the
   /// job's logic captures driver state and tasks cannot be re-execed; the
   /// subprocess runner then uses fork-only isolation.
   std::string task_factory;

@@ -45,9 +45,8 @@ struct JobMetrics {
 
   uint64_t map_input_records = 0;
   uint64_t map_input_bytes = 0;
-  uint64_t map_output_records = 0;  ///< after the combiner, if any
+  uint64_t map_output_records = 0;
   uint64_t map_output_bytes = 0;
-  uint64_t combine_input_records = 0;  ///< 0 when no combiner configured
 
   uint64_t shuffle_records = 0;
   uint64_t shuffle_bytes = 0;

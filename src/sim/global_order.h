@@ -23,6 +23,7 @@ class GlobalOrder {
   /// Builds the ordering from explicit (token, frequency) pairs — the output
   /// of the MapReduce ordering job. `frequency[t]` is the term frequency of
   /// TokenId t; tokens never seen get frequency 0 and still receive ranks.
+  /// A counting sort over the frequencies: O(V) for a V-token domain.
   static GlobalOrder FromFrequencies(std::vector<uint64_t> frequency);
 
   /// Convenience: builds directly from a corpus dictionary (serial path).

@@ -105,13 +105,15 @@ Result<int64_t> ParseInt64(std::string_view text, int64_t min, int64_t max) {
   int64_t value = 0;
   std::errc ec{};
   if (!FromCharsWhole(text, &value, &ec)) {
-    return Status::InvalidArgument("'" + std::string(text) +
-                                   "' is not an integer");
+    return Status::InvalidArgument(
+        StrFormat("'%.*s' is not an integer", static_cast<int>(text.size()),
+                  text.data()));
   }
   if (ec != std::errc{} || value < min || value > max) {
-    return Status::InvalidArgument(
-        "'" + std::string(text) + "' is out of range [" +
-        std::to_string(min) + ", " + std::to_string(max) + "]");
+    return Status::InvalidArgument(StrFormat(
+        "'%.*s' is out of range [%lld, %lld]", static_cast<int>(text.size()),
+        text.data(), static_cast<long long>(min),
+        static_cast<long long>(max)));
   }
   return value;
 }
@@ -120,8 +122,9 @@ Result<double> ParsePositive(std::string_view text, double max) {
   double value = 0;
   std::errc ec{};
   if (!FromCharsWhole(text, &value, &ec)) {
-    return Status::InvalidArgument("'" + std::string(text) +
-                                   "' is not a number");
+    return Status::InvalidArgument(
+        StrFormat("'%.*s' is not a number", static_cast<int>(text.size()),
+                  text.data()));
   }
   // The negated test also rejects NaN.
   if (ec != std::errc{} || !(value > 0.0 && value <= max)) {

@@ -241,7 +241,7 @@ TEST(BaselineMetricsRegressionTest, RidPairsPPJoinHistory) {
       RunVernicaJoin(RegressionCorpus(), RegressionConfig());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ExpectHistory(out->report,
-                {{"ordering", 300, 6677, 992, 992, 4960, 375, 1878},
+                {{"ordering", 300, 6677, 4, 4, 2008, 1, 759},
                  {"vernica-kernel", 300, 6677, 1021, 1021, 46248, 71, 1136}},
                 402);
 }
@@ -267,7 +267,7 @@ TEST(BaselineMetricsRegressionTest, MassJoinMergeHistory) {
   // ranked records.
   ExpectHistory(
       out->report,
-      {{"ordering", 300, 6677, 992, 992, 4960, 375, 1878},
+      {{"ordering", 300, 6677, 4, 4, 2008, 1, 759},
        {"massjoin-signatures", 300, 6677, 4688, 4688, 42998, 479, 4311},
        {"massjoin-merge", 779, 14364, 779, 779, 13233, 348, 13420},
        {"massjoin-verify", 648, 23473, 648, 648, 23473, 71, 1136}},

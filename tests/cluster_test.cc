@@ -449,9 +449,12 @@ TEST(ClusterFaultTest, SilentWorkerIsDeclaredDeadAfterMissedHeartbeats) {
 
 // ---- Direct engine runs over the network shuffle ----------------------
 
+/// Token ids of OrderingInput lie below this bound.
+constexpr size_t kOrderingVocab = 80;
+
 mr::Dataset OrderingInput(uint64_t num_records, uint64_t seed) {
-  return MakeCorpusDataset(testing::RandomCorpus(num_records, 80, 0.8, 8.0,
-                                                 seed));
+  return MakeCorpusDataset(
+      testing::RandomCorpus(num_records, kOrderingVocab, 0.8, 8.0, seed));
 }
 
 Result<std::unique_ptr<net::ClusterTaskRunner>> SpawnWorkers(int n) {
@@ -471,7 +474,8 @@ Status RunOrderingJob(mr::TaskRunner* runner, const mr::Dataset& input,
   // server when a single worker hosts all map output, which regresses into
   // multi-second TCP-retransmission stalls if the listener backlog ever
   // drops below that fan-in again (socket.h Listener::Listen).
-  return engine.Run(MakeOrderingJobConfig(30, 30), input, output, metrics);
+  return engine.Run(MakeOrderingJobConfig(30, 30, kOrderingVocab), input,
+                    output, metrics);
 }
 
 TEST(ClusterRunnerTest, NetworkShuffleMatchesInlineEngineByteForByte) {

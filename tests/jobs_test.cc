@@ -1,18 +1,24 @@
 // Unit tests for the MR-facing plumbing of core/: corpus dataset serde,
-// the ordering job, the fragment partitioner, partial-overlap encoding,
-// verification decoding, config validation and report structure.
+// the ordering job and its stripe codec, the counting-sort global order,
+// the fragment partitioner, partial-overlap encoding, verification
+// decoding, config validation and report structure.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/baseline.h"
 #include "core/fsjoin.h"
 #include "core/jobs.h"
 #include "mr/engine.h"
+#include "mr/task.h"
 #include "test_util.h"
 #include "text/generator.h"
 #include "util/hash.h"
+#include "util/random.h"
 #include "util/serde.h"
 
 namespace fsjoin {
@@ -49,8 +55,8 @@ TEST(OrderingJobTest, ComputesExactFrequencies) {
   mr::Dataset output;
   mr::JobMetrics metrics;
   ASSERT_TRUE(engine
-                  .Run(MakeOrderingJobConfig(2, 3), MakeCorpusDataset(corpus),
-                       &output, &metrics)
+                  .Run(MakeOrderingJobConfig(2, 3, corpus.dictionary.size()),
+                       MakeCorpusDataset(corpus), &output, &metrics)
                   .ok())
       << "ordering job failed";
   Result<GlobalOrder> order =
@@ -64,8 +70,10 @@ TEST(OrderingJobTest, ComputesExactFrequencies) {
   EXPECT_EQ(order->RankOf(t1), 1u);
   EXPECT_EQ(order->RankOf(t2), 2u);
   EXPECT_EQ(order->TotalFrequency(), 6u);
-  // Combiner must have pre-aggregated (shuffle < map emissions).
-  EXPECT_LT(metrics.shuffle_records, 6u);
+  // One stripe record per (map task, touched stripe): both map tasks touch
+  // stripe 0 only.
+  EXPECT_EQ(metrics.shuffle_records, 2u);
+  EXPECT_EQ(metrics.reduce_output_records, 1u);
 }
 
 TEST(OrderingJobTest, RejectsOutOfVocabularyTokens) {
@@ -74,11 +82,250 @@ TEST(OrderingJobTest, RejectsOutOfVocabularyTokens) {
   mr::Dataset output;
   mr::JobMetrics metrics;
   ASSERT_TRUE(engine
-                  .Run(MakeOrderingJobConfig(1, 1), MakeCorpusDataset(corpus),
-                       &output, &metrics)
+                  .Run(MakeOrderingJobConfig(1, 1, corpus.dictionary.size()),
+                       MakeCorpusDataset(corpus), &output, &metrics)
                   .ok());
   // Pretend the vocabulary is smaller than the data claims.
   EXPECT_FALSE(BuildGlobalOrderFromJobOutput(output, 1).ok());
+}
+
+// A map task given an id at or above the payload vocabulary fails with a
+// Status instead of growing its counters; so does the whole job.
+TEST(OrderingJobTest, MapperRejectsIdOutsidePayloadVocabulary) {
+  Corpus corpus = CorpusFromTokenSets({{0, 1, 2}, {1, 2}});
+  const mr::Dataset input = MakeCorpusDataset(corpus);
+  const mr::JobConfig config = MakeOrderingJobConfig(1, 1, 2);
+  Result<mr::TaskFactories> factories =
+      mr::ResolveTaskFactory(config.task_factory, config.task_payload);
+  ASSERT_TRUE(factories.ok()) << factories.status().ToString();
+  std::unique_ptr<mr::Mapper> mapper = factories->mapper();
+  mr::Dataset sink;
+  mr::VectorEmitter emitter(&sink);
+  ASSERT_TRUE(mapper->Setup().ok());
+  EXPECT_FALSE(mapper->Map(input[0], &emitter).ok());
+
+  mr::Engine engine(0);
+  mr::Dataset output;
+  mr::JobMetrics metrics;
+  EXPECT_FALSE(engine.Run(config, input, &output, &metrics).ok());
+}
+
+TEST(OrderingJobTest, FactoryRejectsBadPayloads) {
+  EXPECT_FALSE(mr::ResolveTaskFactory("core.ordering", "").ok());
+  std::string trailing;
+  PutVarint64(&trailing, 10);
+  trailing.push_back('x');
+  EXPECT_FALSE(mr::ResolveTaskFactory("core.ordering", trailing).ok());
+  std::string too_big;
+  PutVarint64(&too_big, (uint64_t{1} << 32) + 1);
+  EXPECT_FALSE(mr::ResolveTaskFactory("core.ordering", too_big).ok());
+}
+
+// ---- Ordering stripe codec ------------------------------------------------
+
+std::vector<StripeEntry> DecodeOk(const std::string& key,
+                                  const std::string& value, size_t vocab,
+                                  uint32_t want_stripe) {
+  std::vector<StripeEntry> entries;
+  uint32_t stripe = 0;
+  const Status st = DecodeOrderingStripe(key, value, vocab, &stripe, &entries);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(stripe, want_stripe);
+  return entries;
+}
+
+TEST(OrderingStripeTest, RoundTripsStripeEdges) {
+  constexpr uint32_t kW = kOrderingStripeWidth;
+  const size_t vocab = 3 * kW + 10;
+  const TokenId last = static_cast<TokenId>(vocab - 1);
+  const std::vector<std::pair<uint32_t, std::vector<StripeEntry>>> cases = {
+      {0, {{0, 1}, {kW - 1, 7}}},
+      {1, {{kW, 3}}},
+      {1, {{kW, 1}, {kW + 1, 2}, {2 * kW - 1, uint64_t{1} << 40}}},
+      {3, {{3 * kW, 5}, {last, 9}}},
+      {2, {}},  // empty stripe: just the zero entry count
+  };
+  for (const auto& [stripe, entries] : cases) {
+    std::string key, value;
+    EncodeOrderingStripe(stripe, entries, &key, &value);
+    ASSERT_EQ(key.size(), 4u);
+    EXPECT_EQ(DecodeOk(key, value, vocab, stripe), entries)
+        << "stripe " << stripe;
+  }
+  std::string key, value;
+  EncodeOrderingStripe(2, {}, &key, &value);
+  EXPECT_EQ(value, std::string(1, '\0'));
+}
+
+TEST(OrderingStripeTest, DecodeRejectsMalformedStripes) {
+  constexpr uint32_t kW = kOrderingStripeWidth;
+  const size_t vocab = 2 * kW;
+  uint32_t stripe = 0;
+  std::vector<StripeEntry> entries;
+  auto decodes = [&](std::string_view key, std::string_view value,
+                     size_t vocab_size) {
+    return DecodeOrderingStripe(key, value, vocab_size, &stripe, &entries)
+        .ok();
+  };
+
+  std::string key, value;
+  EncodeOrderingStripe(1, {{kW + 2, 4}, {kW + 300, 1}}, &key, &value);
+  ASSERT_TRUE(decodes(key, value, vocab));
+
+  // Truncated: every strict prefix of the value.
+  for (size_t keep = 0; keep < value.size(); ++keep) {
+    EXPECT_FALSE(decodes(key, value.substr(0, keep), vocab))
+        << "prefix of " << keep << " bytes decoded";
+  }
+  // Trailing bytes.
+  EXPECT_FALSE(decodes(key, value + std::string(1, '\0'), vocab));
+  // Malformed keys.
+  EXPECT_FALSE(decodes(key.substr(0, 3), value, vocab));
+  EXPECT_FALSE(decodes(key + "x", value, vocab));
+
+  // Out of stripe: a first delta of a whole stripe, and a later delta that
+  // runs past the stripe's end.
+  auto raw = [](std::initializer_list<uint64_t> varints) {
+    std::string v;
+    for (uint64_t x : varints) PutVarint64(&v, x);
+    return v;
+  };
+  EXPECT_FALSE(decodes(key, raw({1, kW, 1}), vocab));
+  EXPECT_FALSE(decodes(key, raw({2, kW - 1, 1, 1, 1}), vocab));
+  EXPECT_FALSE(decodes(key, raw({1, uint64_t{1} << 63, 1}), vocab));
+  // Ids that repeat instead of ascending.
+  EXPECT_FALSE(decodes(key, raw({2, 5, 1, 0, 1}), vocab));
+  // More entries than a stripe holds.
+  EXPECT_FALSE(decodes(key, raw({kW + 1}), vocab));
+  // Out of vocabulary: inside the stripe, past the last token id.
+  EXPECT_TRUE(decodes(key, raw({1, 9, 1}), kW + 10));
+  EXPECT_FALSE(decodes(key, raw({1, 10, 1}), kW + 10));
+  EXPECT_FALSE(decodes(key, value, kW));
+}
+
+// ---- Ordering job vs the serial order -------------------------------------
+
+/// A generated corpus whose dictionary spans several ordering stripes.
+Corpus WideVocabularyCorpus(uint64_t seed) {
+  SyntheticCorpusConfig cfg;
+  cfg.num_records = 900;
+  cfg.vocab_size = 30000;
+  cfg.zipf_skew = 0.4;
+  cfg.avg_len = 24;
+  cfg.len_sigma = 0.6;
+  cfg.min_len = 1;
+  cfg.max_len = 120;
+  cfg.near_duplicate_fraction = 0.2;
+  cfg.mutation_rate = 0.1;
+  cfg.seed = seed;
+  return GenerateCorpus(cfg);
+}
+
+void ExpectSameOrder(const GlobalOrder& got, const GlobalOrder& want,
+                     const std::string& cell) {
+  ASSERT_EQ(got.NumTokens(), want.NumTokens()) << cell;
+  EXPECT_EQ(got.TotalFrequency(), want.TotalFrequency()) << cell;
+  for (TokenRank r = 0; r < want.NumTokens(); ++r) {
+    ASSERT_EQ(got.TokenAt(r), want.TokenAt(r)) << cell << " rank " << r;
+    ASSERT_EQ(got.FrequencyAt(r), want.FrequencyAt(r)) << cell << " rank " << r;
+  }
+}
+
+TEST(OrderingJobTest, MatchesSerialOrderAcrossTaskGridsAndRunners) {
+  for (uint64_t seed : {5u, 6u}) {
+    const Corpus corpus = WideVocabularyCorpus(seed);
+    const size_t vocab = corpus.dictionary.size();
+    ASSERT_GT(vocab, 2 * kOrderingStripeWidth) << "needs at least 3 stripes";
+    const GlobalOrder want = GlobalOrder::FromCorpus(corpus);
+    const mr::Dataset input = MakeCorpusDataset(corpus);
+    for (mr::RunnerKind runner :
+         {mr::RunnerKind::kInline, mr::RunnerKind::kThreads,
+          mr::RunnerKind::kSubprocess}) {
+      for (uint32_t maps : {1u, 3u, 8u}) {
+        for (uint32_t reduces : {1u, 5u, 8u}) {
+          const std::string cell =
+              std::string(mr::RunnerKindName(runner)) + " seed " +
+              std::to_string(seed) + " " + std::to_string(maps) + "x" +
+              std::to_string(reduces);
+          mr::EngineOptions options;
+          options.runner = runner;
+          options.num_threads = runner == mr::RunnerKind::kThreads ? 4 : 0;
+          mr::Engine engine(options);
+          mr::Dataset output;
+          mr::JobMetrics metrics;
+          const Status st =
+              engine.Run(MakeOrderingJobConfig(maps, reduces, vocab), input,
+                         &output, &metrics);
+          ASSERT_TRUE(st.ok()) << cell << ": " << st.ToString();
+          // At most one record per (map task, stripe) crosses the shuffle,
+          // and one summed record per stripe comes out.
+          const uint64_t stripes =
+              (vocab + kOrderingStripeWidth - 1) / kOrderingStripeWidth;
+          EXPECT_LE(metrics.shuffle_records, maps * stripes) << cell;
+          EXPECT_EQ(metrics.reduce_output_records, stripes) << cell;
+          Result<GlobalOrder> got =
+              BuildGlobalOrderFromJobOutput(output, vocab);
+          ASSERT_TRUE(got.ok()) << cell << ": " << got.status().ToString();
+          ExpectSameOrder(*got, want, cell);
+        }
+      }
+    }
+  }
+}
+
+// ---- Counting-sort global order -------------------------------------------
+
+/// The comparison sort FromFrequencies replaced: ascending frequency, ties
+/// by token id.
+std::vector<TokenId> ReferenceOrder(const std::vector<uint64_t>& freq) {
+  std::vector<TokenId> ids(freq.size());
+  for (size_t t = 0; t < ids.size(); ++t) ids[t] = static_cast<TokenId>(t);
+  std::sort(ids.begin(), ids.end(), [&](TokenId a, TokenId b) {
+    if (freq[a] != freq[b]) return freq[a] < freq[b];
+    return a < b;
+  });
+  return ids;
+}
+
+void ExpectMatchesReference(const std::vector<uint64_t>& freq,
+                            const std::string& label) {
+  const GlobalOrder order = GlobalOrder::FromFrequencies(freq);
+  const std::vector<TokenId> want = ReferenceOrder(freq);
+  ASSERT_EQ(order.NumTokens(), want.size()) << label;
+  uint64_t total = 0;
+  for (uint64_t f : freq) total += f;
+  EXPECT_EQ(order.TotalFrequency(), total) << label;
+  for (size_t r = 0; r < want.size(); ++r) {
+    ASSERT_EQ(order.TokenAt(static_cast<TokenRank>(r)), want[r])
+        << label << " rank " << r;
+    ASSERT_EQ(order.RankOf(want[r]), r) << label << " token " << want[r];
+    ASSERT_EQ(order.FrequencyAt(static_cast<TokenRank>(r)), freq[want[r]])
+        << label;
+  }
+}
+
+TEST(GlobalOrderCountingSortTest, MatchesComparisonSort) {
+  ExpectMatchesReference({}, "n=0");
+  ExpectMatchesReference({0}, "n=1 zero");
+  ExpectMatchesReference({5}, "n=1 large");
+  ExpectMatchesReference(std::vector<uint64_t>(100, 0), "all zero");
+  ExpectMatchesReference(std::vector<uint64_t>(100, 42), "all equal small");
+  ExpectMatchesReference(std::vector<uint64_t>(100, 1000), "all equal large");
+  ExpectMatchesReference({3, 3, 2, 100, 3, ~uint64_t{0}, 7, 0},
+                         "frequencies >= n");
+
+  Rng rng(2024);
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t n = rng.NextBounded(600);
+    // Frequency ranges below, around and far above n, so buckets, the
+    // >= n tail and their boundary all get exercised.
+    const uint64_t bound = std::vector<uint64_t>{
+        1, 2, n / 4 + 1, n + 1, 2 * n + 1, uint64_t{1} << 40}[trial % 6];
+    std::vector<uint64_t> freq(n);
+    for (uint64_t& f : freq) f = rng.NextBounded(bound);
+    ExpectMatchesReference(freq, "trial " + std::to_string(trial) +
+                                     " n=" + std::to_string(n));
+  }
 }
 
 TEST(FragmentPartitionerTest, SpreadsFragmentsRoundRobin) {
@@ -325,21 +572,21 @@ TEST(MetricsRegressionTest, CountersMatchSeedEngine) {
   const mr::JobMetrics& ord = out->report.ordering_job;
   EXPECT_EQ(ord.map_input_records, 300u);
   EXPECT_EQ(ord.map_input_bytes, 6677u);
-  EXPECT_EQ(ord.map_output_records, 992u);
-  EXPECT_EQ(ord.map_output_bytes, 4960u);
-  EXPECT_EQ(ord.combine_input_records, 4208u);
-  EXPECT_EQ(ord.shuffle_records, 992u);
-  EXPECT_EQ(ord.shuffle_bytes, 4960u);
-  EXPECT_EQ(ord.reduce_output_records, 375u);
-  EXPECT_EQ(ord.reduce_output_bytes, 1878u);
-  EXPECT_EQ(max_group_bytes(ord), 20u);
+  // One stripe record per map task (the 375-token vocabulary fits one
+  // 4096-id stripe), summed into one output record.
+  EXPECT_EQ(ord.map_output_records, 4u);
+  EXPECT_EQ(ord.map_output_bytes, 2008u);
+  EXPECT_EQ(ord.shuffle_records, 4u);
+  EXPECT_EQ(ord.shuffle_bytes, 2008u);
+  EXPECT_EQ(ord.reduce_output_records, 1u);
+  EXPECT_EQ(ord.reduce_output_bytes, 759u);
+  EXPECT_EQ(max_group_bytes(ord), 2008u);
 
   const mr::JobMetrics& fil = out->report.filtering_job;
   EXPECT_EQ(fil.map_input_records, 300u);
   EXPECT_EQ(fil.map_input_bytes, 6677u);
   EXPECT_EQ(fil.map_output_records, 2382u);
   EXPECT_EQ(fil.map_output_bytes, 42332u);
-  EXPECT_EQ(fil.combine_input_records, 0u);
   EXPECT_EQ(fil.shuffle_records, 2382u);
   EXPECT_EQ(fil.shuffle_bytes, 42332u);
   EXPECT_EQ(fil.reduce_output_records, 5628u);

@@ -226,7 +226,9 @@ mr::JobConfig CountJob() {
 mr::Dataset CountInput() {
   mr::Dataset input;
   for (int i = 0; i < 40; ++i) {
-    input.push_back({"k" + std::to_string(i % 7), "x"});
+    std::string key = "k";
+    key += std::to_string(i % 7);
+    input.push_back({std::move(key), "x"});
   }
   return input;
 }

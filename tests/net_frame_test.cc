@@ -50,7 +50,7 @@ TEST(EndpointTest, RejectsMalformedEndpoints) {
     ASSERT_FALSE(ep.ok()) << "'" << bad << "' was accepted";
     EXPECT_EQ(ep.status().code(), StatusCode::kInvalidArgument);
     // Actionable: the message names the offending input and the shape.
-    EXPECT_NE(ep.status().message().find("'" + std::string(bad) + "'"),
+    EXPECT_NE(ep.status().message().find(std::string("'") + bad + "'"),
               std::string::npos)
         << ep.status().ToString();
     EXPECT_NE(ep.status().message().find("host:port"), std::string::npos)
@@ -326,7 +326,6 @@ TEST(TaskOutputWireTest, ReduceResultRoundTrips) {
   out.metrics.input_bytes = 4321;
   out.metrics.output_records = 50;
   out.metrics.max_group_bytes = 99;
-  out.combine_input_records = 17;
   out.side_state = std::string("side\0bytes", 10);
   std::string bytes;
   mr::EncodeTaskOutputWire(out, &bytes);
@@ -342,7 +341,6 @@ TEST(TaskOutputWireTest, ReduceResultRoundTrips) {
   EXPECT_EQ(read.metrics.input_records, 50u);
   EXPECT_EQ(read.metrics.input_bytes, 4321u);
   EXPECT_EQ(read.metrics.max_group_bytes, 99u);
-  EXPECT_EQ(read.combine_input_records, 17u);
   EXPECT_EQ(read.side_state, out.side_state);
 }
 

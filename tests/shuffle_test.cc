@@ -86,7 +86,9 @@ std::vector<KeyValue> RandomRecords(size_t n, uint64_t seed) {
     for (size_t j = 0; j < len; ++j) {
       key.push_back(rng.NextBounded(2) == 0 ? 'a' : 'b');
     }
-    records.push_back(KeyValue{std::move(key), "v" + std::to_string(i)});
+    std::string value = "v";
+    value += std::to_string(i);
+    records.push_back(KeyValue{std::move(key), std::move(value)});
   }
   return records;
 }
@@ -120,6 +122,69 @@ TEST(ShuffleShardTest, SortMatchesStableSortOverConcatenatedBuffers) {
                      return a.key < b.key;
                    });
 
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(shard.key(i), reference[i].key) << "at " << i;
+    EXPECT_EQ(shard.value(i), reference[i].value) << "at " << i;
+  }
+}
+
+// Sort-order pin for ShuffleShard::SortByKey: the result must equal a
+// bytewise std::stable_sort over the buffers concatenated in arrival order,
+// on hand-picked keys around the 8-byte tag boundary. A faster sort (radix
+// or otherwise) must keep this test passing unchanged.
+TEST(ShuffleShardTest, SortPinsStableBytewiseOrderOnTagEdgeKeys) {
+  const std::vector<std::string> keys = {
+      std::string(),
+      std::string("a"),
+      std::string("ab"),
+      std::string("ab\0", 3),      // tag-equal to "ab", one byte longer
+      std::string("abcdefg"),      // shorter than the tag
+      std::string("abcdefgh"),     // exactly the tag
+      std::string("abcdefgh\0", 9),
+      std::string("abcdefghi"),    // longer; strict prefix of the next
+      std::string("abcdefghij"),
+      std::string("abcdefghz"),    // tag-equal, differs after the tag
+      std::string("abcdefgha\xff", 10),
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xff"),
+      std::string("\xff\xff\xff\xff\xff\xff\xff\xff\x01", 9),
+      std::string("\x00\x00\x00\x00\x00\x00\x00\x00\x00", 9),
+  };
+  // Four "map task" buffers. Every key appears in several of them, some
+  // twice within one buffer, so equal keys must come out in arrival order
+  // (buffer order, then position).
+  std::vector<std::vector<KeyValue>> per_buffer(4);
+  Rng rng(4096);
+  for (size_t b = 0; b < per_buffer.size(); ++b) {
+    for (size_t round = 0; round < 2; ++round) {
+      for (size_t k = 0; k < keys.size(); ++k) {
+        if (rng.NextBounded(3) == 0) continue;
+        std::string value = "b";
+        value += std::to_string(b);
+        value += '.';
+        value += std::to_string(per_buffer[b].size());
+        per_buffer[b].push_back(
+            KeyValue{keys[(k * 7 + b + round) % keys.size()], value});
+      }
+    }
+  }
+
+  ShuffleShard shard;
+  Dataset reference;
+  for (const std::vector<KeyValue>& records : per_buffer) {
+    KvBuffer buffer;
+    for (const KeyValue& kv : records) {
+      buffer.Append(kv.key, kv.value);
+      reference.push_back(kv);
+    }
+    ASSERT_TRUE(shard.AddBuffer(std::move(buffer)).ok());
+  }
+  shard.SortByKey();
+  std::stable_sort(reference.begin(), reference.end(),
+                   [](const KeyValue& a, const KeyValue& b) {
+                     return std::string_view(a.key) < std::string_view(b.key);
+                   });
+
+  ASSERT_EQ(shard.NumRecords(), reference.size());
   for (size_t i = 0; i < reference.size(); ++i) {
     EXPECT_EQ(shard.key(i), reference[i].key) << "at " << i;
     EXPECT_EQ(shard.value(i), reference[i].value) << "at " << i;

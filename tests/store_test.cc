@@ -140,7 +140,9 @@ std::vector<Record> SortedRecords(size_t n, uint64_t seed) {
     for (size_t j = 0; j < len; ++j) {
       key.push_back(static_cast<char>('a' + rng.NextBounded(3)));
     }
-    records.emplace_back(std::move(key), "v" + std::to_string(i));
+    std::string value = "v";
+    value += std::to_string(i);
+    records.emplace_back(std::move(key), std::move(value));
   }
   std::stable_sort(records.begin(), records.end(),
                    [](const Record& a, const Record& b) {
@@ -361,8 +363,9 @@ TEST(LoserTreeMergeTest, BreaksTiesOnSourceIndex) {
   // in-memory sort would have kept.
   std::vector<std::vector<Record>> sources;
   for (int s = 0; s < 5; ++s) {
-    sources.push_back({{"k", "s" + std::to_string(s) + "a"},
-                       {"k", "s" + std::to_string(s) + "b"}});
+    std::string prefix = "s";
+    prefix += std::to_string(s);
+    sources.push_back({{"k", prefix + "a"}, {"k", prefix + "b"}});
   }
   std::vector<Record> out;
   ASSERT_TRUE(MergeAll(sources, &out).ok());
@@ -394,8 +397,11 @@ TEST(LoserTreeMergeTest, RandomizedAgainstStableReference) {
         for (size_t j = 0; j < len; ++j) {
           key.push_back(static_cast<char>('a' + rng.NextBounded(2)));
         }
-        src.emplace_back(std::move(key),
-                         "s" + std::to_string(s) + "." + std::to_string(i));
+        std::string value = "s";
+        value += std::to_string(s);
+        value += '.';
+        value += std::to_string(i);
+        src.emplace_back(std::move(key), std::move(value));
       }
       std::stable_sort(src.begin(), src.end(),
                        [](const Record& a, const Record& b) {

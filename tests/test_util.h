@@ -22,7 +22,8 @@ inline Corpus CorpusFromTokenSets(
     std::string line;
     for (uint32_t t : set) {
       if (!line.empty()) line += ' ';
-      line += "t" + std::to_string(t);
+      line += 't';
+      line += std::to_string(t);
     }
     lines.push_back(line);
   }

@@ -395,7 +395,8 @@ TEST(RoundTripProperty, TokenizeDictionaryGlobalOrderPreservesMultiplicity) {
       std::set<std::string> expected;
       for (size_t k = 0; k < len; ++k) {
         // Duplicates within a line are likely and must collapse.
-        std::string word = "w" + std::to_string(rng.NextBounded(vocab));
+        std::string word = "w";
+        word += std::to_string(rng.NextBounded(vocab));
         expected.insert(word);
         if (!line.empty()) line += ' ';
         line += word;

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   // archive only links objects whose symbols are referenced, an unused
   // address-of constant gets folded away before the linker sees it, and
   // the worker reaches task factories purely by name over the wire.
-  (void)fsjoin::MakeOrderingJobConfig(1, 1);
+  (void)fsjoin::MakeOrderingJobConfig(1, 1, 1);
   // Validate up front for a friendly message; ServeWorker re-parses.
   auto ep = fsjoin::ParseEndpoint(options.listen);
   if (!ep.ok()) {
