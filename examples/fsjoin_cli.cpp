@@ -19,10 +19,8 @@
 //                       may miss borderline pairs)
 //   --kernel NAME       auto | scalar | packed | simd overlap kernel
 //                       family for fragment-join verification [auto]
-//   --threads N         engine worker threads                 [0 = inline]
-//   --parallel-join     morsel-parallel fragment joins (same results,
-//                       work-stealing over --threads workers)
-//   --morsel N          probe segments per morsel             [64]
+//   --threads N         engine worker threads; they also split
+//                       skewed fragment joins into morsels [0 = inline]
 //   --shuffle-mem SIZE  spill the shuffle to disk past this many buffered
 //                       bytes (0 or at least 64); accepts k/m/g
 //                       suffixes                              [0 = in memory]
@@ -92,9 +90,7 @@ struct CliOptions {
   uint32_t fragments = 30;
   uint32_t horizontal = 0;
   size_t threads = 0;
-  size_t morsel = 64;
   uint64_t shuffle_mem = 0;
-  bool parallel_join = false;
   bool aggressive = false;
   bool report = false;
 };
@@ -109,7 +105,6 @@ int Usage(const char* argv0) {
                "[--aggressive] "
                "[--kernel auto|scalar|packed|simd] "
                "[--threads N] "
-               "[--parallel-join] [--morsel N] "
                "[--shuffle-mem SIZE] [--spill-dir DIR] "
                "[--runner inline|threads|subprocess|cluster] "
                "[--task-retries N] "
@@ -273,12 +268,6 @@ int main(int argc, char** argv) {
       if (!ParseFlag(arg, next(), IntIn(0, kMaxThreads), &opts.threads)) {
         return Usage(argv[0]);
       }
-    } else if (arg == "--parallel-join") {
-      opts.parallel_join = true;
-    } else if (arg == "--morsel") {
-      if (!ParseFlag(arg, next(), IntIn(1, UINT32_MAX), &opts.morsel)) {
-        return Usage(argv[0]);
-      }
     } else if (arg == "--shuffle-mem") {
       const char* v = next();
       if (!v || !ParseByteSize(v, &opts.shuffle_mem)) {
@@ -348,8 +337,6 @@ int main(int argc, char** argv) {
   config.num_vertical_partitions = opts.fragments;
   config.num_horizontal_partitions = opts.horizontal;
   config.exec.num_threads = opts.threads;
-  config.exec.parallel_fragment_join = opts.parallel_join;
-  config.exec.join_morsel_size = opts.morsel;
   config.exec.shuffle_memory_bytes = opts.shuffle_mem;
   config.exec.spill_dir = opts.spill_dir;
   config.exec.task_retries = opts.task_retries;

@@ -339,7 +339,7 @@ Result<BaselineOutput> RunMassJoin(const Corpus& corpus,
     return job;
   };
 
-  mr::Dataset input = MakeCorpusDataset(corpus);
+  mr::Dataset input = MakeCorpusDataset(corpus, backend.pool());
   FSJOIN_ASSIGN_OR_RETURN(
       ctx->order, RunOrderingJob(&backend, input, corpus.dictionary.size()));
 

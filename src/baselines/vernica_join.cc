@@ -198,7 +198,7 @@ Result<BaselineOutput> RunVernicaJoin(const Corpus& corpus,
   WallTimer timer;
 
   exec::MapReduceBackend backend(config.exec);
-  mr::Dataset input = MakeCorpusDataset(corpus);
+  mr::Dataset input = MakeCorpusDataset(corpus, backend.pool());
 
   auto ctx = std::make_shared<VernicaContext>();
   ctx->config = config;

@@ -131,8 +131,9 @@ Result<BaselineOutput> RunVSmartJoin(const Corpus& corpus,
   join.reducer_factory = [ctx] {
     return std::make_unique<PairEnumerationReducer>(ctx);
   };
-  FSJOIN_ASSIGN_OR_RETURN(mr::Dataset partials,
-                          backend.Run(join, MakeCorpusDataset(corpus)));
+  FSJOIN_ASSIGN_OR_RETURN(
+      mr::Dataset partials,
+      backend.Run(join, MakeCorpusDataset(corpus, backend.pool())));
 
   // Similarity: aggregate + threshold, with FS-Join's verification job.
   // The partials move into a temporary, freed as soon as the job returns.

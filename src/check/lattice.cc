@@ -22,7 +22,6 @@ constexpr PivotStrategy kPivots[] = {PivotStrategy::kRandom,
                                      PivotStrategy::kEvenInterval,
                                      PivotStrategy::kEvenTf};
 constexpr size_t kThreads[] = {0, 2, 4};
-constexpr size_t kMorsels[] = {1, 7, 64};
 constexpr uint64_t kSpillBudgets[] = {0, 256, 4096};
 constexpr uint32_t kTaskCounts[] = {1, 3, 5, 8};
 // Kernel families weighted toward the vectorized path (the new code under
@@ -47,10 +46,6 @@ exec::ExecConfig SampleExec(Rng& rng) {
   exec.num_map_tasks = Pick(kTaskCounts, rng);
   exec.num_reduce_tasks = Pick(kTaskCounts, rng);
   exec.num_threads = Pick(kThreads, rng);
-  if (rng.NextBool(0.4)) {
-    exec.parallel_fragment_join = true;
-    exec.join_morsel_size = Pick(kMorsels, rng);
-  }
   exec.shuffle_memory_bytes = Pick(kSpillBudgets, rng);
   exec.kernel = Pick(kKernels, rng);
   exec.runner = Pick(kRunners, rng);
@@ -79,11 +74,10 @@ std::string LatticePoint::Name() const {
   if (algorithm == Algorithm::kFsJoin) {
     const exec::ExecConfig& e = fsjoin.exec;
     return StrFormat(
-        "fsjoin(%s, maps=%u, reduces=%u, threads=%zu, morsel=%zu, "
-        "spill=%llu, kernel=%s, runner=%s%s)",
+        "fsjoin(%s, maps=%u, reduces=%u, threads=%zu, spill=%llu, "
+        "kernel=%s, runner=%s%s)",
         fsjoin.Summary().c_str(), e.num_map_tasks, e.num_reduce_tasks,
         e.num_threads,
-        e.parallel_fragment_join ? e.join_morsel_size : size_t{0},
         static_cast<unsigned long long>(e.shuffle_memory_bytes),
         exec::KernelModeName(e.kernel), mr::RunnerKindName(e.runner),
         rs_suffix.c_str());
@@ -145,8 +139,6 @@ std::vector<LatticePoint> SampleLattice(uint64_t seed, size_t count) {
       }
     } else {
       p.baseline.exec = SampleExec(rng);
-      // Morsel-parallel joins are an FS-Join reducer feature.
-      p.baseline.exec.parallel_fragment_join = false;
       if (p.algorithm == Algorithm::kMassJoin) {
         p.massjoin_length_group =
             1 + static_cast<uint32_t>(rng.NextBounded(4));

@@ -45,8 +45,9 @@ struct LatticePoint {
 /// the similarity function are drawn once per seed (they change the result
 /// set; every other knob must not). The first four points always cover all
 /// four algorithms; the rest lean on FS-Join, whose knob space (threads x
-/// morsel size x spill budget x pivot strategy x horizontal t x join
-/// method x filter toggles x fragment count) is the large one.
+/// spill budget x pivot strategy x horizontal t x join method x filter
+/// toggles x fragment count) is the large one. Threads > 0 on the thread
+/// runner also runs the fragment joins in morsels.
 std::vector<LatticePoint> SampleLattice(uint64_t seed, size_t count);
 
 }  // namespace fsjoin::check

@@ -113,11 +113,7 @@ void ShrinkConfig(Shrinker& shrinker,
   };
 
   try_mutation([](LatticePoint* p) {
-    MutateExec(p, [](exec::ExecConfig* e) {
-      e->num_threads = 0;
-      e->parallel_fragment_join = false;
-      e->join_morsel_size = 64;
-    });
+    MutateExec(p, [](exec::ExecConfig* e) { e->num_threads = 0; });
   });
   try_mutation([](LatticePoint* p) {
     MutateExec(p, [](exec::ExecConfig* e) { e->shuffle_memory_bytes = 0; });
@@ -220,14 +216,6 @@ void EmitExecOverrides(const exec::ExecConfig& exec, const std::string& var,
   if (exec.num_threads != defaults.num_threads) {
     *out += StrFormat("  %s.exec.num_threads = %zu;\n", var.c_str(),
                       exec.num_threads);
-  }
-  if (exec.parallel_fragment_join != defaults.parallel_fragment_join) {
-    *out += StrFormat("  %s.exec.parallel_fragment_join = true;\n",
-                      var.c_str());
-  }
-  if (exec.join_morsel_size != defaults.join_morsel_size) {
-    *out += StrFormat("  %s.exec.join_morsel_size = %zu;\n", var.c_str(),
-                      exec.join_morsel_size);
   }
   if (exec.shuffle_memory_bytes != defaults.shuffle_memory_bytes) {
     *out += StrFormat("  %s.exec.shuffle_memory_bytes = %llu;\n", var.c_str(),

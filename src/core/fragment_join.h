@@ -13,6 +13,11 @@
 
 namespace fsjoin {
 
+/// Probe segments per morsel of a morsel-parallel fragment join: balances
+/// scheduling overhead against steal granularity on skewed fragments
+/// (bench_micro_kernels --json measures the split).
+inline constexpr size_t kJoinMorselSize = 64;
+
 /// Pruning statistics from fragment joins — the raw data behind Table IV.
 /// Every counter is a plain sum, so Add is associative and commutative:
 /// counters merged over any morsel split of a fragment equal the serial
@@ -62,16 +67,17 @@ struct FragmentJoinOptions {
   /// batch must be side-tagged (SegmentBatch::TagSides) with this boundary.
   std::optional<RecordId> rs_boundary;
 
-  /// Morsel-parallel execution (exec::ExecConfig::parallel_fragment_join):
-  /// when `morsel_pool` is set and `morsel_size` > 0, the probe loop is cut
-  /// into morsels of `morsel_size` probe segments scheduled onto the pool.
-  /// Each morsel appends to its own output/counter buffers, merged in
-  /// morsel-index order, so results and counters are byte-identical to the
-  /// serial run for every morsel size and thread count. Defaults preserve
-  /// the serial path. The pool is shared across concurrent fragment joins
-  /// (work-stealing across fragments *and* morsels); not owned.
+  /// Morsel-parallel execution: when `morsel_pool` is set and
+  /// `morsel_size` > 0, the probe loop is cut into morsels of `morsel_size`
+  /// probe segments scheduled onto the pool. Each morsel appends to its own
+  /// output/counter buffers, merged in morsel-index order, so results and
+  /// counters are byte-identical to the serial run for every morsel size
+  /// and thread count. A null pool is the serial path. The filtering
+  /// reducer passes the thread-pool runner's own pool, on which the
+  /// reducers themselves run, so idle reduce workers steal a straggler
+  /// fragment's morsels; not owned.
   ThreadPool* morsel_pool = nullptr;
-  size_t morsel_size = 0;  ///< probe segments per morsel; 0 = serial
+  size_t morsel_size = kJoinMorselSize;  ///< probe segments per morsel
 
   /// Overlap kernel family (exec::KernelMode taxonomy): which compiled
   /// pipeline JoinFragmentBatch dispatches to. Every mode yields identical

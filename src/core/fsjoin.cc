@@ -1,7 +1,10 @@
 #include "core/fsjoin.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -67,20 +70,23 @@ std::string FsJoinReport::Summary() const {
 Result<FsJoinOutput> FsJoin::Run(const Corpus& corpus) const {
   FSJOIN_RETURN_NOT_OK(config_.Validate());
   WallTimer timer;
-  // The backend and its runner are released inside RunJobs, so their
+  // The backend and its runner are released inside the lambda, so their
   // teardown (a cluster runner's worker shutdown) is inside the wall.
-  FSJOIN_ASSIGN_OR_RETURN(FsJoinOutput output, RunJobs(corpus));
+  FSJOIN_ASSIGN_OR_RETURN(FsJoinOutput output,
+                          ([&]() -> Result<FsJoinOutput> {
+                            exec::MapReduceBackend backend(config_.exec);
+                            return RunJobs(corpus, backend);
+                          }()));
   output.report.total_wall_ms = timer.ElapsedMillis();
   return output;
 }
 
-Result<FsJoinOutput> FsJoin::RunJobs(const Corpus& corpus) const {
-  exec::MapReduceBackend backend(config_.exec);
-
+Result<FsJoinOutput> FsJoin::RunJobs(const Corpus& corpus,
+                                     exec::MapReduceBackend& backend) const {
   FsJoinOutput output;
   output.report.config = config_;
 
-  mr::Dataset input = MakeCorpusDataset(corpus);
+  mr::Dataset input = MakeCorpusDataset(corpus, backend.pool());
 
   // --- Job 1: ordering ----------------------------------------------------
   auto filtering_ctx = std::make_shared<FilteringContext>();
@@ -90,14 +96,11 @@ Result<FsJoinOutput> FsJoin::RunJobs(const Corpus& corpus) const {
       RunOrderingJob(&backend, input, corpus.dictionary.size()));
   output.report.ordering_job = backend.history().back();
 
+  // The reducers' own pool: a worker that runs out of fragments steals
+  // morsels of a skewed one. Null (serial joins) off the thread runner.
+  filtering_ctx->join_pool = backend.pool();
+
   // --- Pivot selection (driver-side, like the paper's setup() phase) ----
-  if (config_.exec.parallel_fragment_join) {
-    // One pool for the whole run: morsels steal work across fragments, so
-    // a skewed fragment is consumed by every worker. With num_threads == 0
-    // ParallelFor runs inline (deterministic-debug mode).
-    filtering_ctx->join_pool =
-        std::make_unique<ThreadPool>(config_.exec.num_threads);
-  }
   // Validate guarantees at least one fragment.
   filtering_ctx->pivots =
       SelectPivots(*filtering_ctx->order, config_.pivot_strategy,
@@ -163,34 +166,96 @@ Result<FsJoinOutput> FsJoin::RunJobs(const Corpus& corpus) const {
   return output;
 }
 
-Corpus MergeJoinInput(const JoinInput& input) {
-  Corpus merged;
-  merged.records.reserve(input.r.records.size() + input.s.records.size());
+Corpus MergeJoinInput(const JoinInput& input, ThreadPool* pool) {
+  ThreadPool inline_pool(0);
+  ThreadPool& workers = pool != nullptr ? *pool : inline_pool;
+  const Corpus& r = input.r;
+  const Corpus& s = input.s;
+  const size_t num_r = r.records.size();
+  const size_t num_s = s.records.size();
+  const size_t s_vocab = s.dictionary.size();
+
+  // First sight of every S token: the first S record that holds it.
+  constexpr uint32_t kNone = ~uint32_t{0};  // no record, no merged id yet
+  std::vector<uint32_t> first(s_vocab, kNone);
+  workers.ParallelFor(num_s, kCorpusRecordGrain, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const uint32_t rec = static_cast<uint32_t>(i);
+      for (TokenId t : s.records[i].tokens) {
+        std::atomic_ref<uint32_t> seen(first[t]);
+        uint32_t cur = seen.load(std::memory_order_relaxed);
+        while (rec < cur && !seen.compare_exchange_weak(
+                                cur, rec, std::memory_order_relaxed)) {
+        }
+      }
+    }
+  });
+
+  // Map every seen S token R knows to R's id (a read-only lookup); the
+  // rest stay kNone in `ids` until they are appended below.
+  std::vector<TokenId> ids(s_vocab, kNone);
+  constexpr size_t kTokenGrain = 4096;
+  workers.ParallelFor(s_vocab, kTokenGrain, [&](size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      if (first[t] == kNone) continue;
+      if (std::optional<TokenId> id =
+              r.dictionary.Find(s.dictionary.TokenString(t))) {
+        ids[t] = *id;
+      }
+    }
+  });
+
+  // New tokens in first-sight order, (first record, S id): a counting sort
+  // by first record over the ids in ascending order.
+  std::vector<uint32_t> bucket(num_s + 1, 0);
+  for (size_t t = 0; t < s_vocab; ++t) {
+    if (first[t] != kNone && ids[t] == kNone) ++bucket[first[t] + 1];
+  }
+  for (size_t i = 0; i < num_s; ++i) bucket[i + 1] += bucket[i];
+  std::vector<TokenId> fresh(bucket[num_s]);
+  for (size_t t = 0; t < s_vocab; ++t) {
+    if (first[t] != kNone && ids[t] == kNone) {
+      fresh[bucket[first[t]]++] = static_cast<TokenId>(t);
+    }
+  }
+
   // R's dictionary first, whole: the union mapping is the identity on R, so
   // probe-side token ids survive the merge unchanged even when the
   // vocabularies are disjoint. Frequencies are recounted over both sides.
-  merged.dictionary = input.r.dictionary;
+  Corpus merged;
+  merged.dictionary = r.dictionary;
   merged.dictionary.ClearFrequencies();
-  for (const Record& rec : input.r.records) {
-    Record copy;
-    copy.id = static_cast<RecordId>(merged.records.size());
-    copy.tokens = rec.tokens;  // sorted unique by Corpus invariant
-    for (TokenId t : copy.tokens) merged.dictionary.AddFrequency(t, 1);
-    merged.records.push_back(std::move(copy));
+  const TokenId base = static_cast<TokenId>(merged.dictionary.size());
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    ids[fresh[i]] = base + static_cast<TokenId>(i);
   }
-  // S tokens are interned at their first sight in this scan, so merged ids
-  // follow S's record order, not its dictionary order.
-  TokenRemap remap(input.s.dictionary, merged.dictionary);
-  for (const Record& rec : input.s.records) {
-    Record copy;
-    copy.id = static_cast<RecordId>(merged.records.size());
-    copy.tokens.reserve(rec.tokens.size());
-    for (TokenId t : rec.tokens) copy.tokens.push_back(remap(t));
-    std::sort(copy.tokens.begin(), copy.tokens.end());
-    copy.tokens.erase(std::unique(copy.tokens.begin(), copy.tokens.end()),
-                      copy.tokens.end());
-    for (TokenId t : copy.tokens) merged.dictionary.AddFrequency(t, 1);
-    merged.records.push_back(std::move(copy));
+  merged.dictionary.AppendDistinct(
+      fresh.size(),
+      [&](size_t i) { return s.dictionary.TokenString(fresh[i]); },
+      [](size_t) { return uint64_t{0}; }, workers);
+
+  // R records are copied as they are; S records are remapped and re-sorted
+  // (the map is one-to-one, so no duplicate arises) with ids offset by |R|.
+  merged.records.resize(num_r + num_s);
+  workers.ParallelFor(num_r + num_s, kCorpusRecordGrain,
+                      [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      Record& copy = merged.records[i];
+      copy.id = static_cast<RecordId>(i);
+      if (i < num_r) {
+        copy.tokens = r.records[i].tokens;  // sorted unique by invariant
+        continue;
+      }
+      const std::vector<TokenId>& tokens = s.records[i - num_r].tokens;
+      copy.tokens.resize(tokens.size());
+      for (size_t k = 0; k < tokens.size(); ++k) {
+        copy.tokens[k] = ids[tokens[k]];
+      }
+      std::sort(copy.tokens.begin(), copy.tokens.end());
+    }
+  });
+  for (const Record& rec : merged.records) {
+    for (TokenId t : rec.tokens) merged.dictionary.AddFrequency(t, 1);
   }
   return merged;
 }
@@ -199,11 +264,16 @@ Result<FsJoinOutput> FsJoin::Run(const JoinInput& input) const {
   FsJoinConfig config = config_;
   config.rs_boundary = static_cast<RecordId>(input.r.records.size());
   FSJOIN_RETURN_NOT_OK(config.Validate());
-  // The wall covers the merge and the merged corpus's release too.
+  const FsJoin join(std::move(config));
+  // The wall covers the merge, the merged corpus's release and the
+  // backend's teardown too.
   WallTimer timer;
   FSJOIN_ASSIGN_OR_RETURN(
-      FsJoinOutput output,
-      FsJoin(std::move(config)).RunJobs(MergeJoinInput(input)));
+      FsJoinOutput output, ([&]() -> Result<FsJoinOutput> {
+        exec::MapReduceBackend backend(join.config_.exec);
+        // The merge runs on the runner's pool before the first job.
+        return join.RunJobs(MergeJoinInput(input, backend.pool()), backend);
+      }()));
   output.report.total_wall_ms = timer.ElapsedMillis();
   return output;
 }

@@ -11,8 +11,13 @@
 #include "sim/join_result.h"
 #include "text/corpus.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace fsjoin {
+
+namespace exec {
+class MapReduceBackend;
+}  // namespace exec
 
 /// Everything measured during one FS-Join run — the data every reproduced
 /// table and figure is computed from.
@@ -59,7 +64,14 @@ struct JoinInput {
 /// its record ids are offset by |R|. Term frequencies are recomputed over
 /// R ∪ S, which is what makes the global token ordering shared by both
 /// sides. The R/S boundary of the result is input.r.records.size().
-Corpus MergeJoinInput(const JoinInput& input);
+///
+/// S tokens new to R get ids above R's in first-sight order: by the first
+/// S record that holds the token, then by S token id (S records hold their
+/// ids sorted), which is what interning every S occurrence in record order
+/// gives. The lookups, the remap and sort of every record and the copy
+/// into the dictionary run on `pool` (null = inline on the caller); ids do
+/// not depend on the thread count.
+Corpus MergeJoinInput(const JoinInput& input, ThreadPool* pool = nullptr);
 
 /// The result pairs plus the full report.
 struct FsJoinOutput {
@@ -100,8 +112,10 @@ class FsJoin {
   const FsJoinConfig& config() const { return config_; }
 
  private:
-  /// Run's body on a validated config, minus the wall timer.
-  Result<FsJoinOutput> RunJobs(const Corpus& corpus) const;
+  /// Run's body on a validated config and its backend, minus the wall
+  /// timer.
+  Result<FsJoinOutput> RunJobs(const Corpus& corpus,
+                               exec::MapReduceBackend& backend) const;
 
   FsJoinConfig config_;
 };

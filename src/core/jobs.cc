@@ -228,10 +228,7 @@ class FilteringReducer : public mr::Reducer {
       return a.rid != b.rid && horizontal->ShouldJoinInGroup(
                                    group, a.record_size, b.record_size);
     };
-    if (ctx_->join_pool != nullptr && cfg.exec.parallel_fragment_join) {
-      opts.morsel_pool = ctx_->join_pool.get();
-      opts.morsel_size = cfg.exec.join_morsel_size;
-    }
+    opts.morsel_pool = ctx_->join_pool;
 
     std::vector<PartialOverlap> partials;
     FilterCounters counters;
@@ -324,19 +321,18 @@ class VerificationReducer : public mr::Reducer {
         });
 
 /// Fork-boundary channel for FilteringContext: a child task starts from
-/// zeroed counters (and no inherited morsel pool — its threads do not
-/// survive fork; joins run serially with byte-identical results), captures
-/// its deltas as bytes, and the scheduler merges them into the parent's
+/// zeroed counters and no morsel pool (a pool's threads do not survive
+/// fork; joins run serially with byte-identical results), captures its
+/// deltas as bytes, and the scheduler merges them into the parent's
 /// context exactly once per logical task.
 mr::TaskSideChannel FilteringSideChannel(
     std::shared_ptr<FilteringContext> ctx) {
   mr::TaskSideChannel side;
   side.reset = [ctx] {
-    // Leak the pool, never destroy it: ~ThreadPool joins worker threads
-    // that do not exist in a forked child, deadlocking forever on their
-    // inherited thread descriptors. The memory is a COW page the child's
-    // _exit reclaims; a null pool makes morsel joins run serially.
-    (void)ctx->join_pool.release();
+    // The pool is borrowed, so the child just forgets it. The subprocess
+    // runner lends none in the first place; this keeps the child serial
+    // whatever context it was handed.
+    ctx->join_pool = nullptr;
     ctx->totals = FilterCounters{};
     ctx->captured_partials.clear();
   };
@@ -425,14 +421,19 @@ mr::TaskSideChannel VerificationSideChannel(
 
 }  // namespace
 
-mr::Dataset MakeCorpusDataset(const Corpus& corpus) {
-  mr::Dataset dataset;
-  dataset.reserve(corpus.records.size());
-  for (const Record& rec : corpus.records) {
-    mr::KeyValue kv;
-    PutFixed32BE(&kv.key, rec.id);
-    PutUint32Vector(&kv.value, rec.tokens);
-    dataset.push_back(std::move(kv));
+mr::Dataset MakeCorpusDataset(const Corpus& corpus, ThreadPool* pool) {
+  mr::Dataset dataset(corpus.records.size());
+  auto encode = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const Record& rec = corpus.records[i];
+      PutFixed32BE(&dataset[i].key, rec.id);
+      PutUint32Vector(&dataset[i].value, rec.tokens);
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(dataset.size(), kCorpusRecordGrain, encode);
+  } else {
+    encode(0, dataset.size());
   }
   return dataset;
 }

@@ -24,8 +24,15 @@ namespace fsjoin {
 /// ---- Corpus <-> MR dataset ------------------------------------------
 /// Input records: key = Fixed32BE(rid), value = varint-coded token vector.
 
-/// Serializes a corpus into the engine's input dataset.
-mr::Dataset MakeCorpusDataset(const Corpus& corpus);
+/// Records per chunk when a join encodes or merges a corpus on the run's
+/// pool. A corpus of at most this many records (a 256-record window) runs
+/// inline on the calling thread and pays no fork-join.
+inline constexpr size_t kCorpusRecordGrain = 1024;
+
+/// Serializes a corpus into the engine's input dataset, in chunks of
+/// kCorpusRecordGrain records on `pool` (null = inline on the caller).
+mr::Dataset MakeCorpusDataset(const Corpus& corpus,
+                              ThreadPool* pool = nullptr);
 
 /// Parses one input record.
 Status DecodeCorpusRecord(const mr::KeyValue& kv, RecordId* rid,
@@ -98,11 +105,12 @@ struct FilteringContext {
   std::vector<TokenRank> pivots;
   HorizontalScheme horizontal;
 
-  /// Morsel pool for parallel fragment joins, shared by every filtering
-  /// reducer of the run so morsels steal work across fragments (created by
-  /// the driver when config.exec.parallel_fragment_join is set; null =
-  /// serial joins).
-  std::unique_ptr<ThreadPool> join_pool;
+  /// Morsel pool for the fragment joins: the thread-pool runner's own
+  /// pool, on which the filtering reducers themselves run, so a worker that
+  /// finishes its fragments steals morsels of a straggler. Borrowed from
+  /// the backend (MapReduceBackend::pool); null = serial joins, as on the
+  /// inline, subprocess and cluster runners.
+  ThreadPool* join_pool = nullptr;
 
   std::mutex mu;
   FilterCounters totals;

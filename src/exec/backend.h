@@ -30,6 +30,12 @@ class MapReduceBackend {
 
   const ExecConfig& config() const { return config_; }
 
+  /// The engine's in-process worker pool, shared with a join's
+  /// coordinator-side steps (corpus encode, R-S merge) and the filtering
+  /// reducer's morsels; null on the inline, subprocess and cluster runners
+  /// and with num_threads == 0.
+  ThreadPool* pool() const { return engine_.pool(); }
+
   /// One JobMetrics per job run so far (see class comment).
   const std::vector<mr::JobMetrics>& history() const { return history_; }
 

@@ -42,10 +42,6 @@ Status ExecConfig::Validate() const {
   if (num_map_tasks == 0 || num_reduce_tasks == 0) {
     return Status::InvalidArgument("task counts must be >= 1");
   }
-  if (parallel_fragment_join && join_morsel_size == 0) {
-    return Status::InvalidArgument(
-        "join_morsel_size must be >= 1 when parallel_fragment_join is set");
-  }
   if (task_retries < 0) {
     return Status::InvalidArgument("task_retries must be >= 0, got " +
                                    std::to_string(task_retries));

@@ -44,23 +44,11 @@ struct ExecConfig {
   uint32_t num_map_tasks = 8;
   /// Number of reduce tasks == shuffle partitions (paper: 3 * #nodes).
   uint32_t num_reduce_tasks = 8;
-  /// Worker threads for the in-process engine (0 = run inline).
+  /// Worker threads for the in-process engine (0 = run inline). On the
+  /// thread-pool runner the same workers also run the coordinator-side
+  /// corpus encode and R-S merge and the fragment joins' morsels
+  /// (DESIGN.md §5d).
   size_t num_threads = 0;
-
-  /// Morsel-parallel fragment joins (the filtering phase's reducer body):
-  /// when true, every fragment's probe loop is cut into morsels scheduled
-  /// onto a work-stealing pool of `num_threads` workers shared across
-  /// fragments, so one oversized fragment is consumed by many threads
-  /// instead of stalling a reduce wave. Results, counters and metrics are
-  /// byte-identical to the serial run (morsel outputs merge in
-  /// deterministic order). false preserves the seed behavior exactly.
-  bool parallel_fragment_join = false;
-  /// Probe segments per morsel when parallel_fragment_join is on. Must be
-  /// >= 1 when the flag is set (Validate rejects 0 — it used to silently
-  /// fall back to serial execution, hiding the misconfiguration). 64
-  /// balances scheduling overhead against steal granularity on skewed
-  /// fragments (measured in bench_micro_kernels --json).
-  size_t join_morsel_size = 64;
 
   /// Overlap kernel family for fragment-join verification (taxonomy above).
   /// kAuto resolves per process at job start; the resolved choice is logged
@@ -106,7 +94,7 @@ struct ExecConfig {
   /// net::kMaxMissedHeartbeats consecutive probes is declared dead.
   int heartbeat_ms = 2000;
 
-  /// Checks every knob up front — task counts, morsel size, retry budget,
+  /// Checks every knob up front — task counts, retry budget,
   /// shuffle memory floor, spill_dir creatability, cluster topology
   /// (worker list well-formedness, exactly-one of --workers /
   /// --spawn-local-workers) — returning a descriptive InvalidArgument

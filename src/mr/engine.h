@@ -90,6 +90,11 @@ class Engine {
 
   const TaskRunner& runner() const { return *runner_; }
 
+  /// The runner's in-process worker pool (TaskRunner::pool), or null.
+  ThreadPool* pool() const {
+    return runner_ != nullptr ? runner_->pool() : nullptr;
+  }
+
  private:
   EngineOptions options_;
   std::unique_ptr<TaskRunner> owned_runner_;

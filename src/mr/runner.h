@@ -63,6 +63,13 @@ class TaskRunner {
   virtual void ParallelRun(size_t n,
                            const std::function<void(size_t)>& fn) = 0;
 
+  /// The worker threads task bodies run on, when they are threads of this
+  /// process; null otherwise. A join's coordinator-side steps run on it
+  /// too, and a task body may fan out onto it with the chunked
+  /// ThreadPool::ParallelFor (never the plain one, which waits on the
+  /// whole pool), so idle workers help a slow task. Not owned.
+  virtual ThreadPool* pool() { return nullptr; }
+
   /// Executes one attempt of one task. `side` is only consulted by
   /// isolated runners (see TaskSideChannel); the captured bytes come back
   /// in out->side_state for the scheduler to merge. An attempt lost before
@@ -90,6 +97,10 @@ class ThreadPoolRunner : public TaskRunner {
 
   const char* name() const override { return "threads"; }
   void ParallelRun(size_t n, const std::function<void(size_t)>& fn) override;
+  /// Null with no worker threads: inline runs stay serial.
+  ThreadPool* pool() override {
+    return pool_.num_threads() > 0 ? &pool_ : nullptr;
+  }
   Status RunAttempt(const TaskSpec& spec, const TaskBody& body,
                     const TaskSideChannel& side, TaskOutput* out) override;
 

@@ -152,11 +152,15 @@ void TokenDictionary::AppendDistinct(
 }
 
 Result<TokenId> TokenDictionary::Lookup(std::string_view token) const {
-  if (!slots_.empty()) {
-    const size_t i = FindSlot(token, Hash(token));
-    if (slots_[i] != kEmptySlot) return static_cast<TokenId>(slots_[i]);
-  }
+  if (std::optional<TokenId> id = Find(token)) return *id;
   return Status::NotFound("token not in dictionary: " + std::string(token));
+}
+
+std::optional<TokenId> TokenDictionary::Find(std::string_view token) const {
+  if (slots_.empty()) return std::nullopt;
+  const size_t i = FindSlot(token, Hash(token));
+  if (slots_[i] == kEmptySlot) return std::nullopt;
+  return static_cast<TokenId>(slots_[i]);
 }
 
 std::string_view TokenDictionary::TokenString(TokenId id) const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,6 +45,10 @@ class TokenDictionary {
 
   /// Looks up an existing token. NotFound if never interned.
   Result<TokenId> Lookup(std::string_view token) const;
+
+  /// As Lookup, with no Status built for a missing token: for callers that
+  /// expect many misses. Read-only, so safe from many threads at once.
+  std::optional<TokenId> Find(std::string_view token) const;
 
   /// The token string for an id. Requires id < size(). The view stays
   /// valid until the next Intern of a new token.

@@ -99,7 +99,9 @@ void ThreadPool::ParallelFor(size_t n, size_t chunk,
   };
 
   // The caller participates, so progress never depends on a free worker —
-  // in particular a thread blocked here from *another* pool keeps working.
+  // a caller that is itself a worker of this pool (or of another) keeps
+  // working, and helpers still queued when the chunks run out find none
+  // and return.
   const size_t helpers = std::min(threads_.size(), num_chunks - 1);
   for (size_t i = 0; i < helpers; ++i) {
     Submit([shared, drain] { drain(shared); });

@@ -33,6 +33,8 @@ class ThreadPool {
   size_t num_threads() const { return threads_.size(); }
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
+  /// Waits on the whole pool (Wait), so it must not be called from inside
+  /// a task running on this same pool.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
   /// Chunked, work-stealing variant: runs fn(begin, end) over chunks of
@@ -42,8 +44,12 @@ class ThreadPool {
   /// rest — and concurrent ParallelFor calls from different threads steal
   /// from one shared pool. With num_threads() == 0 the chunks run inline on
   /// the caller, in ascending order (deterministic-debug mode). `chunk`
-  /// of 0 is treated as 1. Safe to call concurrently from many threads;
-  /// must not be called from inside a task running on this same pool.
+  /// of 0 is treated as 1. Safe to call concurrently from many threads,
+  /// including from inside a task running on this same pool: a chunk is
+  /// only ever claimed by a thread that runs it at once, the caller drains
+  /// chunks until none is left, and a helper that finds none returns, so
+  /// the caller waits only on chunks that are already running and never
+  /// on a queued helper (the fragment joins' morsels rely on this).
   void ParallelFor(size_t n, size_t chunk,
                    const std::function<void(size_t, size_t)>& fn);
 

@@ -42,7 +42,6 @@ expect_bad --fragments "${join[@]}" --fragments 99999999999
 expect_bad --horizontal "${join[@]}" --horizontal -1
 expect_bad --threads "${join[@]}" --threads 4x
 expect_bad --threads "${join[@]}" --threads -2
-expect_bad --morsel "${join[@]}" --morsel ""
 expect_bad --task-retries "${join[@]}" --task-retries two
 expect_bad --spawn-local-workers "${join[@]}" --spawn-local-workers -3
 expect_bad --heartbeat-ms "${join[@]}" --heartbeat-ms 1e3
@@ -64,8 +63,9 @@ expect_bad --timeout-ms "$worker" --listen 127.0.0.1:1 --timeout-ms soon
 printf 'a b c d e\n' > "$tmp/right.txt"
 # Removed flags are unknown flags now: "backend" chose the execution
 # engine, "rs" was a legacy alias of --right, "auto" and "sample-rate" ran
-# the sampling auto-tuner.
-for removed in backend rs auto sample-rate; do
+# the sampling auto-tuner, "parallel-join" and "morsel" switched the
+# fragment joins' morsels, which now always run on the thread runner.
+for removed in backend rs auto sample-rate parallel-join morsel; do
   expect_bad "--$removed" "${join[@]}" "--$removed" "$tmp/right.txt"
 done
 expect_bad --warmup "$bench" --warmup=-3

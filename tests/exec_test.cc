@@ -279,27 +279,28 @@ TEST_P(BackendEquivalence, BaselinesForcedSpillMatchesInMemory) {
   check(RunMassJoin(corpus, mj), RunMassJoin(corpus, mj_spill));
 }
 
-// Acceptance for the morsel-parallel filtering phase: with the knob on and
-// 8 worker threads, results, filter counters, and the filtering job's
-// metrics are identical to the serial run.
+// The thread runner lends its pool to the filtering reducers, which cut
+// every fragment larger than one morsel into morsels on it. Results, every
+// filter counter and the filtering job's bytes must equal the inline run
+// (num_threads 0, no pool, serial joins) at 4 and 8 threads. At four times
+// the shape's records the largest fragments hold several morsels.
 TEST_P(BackendEquivalence, ParallelFragmentJoinMatchesSerial) {
   const CorpusShape& shape = GetParam();
-  Corpus corpus = RandomCorpus(shape.records, shape.vocab, shape.skew,
+  Corpus corpus = RandomCorpus(4 * shape.records, shape.vocab, shape.skew,
                                shape.avg_len, shape.seed + 100);
   FsJoinConfig config;
   config.theta = 0.7;
   config.num_vertical_partitions = 5;
   config.num_horizontal_partitions = 2;
   config.exec = SmallExec();
+  config.exec.num_threads = 0;
 
   Result<FsJoinOutput> serial = FsJoin(config).Run(corpus);
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
 
-  for (size_t morsel : {size_t{1}, size_t{64}}) {
+  for (size_t threads : {size_t{4}, size_t{8}}) {
     FsJoinConfig par_config = config;
-    par_config.exec.parallel_fragment_join = true;
-    par_config.exec.join_morsel_size = morsel;
-    par_config.exec.num_threads = 8;
+    par_config.exec.num_threads = threads;
     Result<FsJoinOutput> parallel = FsJoin(par_config).Run(corpus);
     ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
     EXPECT_TRUE(SamePairs(serial->pairs, parallel->pairs))
@@ -315,10 +316,14 @@ TEST_P(BackendEquivalence, ParallelFragmentJoinMatchesSerial) {
     EXPECT_EQ(sc.empty_overlap, pc.empty_overlap);
     EXPECT_EQ(sc.emitted, pc.emitted);
     // The filtering job's data-plane metrics must be byte-identical.
-    EXPECT_EQ(serial->report.filtering_job.shuffle_bytes,
-              parallel->report.filtering_job.shuffle_bytes);
-    EXPECT_EQ(serial->report.filtering_job.reduce_output_records,
-              parallel->report.filtering_job.reduce_output_records);
+    const mr::JobMetrics& sj = serial->report.filtering_job;
+    const mr::JobMetrics& pj = parallel->report.filtering_job;
+    EXPECT_EQ(sj.map_output_records, pj.map_output_records);
+    EXPECT_EQ(sj.map_output_bytes, pj.map_output_bytes);
+    EXPECT_EQ(sj.shuffle_records, pj.shuffle_records);
+    EXPECT_EQ(sj.shuffle_bytes, pj.shuffle_bytes);
+    EXPECT_EQ(sj.reduce_output_records, pj.reduce_output_records);
+    EXPECT_EQ(sj.reduce_output_bytes, pj.reduce_output_bytes);
     EXPECT_EQ(serial->report.candidate_pairs,
               parallel->report.candidate_pairs);
   }

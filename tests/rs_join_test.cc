@@ -22,6 +22,8 @@
 #include "core/fsjoin.h"
 #include "sim/serial_join.h"
 #include "test_util.h"
+#include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace fsjoin {
 namespace {
@@ -254,13 +256,10 @@ TEST(RsJoinEdgeCases, DisjointVocabulariesNeverRemapProbeTokens) {
   EXPECT_EQ(out->report.candidate_pairs, 0u);
 }
 
-TEST(RsJoinEdgeCases, MergeMatchesInterningEveryOccurrence) {
-  // GenerateCorpus dictionaries pre-intern the whole vocabulary, so most ids
-  // are unused and S meets its tokens out of id order. The merge must give
-  // the ids of the plain algorithm: R's dictionary in id order, then every
-  // S occurrence interned in record order.
-  const Corpus r = RandomCorpus(60, 500, 1.0, 8, 5);
-  const Corpus s = RandomCorpus(90, 700, 0.8, 10, 6);
+/// The plain merge every MergeJoinInput must reproduce: R's dictionary in id
+/// order, then every occurrence of R and S interned in record order, with
+/// frequencies counted over both sides.
+Corpus InternEveryOccurrence(const Corpus& r, const Corpus& s) {
   Corpus expected;
   for (TokenId t = 0; t < r.dictionary.size(); ++t) {
     expected.dictionary.Intern(r.dictionary.TokenString(t));
@@ -278,19 +277,83 @@ TEST(RsJoinEdgeCases, MergeMatchesInterningEveryOccurrence) {
       expected.records.push_back(std::move(copy));
     }
   }
+  return expected;
+}
 
-  const Corpus merged = MergeJoinInput(JoinInput{r, s});
-  ASSERT_TRUE(merged.Validate().ok());
-  ASSERT_EQ(merged.dictionary.size(), expected.dictionary.size());
-  for (TokenId t = 0; t < merged.dictionary.size(); ++t) {
-    ASSERT_EQ(merged.dictionary.TokenString(t),
-              expected.dictionary.TokenString(t));
-    ASSERT_EQ(merged.dictionary.Frequency(t), expected.dictionary.Frequency(t));
+/// Merges R and S inline and on pools of 1, 2, 4 and 7 threads; strings,
+/// ids, frequencies and records must equal the intern-every-occurrence
+/// reference every time.
+void ExpectMergeMatchesReference(const Corpus& r, const Corpus& s) {
+  const Corpus expected = InternEveryOccurrence(r, s);
+  for (size_t threads : {0, 1, 2, 4, 7}) {
+    SCOPED_TRACE(::testing::Message() << threads << " pool threads");
+    ThreadPool pool(threads);
+    const Corpus merged =
+        MergeJoinInput(JoinInput{r, s}, threads == 0 ? nullptr : &pool);
+    ASSERT_TRUE(merged.Validate().ok());
+    ASSERT_EQ(merged.dictionary.size(), expected.dictionary.size());
+    for (TokenId t = 0; t < merged.dictionary.size(); ++t) {
+      ASSERT_EQ(merged.dictionary.TokenString(t),
+                expected.dictionary.TokenString(t));
+      ASSERT_EQ(merged.dictionary.Frequency(t),
+                expected.dictionary.Frequency(t));
+    }
+    ASSERT_EQ(merged.records.size(), expected.records.size());
+    for (size_t i = 0; i < merged.records.size(); ++i) {
+      ASSERT_EQ(merged.records[i].id, expected.records[i].id);
+      ASSERT_EQ(merged.records[i].tokens, expected.records[i].tokens) << i;
+    }
   }
-  ASSERT_EQ(merged.records.size(), expected.records.size());
-  for (size_t i = 0; i < merged.records.size(); ++i) {
-    EXPECT_EQ(merged.records[i].tokens, expected.records[i].tokens) << i;
+}
+
+TEST(RsJoinEdgeCases, MergeMatchesInterningEveryOccurrence) {
+  // GenerateCorpus dictionaries pre-intern the whole vocabulary, so most ids
+  // are unused and S meets its tokens out of id order. Both sides exceed
+  // one chunk of records (kCorpusRecordGrain) and S's vocabulary several
+  // chunks of lookups, so the pooled runs split every pass.
+  const Corpus r = RandomCorpus(1500, 5000, 1.0, 8, 5);
+  const Corpus s = RandomCorpus(2600, 9000, 0.8, 10, 6);
+  ExpectMergeMatchesReference(r, s);
+}
+
+TEST(RsJoinEdgeCases, MergeOfEmptyS) {
+  const Corpus r = RandomCorpus(1200, 3000, 1.0, 8, 7);
+  const Corpus s;
+  ExpectMergeMatchesReference(r, s);
+}
+
+TEST(RsJoinEdgeCases, MergeOfSWhoseTokensAreAllInR) {
+  // S holds a subset of R's records, re-tokenized into its own dictionary:
+  // every S token maps to R's id and none is appended.
+  WhitespaceTokenizer tokenizer;
+  std::vector<std::string> r_lines, s_lines;
+  for (int i = 0; i < 1500; ++i) {
+    r_lines.push_back(StrFormat("w%d w%d w%d w%d", i % 97, (i * 7) % 211,
+                                (i * 13) % 401, i % 5));
+    if (i % 3 == 0) s_lines.push_back(r_lines.back());
   }
+  const Corpus r = BuildCorpus(r_lines, tokenizer);
+  const Corpus s = BuildCorpus(s_lines, tokenizer);
+  ExpectMergeMatchesReference(r, s);
+  EXPECT_EQ(MergeJoinInput(JoinInput{r, s}).dictionary.size(),
+            r.dictionary.size());
+}
+
+TEST(RsJoinEdgeCases, MergeWithUnusedRDictionaryIds) {
+  // R's dictionary holds ids no R record uses, some of them S tokens: those
+  // keep R's ids, with frequencies counted from S alone, and the unused
+  // rest keep frequency 0.
+  WhitespaceTokenizer tokenizer;
+  std::vector<std::string> r_lines, s_lines;
+  for (int i = 0; i < 1300; ++i) {
+    r_lines.push_back(StrFormat("r%d r%d c%d", i % 50, i % 77, i % 11));
+    s_lines.push_back(StrFormat("s%d c%d u%d", i % 300, i % 13, i % 9));
+  }
+  Corpus r = BuildCorpus(r_lines, tokenizer);
+  for (int i = 0; i < 9; i += 2) r.dictionary.Intern(StrFormat("u%d", i));
+  r.dictionary.Intern("never-used");
+  const Corpus s = BuildCorpus(s_lines, tokenizer);
+  ExpectMergeMatchesReference(r, s);
 }
 
 // ---- Edge case: one side entirely outside the length-filter window -------

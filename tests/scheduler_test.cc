@@ -297,19 +297,6 @@ TEST(ValidationTest, EngineOptionsRejectsSubFloorShuffleBudget) {
   EXPECT_TRUE(options.Validate().ok());
 }
 
-TEST(ValidationTest, ExecConfigRejectsZeroMorselWithParallelJoin) {
-  exec::ExecConfig config;
-  config.parallel_fragment_join = true;
-  config.join_morsel_size = 0;
-  const Status st = config.Validate();
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("join_morsel_size"), std::string::npos);
-  // Morsel size 0 is fine when the parallel join is off (knob is unused).
-  config.parallel_fragment_join = false;
-  EXPECT_TRUE(config.Validate().ok());
-}
-
 TEST(ValidationTest, ExecConfigRejectsBadKnobs) {
   {
     exec::ExecConfig config;

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <map>
 #include <numeric>
 #include <set>
@@ -423,6 +424,33 @@ TEST(ThreadPoolTest, ChunkedParallelForEdgeCases) {
     calls.fetch_add(1);
   });
   EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(ThreadPoolTest, ChunkedParallelForNestedInsideEveryWorkerFinishes) {
+  // The fragment joins' shape: tasks on the pool fan out onto the same pool.
+  // Every worker holds an outer task (the latch keeps all of them busy
+  // until all have started) when the nested calls are made, so no worker
+  // is free to help: each caller drains its own chunks, and the helpers it
+  // queued find none left and return. Then three times as many outer tasks
+  // as workers, so helpers and outer tasks interleave in the queue.
+  constexpr size_t kWorkers = 4;
+  constexpr size_t kInner = 257;
+  ThreadPool pool(kWorkers);
+  for (size_t outer : {kWorkers, 3 * kWorkers}) {
+    for (int round = 0; round < 10; ++round) {
+      std::vector<std::atomic<int>> hits(outer * kInner);
+      std::latch all_busy(static_cast<std::ptrdiff_t>(kWorkers));
+      pool.ParallelFor(outer, [&](size_t o) {
+        if (o < kWorkers) all_busy.arrive_and_wait();
+        pool.ParallelFor(kInner, 3, [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) {
+            hits[o * kInner + i].fetch_add(1);
+          }
+        });
+      });
+      for (auto& h : hits) ASSERT_EQ(h.load(), 1);
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ChunkedParallelForConcurrentCallsShareThePool) {
