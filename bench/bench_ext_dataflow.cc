@@ -1,11 +1,10 @@
-// FS-Join's execution runtime on the MapReduce engine, in four sections:
-// the overlap-kernel family (scalar reference, word-packed, SIMD container
-// pipelines), the task runner (inline, thread pool, forked subprocess),
-// cluster scaling over loopback socket workers, and R-S joins at three
-// |R|:|S| ratios. Every cell of a section must reproduce the same
-// ResultDigest; the columns show where the wall time goes.
+// FS-Join's execution runtime on the MapReduce engine, in three sections:
+// the task runner (inline, thread pool, forked subprocess), cluster scaling
+// over loopback socket workers, and R-S joins at three |R|:|S| ratios. Every
+// cell of a section must reproduce the same ResultDigest; the columns show
+// where the wall time goes.
 //
-// Row names keep an "mr" component ("pubmed/mr/simd", "email/mr/inline",
+// Row names keep an "mr" component ("email/mr/inline",
 // "wiki/rs1:10/mr") so scripts/bench_diff.py matches them against older
 // BENCH_*.json files.
 //
@@ -17,12 +16,10 @@
 
 #include "bench_util.h"
 #include "check/invariants.h"
-#include "exec/exec_config.h"
 #include "mr/runner.h"
 #include "mr/worker.h"
 #include "net/worker.h"
 #include "sim/join_result.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -36,80 +33,12 @@ uint64_t ShuffleBytes(const FsJoinReport& report) {
 }
 
 void Run(const BenchOptions& options) {
-  PrintBanner("Runtime — overlap-kernel families on the MapReduce engine",
-              "same jobs, same results; the kernels differ only in "
-              "filtering-phase time");
-  std::printf("simd: isa=%s\n", SimdIsaName(DetectedSimdIsa()));
-
   const double theta = 0.8;
-  constexpr exec::KernelMode kKernels[] = {exec::KernelMode::kScalar,
-                                           exec::KernelMode::kPacked,
-                                           exec::KernelMode::kSimd};
-  std::vector<BenchRecord> records;
-  for (Workload& w : AllWorkloads(0.5)) {
-    std::printf("\n[%s] %zu records, theta = %.2f\n", w.name.c_str(),
-                w.corpus.NumRecords(), theta);
-    TablePrinter table({"kernel", "wall (ms)", "filter (ms)", "shuffle",
-                        "results", "digest"});
-
-    // Digest of the scalar run — every other cell must reproduce it byte
-    // for byte (the bounded kernels change *when* a merge stops, never what
-    // survives).
-    std::optional<uint32_t> reference_digest;
-    for (exec::KernelMode kernel : kKernels) {
-      FsJoinConfig config = DefaultFsConfig(theta);
-      config.exec.kernel = kernel;
-      std::optional<Result<FsJoinOutput>> result;
-      // Track the filtering job's own wall time as a min over repeats
-      // too — the per-job split is noisier than end-to-end wall on a
-      // loaded machine.
-      uint64_t min_filter_micros = ~uint64_t{0};
-      double wall_micros = MinWallMicros(options, [&] {
-        result.emplace(FsJoin(config).Run(w.corpus));
-        if (result->ok()) {
-          const uint64_t f = (*result)->report.filtering_job.total_wall_micros;
-          if (f > 0 && f < min_filter_micros) min_filter_micros = f;
-        }
-      });
-      Result<FsJoinOutput>& out = *result;
-      if (!out.ok()) {
-        std::printf("FAIL: %s\n", out.status().ToString().c_str());
-        continue;
-      }
-
-      const uint64_t shuffle = ShuffleBytes(out->report);
-      const uint32_t digest = check::ResultDigest(out->pairs);
-      if (!reference_digest) reference_digest = digest;
-      const bool same = digest == *reference_digest;
-      const uint64_t filter_micros =
-          min_filter_micros == ~uint64_t{0} ? 0 : min_filter_micros;
-      table.AddRow({out->report.filtering_job.join_kernel,
-                    StrFormat("%.0f", wall_micros / 1000.0),
-                    filter_micros == 0
-                        ? std::string("-")
-                        : StrFormat("%.0f",
-                                    static_cast<double>(filter_micros) /
-                                        1000.0),
-                    HumanBytes(shuffle),
-                    WithThousandsSep(out->pairs.size()),
-                    same ? StrFormat("%08x", digest)
-                         : StrFormat("%08x MISMATCH!", digest)});
-
-      BenchRecord record;
-      record.name = StrFormat("%s/mr/%s", w.name.c_str(),
-                              exec::KernelModeName(kernel));
-      record.wall_micros = wall_micros;
-      record.shuffle_bytes = shuffle;
-      records.push_back(std::move(record));
-    }
-    table.Print(std::cout);
-  }
-  WriteBenchJson(options, "ext_dataflow", records);
 
   // Runner comparison: the same jobs on the inline, thread-pool, and
   // forked-subprocess task runners. Scheduling and process overhead is the
-  // quantity under test, so this section uses the auto kernel and records
-  // into its own JSON (BENCH_runtime.json) to join the perf trajectory.
+  // quantity under test; this section records into its own JSON
+  // (BENCH_runtime.json) to join the perf trajectory.
   PrintBanner("Runtime — task-runner overhead: inline vs thread-pool vs "
               "forked subprocess",
               "same jobs, same digests; the delta is pure scheduling, "

@@ -5,13 +5,12 @@
 // Two modes:
 //   (default)        google-benchmark suite, standard --benchmark_* flags.
 //   --json[=PATH]    focused kernel comparison written as BENCH_kernels.json
-//                    (scalar vs galloping vs word-packed vs SIMD overlap on
-//                    short segments, bounded overlap under the SegI bound,
-//                    mid-length block merge, container kernels; serial vs
-//                    morsel-parallel JoinFragment on a skewed fragment set;
-//                    the filtering reducer's fragment build at three sizes;
-//                    corpus ingest, serial and default).
-//                    Prints the detected SIMD ISA. Honors --warmup/--repeat.
+//                    (linear vs galloping vs word-packed overlap on short
+//                    and mid-length segments and across segment lengths;
+//                    serial vs morsel-parallel JoinFragment on a skewed
+//                    fragment set; the filtering reducer's fragment build at
+//                    three sizes; corpus ingest, serial and default).
+//                    Honors --warmup/--repeat.
 
 #include <benchmark/benchmark.h>
 
@@ -33,7 +32,6 @@
 #include "text/tokenizer.h"
 #include "util/random.h"
 #include "util/serde.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace fsjoin {
@@ -257,76 +255,21 @@ void BM_OverlapShortPacked(benchmark::State& state) {
 }
 BENCHMARK(BM_OverlapShortPacked)->Arg(4)->Arg(8)->Arg(16);
 
-void BM_OverlapShortSimd(benchmark::State& state) {
-  Rng rng(42);
-  ShortSegments s = MakeShortSegments(rng, 1024, state.range(0), 1024);
-  size_t i = 0, j = 1;
-  for (auto _ : state) {
-    const auto& a = s.sets[i];
-    const auto& b = s.sets[j];
-    benchmark::DoNotOptimize(
-        SimdOverlap(a.data(), a.size(), b.data(), b.size()));
-    i = (i + 1) & 1023;
-    j = (j + 7) & 1023;
-  }
-}
-BENCHMARK(BM_OverlapShortSimd)->Arg(4)->Arg(8)->Arg(16);
-
-// Mid-length balanced sets: the 8-rotation AVX2 block merge against the
-// scalar merge and the galloping probe (galloping degenerates when neither
-// side is much longer).
+// Mid-length balanced sets: the linear merge against the galloping probe
+// (galloping degenerates when neither side is much longer).
 void BM_OverlapMid(benchmark::State& state) {
   Rng rng(9);
   auto a = RandomSortedSet(rng, 512, 1 << 14);
   auto b = RandomSortedSet(rng, 512, 1 << 14);
   const int kernel = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    uint64_t r;
-    if (kernel == 0) {
-      r = LinearOverlap(a.data(), a.size(), b.data(), b.size());
-    } else if (kernel == 1) {
-      r = GallopingOverlap(a.data(), a.size(), b.data(), b.size());
-    } else {
-      r = SimdOverlap(a.data(), a.size(), b.data(), b.size());
-    }
-    benchmark::DoNotOptimize(r);
+    benchmark::DoNotOptimize(
+        kernel == 0 ? LinearOverlap(a.data(), a.size(), b.data(), b.size())
+                    : GallopingOverlap(a.data(), a.size(), b.data(), b.size()));
   }
   state.SetItemsProcessed(state.iterations() * (a.size() + b.size()));
 }
-BENCHMARK(BM_OverlapMid)->Arg(0)->Arg(1)->Arg(2);
-
-void BM_OverlapSkewedSimd(benchmark::State& state) {
-  Rng rng(7);
-  auto a = RandomSortedSet(rng, state.range(0), 1 << 22);
-  auto b = RandomSortedSet(rng, state.range(0) * state.range(1), 1 << 22);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SimdOverlap(a.data(), a.size(), b.data(), b.size()));
-  }
-  state.SetItemsProcessed(state.iterations() * (a.size() + b.size()));
-}
-BENCHMARK(BM_OverlapSkewedSimd)
-    ->Args({64, 8})
-    ->Args({64, 64})
-    ->Args({64, 512});
-
-// Bounded early exit with an unreachable SegI bound (~2/3 real overlap,
-// required at 90%): the kernel may bail as soon as the bound is provably
-// unreachable.
-void BM_SimdOverlapBounded(benchmark::State& state) {
-  Rng rng(2);
-  auto a = RandomSortedSet(rng, state.range(0), 1 << 20);
-  auto b = a;
-  for (size_t i = 0; i < b.size(); i += 3) b[i] += 1;
-  std::sort(b.begin(), b.end());
-  b.erase(std::unique(b.begin(), b.end()), b.end());
-  const uint64_t required = a.size() * 9 / 10;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        SimdOverlapBounded(a.data(), a.size(), b.data(), b.size(), required));
-  }
-}
-BENCHMARK(BM_SimdOverlapBounded)->Arg(512)->Arg(4096);
+BENCHMARK(BM_OverlapMid)->Arg(0)->Arg(1);
 
 void BM_FragmentJoinMorsel(benchmark::State& state) {
   Rng rng(6);
@@ -489,8 +432,6 @@ std::vector<std::vector<SegmentRecord>> MakeSkewedFragments(Rng& rng) {
 int RunKernelComparison(int argc, char** argv) {
   bench::BenchOptions options = bench::ParseBenchOptions("kernels", argc, argv);
   std::vector<bench::BenchRecord> records;
-  std::printf("simd: isa=%s (kernels %s)\n", SimdIsaName(DetectedSimdIsa()),
-              SimdAvailable() ? "vectorized" : "scalar fallback");
 
   // 1) Overlap kernels on short segments (4 tokens, 1024-rank fragment).
   Rng rng(42);
@@ -522,77 +463,17 @@ int RunKernelComparison(int argc, char** argv) {
                  static_cast<unsigned long long>(check_packed));
     return 1;
   }
-  uint64_t check_simd = 0;
-  const double simd_us = bench::MinWallMicros(options, [&] {
-    check_simd = SweepPairs(s, kPairs, [&s](size_t i, size_t j) {
-      return (s.bitmaps[i] & s.bitmaps[j]) == 0
-                 ? uint64_t{0}
-                 : SimdOverlap(s.sets[i].data(), s.sets[i].size(),
-                               s.sets[j].data(), s.sets[j].size());
-    });
-  });
-  if (check_scalar != check_simd) {
-    std::fprintf(stderr, "kernel mismatch: scalar=%llu simd=%llu\n",
-                 static_cast<unsigned long long>(check_scalar),
-                 static_cast<unsigned long long>(check_simd));
-    return 1;
-  }
   records.push_back({"overlap_short/scalar", scalar_us});
   records.push_back({"overlap_short/galloping", gallop_us});
   records.push_back({"overlap_short/packed", packed_us});
-  records.push_back({"overlap_short/simd", simd_us});
   std::printf("overlap_short (4-token segments, %zu pairs):\n", kPairs);
   std::printf("  scalar    %10.0f us\n", scalar_us);
   std::printf("  galloping %10.0f us\n", gallop_us);
   std::printf("  packed    %10.0f us  (%.2fx vs galloping)\n", packed_us,
               gallop_us / packed_us);
-  std::printf("  simd      %10.0f us  (%.2fx vs packed)\n", simd_us,
-              packed_us / simd_us);
 
-  // 1b) Bounded overlap on short 16-token segments: the SegI predicate
-  // "does the pair reach required?" with required at 3/4 of the segment.
-  // Every kernel answers the predicate identically under the bounded
-  // contract; the checksum counts qualifying pairs. PR-3's packed kernel
-  // has no bound support, so it pays for the exact merge every time, while
-  // the bounded kernel bails once the bound is provably unreachable.
-  Rng rng16(43);
-  const ShortSegments s16 = MakeShortSegments(rng16, 4096, 16, 1024);
-  const uint64_t kRequired = 12;
-  uint64_t bound_packed = 0, bound_simd = 0;
-  const double bound_packed_us = bench::MinWallMicros(options, [&] {
-    bound_packed = SweepPairs(s16, kPairs, [&s16](size_t i, size_t j) {
-      return uint64_t{PackedOverlap(s16.sets[i].data(), s16.sets[i].size(),
-                                    s16.bitmaps[i], s16.sets[j].data(),
-                                    s16.sets[j].size(),
-                                    s16.bitmaps[j]) >= kRequired};
-    });
-  });
-  const double bound_simd_us = bench::MinWallMicros(options, [&] {
-    bound_simd = SweepPairs(s16, kPairs, [&s16](size_t i, size_t j) {
-      if ((s16.bitmaps[i] & s16.bitmaps[j]) == 0) return uint64_t{0};
-      return uint64_t{
-          SimdOverlapBounded(s16.sets[i].data(), s16.sets[i].size(),
-                             s16.sets[j].data(), s16.sets[j].size(),
-                             kRequired) >= kRequired};
-    });
-  });
-  if (bound_packed != bound_simd) {
-    std::fprintf(stderr, "bounded mismatch: packed=%llu simd=%llu\n",
-                 static_cast<unsigned long long>(bound_packed),
-                 static_cast<unsigned long long>(bound_simd));
-    return 1;
-  }
-  records.push_back({"overlap_bounded_short/packed", bound_packed_us});
-  records.push_back({"overlap_bounded_short/simd", bound_simd_us});
-  std::printf(
-      "overlap_bounded_short (required=%llu of 16 tokens, %zu pairs):\n",
-      static_cast<unsigned long long>(kRequired), kPairs);
-  std::printf("  packed    %10.0f us\n", bound_packed_us);
-  std::printf("  simd      %10.0f us  (%.2fx vs packed)\n", bound_simd_us,
-              bound_packed_us / bound_simd_us);
-
-  // 1c) Mid-length balanced sets (512 tokens a side): the block merge vs
-  // the scalar merge and galloping, which degenerates without skew.
+  // 1b) Mid-length balanced sets (512 tokens a side): the linear merge vs
+  // galloping, which degenerates without skew.
   Rng mid_rng(9);
   std::vector<std::vector<uint32_t>> mid;
   for (int k = 0; k < 64; ++k) {
@@ -609,7 +490,7 @@ int RunKernelComparison(int argc, char** argv) {
     }
     return sum;
   };
-  uint64_t mid_scalar = 0, mid_gallop = 0, mid_simd = 0;
+  uint64_t mid_scalar = 0, mid_gallop = 0;
   const double mid_scalar_us = bench::MinWallMicros(options, [&] {
     mid_scalar = mid_sweep([](const auto& a, const auto& b) {
       return LinearOverlap(a.data(), a.size(), b.data(), b.size());
@@ -620,97 +501,24 @@ int RunKernelComparison(int argc, char** argv) {
       return GallopingOverlap(a.data(), a.size(), b.data(), b.size());
     });
   });
-  const double mid_simd_us = bench::MinWallMicros(options, [&] {
-    mid_simd = mid_sweep([](const auto& a, const auto& b) {
-      return SimdOverlap(a.data(), a.size(), b.data(), b.size());
-    });
-  });
-  if (mid_scalar != mid_gallop || mid_scalar != mid_simd) {
-    std::fprintf(stderr, "mid mismatch: scalar=%llu gallop=%llu simd=%llu\n",
+  if (mid_scalar != mid_gallop) {
+    std::fprintf(stderr, "mid mismatch: scalar=%llu gallop=%llu\n",
                  static_cast<unsigned long long>(mid_scalar),
-                 static_cast<unsigned long long>(mid_gallop),
-                 static_cast<unsigned long long>(mid_simd));
+                 static_cast<unsigned long long>(mid_gallop));
     return 1;
   }
   records.push_back({"overlap_mid/scalar", mid_scalar_us});
   records.push_back({"overlap_mid/galloping", mid_gallop_us});
-  records.push_back({"overlap_mid/simd", mid_simd_us});
   std::printf("overlap_mid (512-token balanced sets, %zu pairs):\n",
               kMidPairs);
   std::printf("  scalar    %10.0f us\n", mid_scalar_us);
   std::printf("  galloping %10.0f us\n", mid_gallop_us);
-  std::printf("  simd      %10.0f us  (%.2fx vs galloping, %.2fx vs scalar)\n",
-              mid_simd_us, mid_gallop_us / mid_simd_us,
-              mid_scalar_us / mid_simd_us);
 
-  // 1d) Container kernels: the same dense mid-length sets as bitsets on the
-  // absolute word grid, and clustered sets as run lists.
-  std::vector<std::vector<uint64_t>> words(mid.size());
-  std::vector<uint32_t> word0(mid.size());
-  for (size_t k = 0; k < mid.size(); ++k) {
-    const auto& v = mid[k];
-    word0[k] = v.front() / 64;
-    words[k].assign(v.back() / 64 - word0[k] + 1, 0);
-    for (uint32_t t : v) {
-      words[k][t / 64 - word0[k]] |= uint64_t{1} << (t % 64);
-    }
-  }
-  std::vector<std::vector<TokenRun>> runs(mid.size());
-  for (size_t k = 0; k < mid.size(); ++k) {
-    Rng r(static_cast<uint64_t>(k) + 1);
-    std::vector<uint32_t> clustered;
-    for (uint32_t base = 0; base < 2048 && clustered.size() < 512;
-         base += 32 + static_cast<uint32_t>(r.NextBounded(32))) {
-      for (uint32_t q = 0; q < 24 && clustered.size() < 512; ++q) {
-        clustered.push_back(base + q);
-      }
-    }
-    AppendTokenRuns(clustered.data(), clustered.size(), &runs[k]);
-  }
-  uint64_t cont_bitset = 0, cont_runs = 0;
-  const double bitset_us = bench::MinWallMicros(options, [&] {
-    cont_bitset = 0;
-    size_t i = 0, j = 1;
-    for (size_t p = 0; p < kMidPairs; ++p) {
-      cont_bitset += BitsetBitsetOverlap(
-          words[i].data(), word0[i], static_cast<uint32_t>(words[i].size()),
-          words[j].data(), word0[j], static_cast<uint32_t>(words[j].size()));
-      i = (i + 1) & 63;
-      j = (j + 7) & 63;
-    }
-  });
-  const double runs_us = bench::MinWallMicros(options, [&] {
-    cont_runs = 0;
-    size_t i = 0, j = 1;
-    for (size_t p = 0; p < kMidPairs; ++p) {
-      cont_runs += RunsRunsOverlap(runs[i].data(), runs[i].size(),
-                                   runs[j].data(), runs[j].size());
-      i = (i + 1) & 63;
-      j = (j + 7) & 63;
-    }
-  });
-  benchmark::DoNotOptimize(cont_runs);
-  if (cont_bitset != mid_scalar) {
-    std::fprintf(stderr, "container mismatch: bitset=%llu scalar=%llu\n",
-                 static_cast<unsigned long long>(cont_bitset),
-                 static_cast<unsigned long long>(mid_scalar));
-    return 1;
-  }
-  records.push_back({"containers/bitset_bitset", bitset_us});
-  records.push_back({"containers/runs_runs", runs_us});
-  std::printf("containers (%zu pairs):\n", kMidPairs);
-  std::printf("  bitset x bitset %10.0f us  (%.2fx vs sorted-array scalar)\n",
-              bitset_us, mid_scalar_us / bitset_us);
-  std::printf("  runs x runs     %10.0f us  (clustered 512-token sets)\n",
-              runs_us);
-
-  // 1e) Crossover sweep: scalar vs packed vs simd across segment lengths
-  // 2..512. The smallest length where the simd column beats packed is the
-  // crossover; the rows land in BENCH_kernels.json, so comparing kernel
-  // families after a change is a diff of two bench files, not a guess.
-  std::printf("crossover (scalar vs packed vs simd by segment length):\n");
-  std::printf("  %6s %10s %10s %10s  %s\n", "len", "scalar", "packed", "simd",
-              "winner");
+  // 1c) Crossover sweep: scalar vs packed across segment lengths 2..512.
+  // The rows land in BENCH_kernels.json, so comparing the kernel after a
+  // change is a diff of two bench files, not a guess.
+  std::printf("crossover (scalar vs packed by segment length):\n");
+  std::printf("  %6s %10s %10s  %s\n", "len", "scalar", "packed", "winner");
   for (size_t len : {2, 4, 8, 16, 32, 64, 128, 256, 512}) {
     Rng cross_rng(1000 + static_cast<uint64_t>(len));
     // Domain scales with length so density (and bitmap selectivity) stays
@@ -719,7 +527,7 @@ int RunKernelComparison(int argc, char** argv) {
     const size_t count = 1024;
     const ShortSegments cs = MakeShortSegments(cross_rng, count, len, domain);
     const size_t pairs = std::max<size_t>(20'000, 2'000'000 / len);
-    uint64_t cross_scalar = 0, cross_packed = 0, cross_simd = 0;
+    uint64_t cross_scalar = 0, cross_packed = 0;
     const double cross_scalar_us = bench::MinWallMicros(options, [&] {
       cross_scalar = SweepPairs(cs, pairs, [&cs](size_t i, size_t j) {
         return LinearOverlap(cs.sets[i].data(), cs.sets[i].size(),
@@ -733,21 +541,11 @@ int RunKernelComparison(int argc, char** argv) {
                              cs.sets[j].size(), cs.bitmaps[j]);
       });
     });
-    const double cross_simd_us = bench::MinWallMicros(options, [&] {
-      cross_simd = SweepPairs(cs, pairs, [&cs](size_t i, size_t j) {
-        return (cs.bitmaps[i] & cs.bitmaps[j]) == 0
-                   ? uint64_t{0}
-                   : SimdOverlap(cs.sets[i].data(), cs.sets[i].size(),
-                                 cs.sets[j].data(), cs.sets[j].size());
-      });
-    });
-    if (cross_scalar != cross_packed || cross_scalar != cross_simd) {
+    if (cross_scalar != cross_packed) {
       std::fprintf(stderr,
-                   "crossover mismatch at len=%zu: scalar=%llu packed=%llu "
-                   "simd=%llu\n",
+                   "crossover mismatch at len=%zu: scalar=%llu packed=%llu\n",
                    len, static_cast<unsigned long long>(cross_scalar),
-                   static_cast<unsigned long long>(cross_packed),
-                   static_cast<unsigned long long>(cross_simd));
+                   static_cast<unsigned long long>(cross_packed));
       return 1;
     }
     // Normalize to microseconds per million pairs so rows with different
@@ -755,13 +553,10 @@ int RunKernelComparison(int argc, char** argv) {
     const double scale = 1'000'000.0 / static_cast<double>(pairs);
     const double ns = cross_scalar_us * scale;
     const double np = cross_packed_us * scale;
-    const double nv = cross_simd_us * scale;
     records.push_back({"crossover/len" + std::to_string(len) + "/scalar", ns});
     records.push_back({"crossover/len" + std::to_string(len) + "/packed", np});
-    records.push_back({"crossover/len" + std::to_string(len) + "/simd", nv});
-    const char* winner =
-        nv <= np && nv <= ns ? "simd" : (np <= ns ? "packed" : "scalar");
-    std::printf("  %6zu %10.0f %10.0f %10.0f  %s\n", len, ns, np, nv, winner);
+    std::printf("  %6zu %10.0f %10.0f  %s\n", len, ns, np,
+                np <= ns ? "packed" : "scalar");
   }
 
   // 2) JoinFragment aggregate, serial vs morsel-parallel on 8 threads.

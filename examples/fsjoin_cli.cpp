@@ -17,8 +17,6 @@
 //   --method NAME       loop | index | prefix                 [prefix]
 //   --aggressive        paper-aggressive segment prefixes (faster,
 //                       may miss borderline pairs)
-//   --kernel NAME       auto | scalar | packed | simd overlap kernel
-//                       family for fragment-join verification [auto]
 //   --threads N         engine worker threads; they also split
 //                       skewed fragment joins into morsels [0 = inline]
 //   --shuffle-mem SIZE  spill the shuffle to disk past this many buffered
@@ -79,7 +77,6 @@ struct CliOptions {
   std::string tokenizer = "word";
   fsjoin::JoinMethod method = fsjoin::JoinMethod::kPrefix;
   fsjoin::SimilarityFunction function = fsjoin::SimilarityFunction::kJaccard;
-  fsjoin::exec::KernelMode kernel = fsjoin::exec::KernelMode::kAuto;
   fsjoin::mr::RunnerKind runner = fsjoin::mr::RunnerKind::kThreads;
   std::string spill_dir;
   std::string workers;
@@ -103,7 +100,6 @@ int Usage(const char* argv0) {
                "word|whitespace|qgramN] [--fragments N] [--horizontal N] "
                "[--method loop|index|prefix] "
                "[--aggressive] "
-               "[--kernel auto|scalar|packed|simd] "
                "[--threads N] "
                "[--shuffle-mem SIZE] [--spill-dir DIR] "
                "[--runner inline|threads|subprocess|cluster] "
@@ -259,11 +255,6 @@ int main(int argc, char** argv) {
       if (!ParseFlag(arg, next(), IntIn(0, UINT32_MAX), &opts.horizontal)) {
         return Usage(argv[0]);
       }
-    } else if (arg == "--kernel") {
-      if (!ParseFlag(arg, next(), fsjoin::exec::KernelModeFromName,
-                     &opts.kernel)) {
-        return Usage(argv[0]);
-      }
     } else if (arg == "--threads") {
       if (!ParseFlag(arg, next(), IntIn(0, kMaxThreads), &opts.threads)) {
         return Usage(argv[0]);
@@ -344,7 +335,6 @@ int main(int argc, char** argv) {
   config.exec.spawn_local_workers = opts.spawn_local_workers;
   config.exec.heartbeat_ms = opts.heartbeat_ms;
   config.exec.runner = opts.runner;
-  config.exec.kernel = opts.kernel;
   config.aggressive_segment_prefix = opts.aggressive;
   config.function = opts.function;
   config.join_method = opts.method;

@@ -24,12 +24,6 @@ constexpr PivotStrategy kPivots[] = {PivotStrategy::kRandom,
 constexpr size_t kThreads[] = {0, 2, 4};
 constexpr uint64_t kSpillBudgets[] = {0, 256, 4096};
 constexpr uint32_t kTaskCounts[] = {1, 3, 5, 8};
-// Kernel families weighted toward the vectorized path (the new code under
-// test); kAuto resolves per machine, so scalar/packed/simd are also listed
-// explicitly to keep every family in the sweep regardless of CPU.
-constexpr exec::KernelMode kKernels[] = {
-    exec::KernelMode::kAuto, exec::KernelMode::kSimd, exec::KernelMode::kSimd,
-    exec::KernelMode::kPacked, exec::KernelMode::kScalar};
 // Runner menu weighted toward the thread-pool default; the subprocess
 // runner appears often enough that every sweep crosses a fork boundary,
 // which is how digest identity across runners gets continuous coverage.
@@ -47,7 +41,6 @@ exec::ExecConfig SampleExec(Rng& rng) {
   exec.num_reduce_tasks = Pick(kTaskCounts, rng);
   exec.num_threads = Pick(kThreads, rng);
   exec.shuffle_memory_bytes = Pick(kSpillBudgets, rng);
-  exec.kernel = Pick(kKernels, rng);
   exec.runner = Pick(kRunners, rng);
   return exec;
 }
@@ -75,12 +68,11 @@ std::string LatticePoint::Name() const {
     const exec::ExecConfig& e = fsjoin.exec;
     return StrFormat(
         "fsjoin(%s, maps=%u, reduces=%u, threads=%zu, spill=%llu, "
-        "kernel=%s, runner=%s%s)",
+        "runner=%s%s)",
         fsjoin.Summary().c_str(), e.num_map_tasks, e.num_reduce_tasks,
         e.num_threads,
         static_cast<unsigned long long>(e.shuffle_memory_bytes),
-        exec::KernelModeName(e.kernel), mr::RunnerKindName(e.runner),
-        rs_suffix.c_str());
+        mr::RunnerKindName(e.runner), rs_suffix.c_str());
   }
   const exec::ExecConfig& e = baseline.exec;
   return StrFormat(

@@ -118,13 +118,6 @@ void ShrinkConfig(Shrinker& shrinker,
   try_mutation([](LatticePoint* p) {
     MutateExec(p, [](exec::ExecConfig* e) { e->shuffle_memory_bytes = 0; });
   });
-  // Kernel family shrinks toward the scalar reference: a repro that still
-  // fails with the scalar merge is about the filters/plan, not the SIMD
-  // kernels, which narrows the suspect surface a lot.
-  try_mutation([](LatticePoint* p) {
-    MutateExec(p,
-               [](exec::ExecConfig* e) { e->kernel = exec::KernelMode::kScalar; });
-  });
   try_mutation([](LatticePoint* p) {
     MutateExec(p, [](exec::ExecConfig* e) {
       e->num_map_tasks = 1;
@@ -188,20 +181,6 @@ const char* MethodLiteral(JoinMethod method) {
   return "JoinMethod::kPrefix";
 }
 
-const char* KernelLiteral(exec::KernelMode mode) {
-  switch (mode) {
-    case exec::KernelMode::kAuto:
-      return "exec::KernelMode::kAuto";
-    case exec::KernelMode::kScalar:
-      return "exec::KernelMode::kScalar";
-    case exec::KernelMode::kPacked:
-      return "exec::KernelMode::kPacked";
-    case exec::KernelMode::kSimd:
-      return "exec::KernelMode::kSimd";
-  }
-  return "exec::KernelMode::kAuto";
-}
-
 void EmitExecOverrides(const exec::ExecConfig& exec, const std::string& var,
                        std::string* out) {
   const exec::ExecConfig defaults;
@@ -221,10 +200,6 @@ void EmitExecOverrides(const exec::ExecConfig& exec, const std::string& var,
     *out += StrFormat("  %s.exec.shuffle_memory_bytes = %llu;\n", var.c_str(),
                       static_cast<unsigned long long>(
                           exec.shuffle_memory_bytes));
-  }
-  if (exec.kernel != defaults.kernel) {
-    *out += StrFormat("  %s.exec.kernel = %s;\n", var.c_str(),
-                      KernelLiteral(exec.kernel));
   }
 }
 

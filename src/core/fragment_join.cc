@@ -21,11 +21,11 @@ void JoinFragmentBatch(const SegmentBatch& batch,
                        std::vector<PartialOverlap>* out,
                        FilterCounters* counters) {
   if (batch.empty()) return;
-  FSJOIN_CHECK(batch.sealed());  // bitmaps/containers back the kernels
+  FSJOIN_CHECK(batch.sealed());  // the bitmaps back the overlap gate
   // R-S joins iterate the side lists; an untagged batch would join nothing.
   FSJOIN_CHECK(!opts.rs_boundary.has_value() || batch.side_tagged());
   // One registry lookup per fragment; the compiled pipeline carries the
-  // method / filter-subset / kernel branches in its instantiation instead of
+  // method / filter-subset branches in its instantiation instead of
   // re-deciding them per candidate pair (core/join_pipeline.h).
   KernelRegistry::Get().Lookup(ShapeOf(opts))(batch, opts, out, counters);
 }

@@ -78,12 +78,6 @@ struct FragmentJoinOptions {
   /// fragment's morsels; not owned.
   ThreadPool* morsel_pool = nullptr;
   size_t morsel_size = kJoinMorselSize;  ///< probe segments per morsel
-
-  /// Overlap kernel family (exec::KernelMode taxonomy): which compiled
-  /// pipeline JoinFragmentBatch dispatches to. Every mode yields identical
-  /// results/emissions; see core/join_pipeline.h for the counter-attribution
-  /// caveat under kSimd. kAuto resolves against this build + machine.
-  exec::KernelMode kernel = exec::KernelMode::kAuto;
 };
 
 /// Joins all segment pairs of one fragment over columnar storage (the

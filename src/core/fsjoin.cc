@@ -11,7 +11,6 @@
 #include "core/jobs.h"
 #include "core/pivots.h"
 #include "exec/backend.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -46,14 +45,10 @@ std::string FsJoinReport::Summary() const {
       WithThousandsSep(filters.empty_overlap).c_str(),
       WithThousandsSep(filters.emitted).c_str());
   os << StrFormat(
-      "  shuffle: filtering %s (dup %.2fx), verification %s | kernel %s | "
-      "wall %.1f ms",
+      "  shuffle: filtering %s (dup %.2fx), verification %s | wall %.1f ms",
       HumanBytes(filtering_job.shuffle_bytes).c_str(),
       filtering_job.DuplicationFactor(),
-      HumanBytes(verification_job.shuffle_bytes).c_str(),
-      filtering_job.join_kernel.empty() ? "?"
-                                        : filtering_job.join_kernel.c_str(),
-      total_wall_ms);
+      HumanBytes(verification_job.shuffle_bytes).c_str(), total_wall_ms);
   uint64_t spilled = 0;
   uint32_t runs = 0;
   for (const mr::JobMetrics& j : AllJobs()) {
@@ -141,12 +136,6 @@ Result<FsJoinOutput> FsJoin::RunJobs(const Corpus& corpus,
   output.report.verification_job = backend.history().back();
   FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results));
 
-  // Self-describing A/B runs: record which kernel pipeline the filtering
-  // reducers actually used, with the ISA the auto mode resolved to.
-  output.report.filtering_job.join_kernel = StrFormat(
-      "%s[%s]",
-      exec::KernelModeName(exec::ResolveKernelMode(config_.exec.kernel)),
-      SimdIsaName(DetectedSimdIsa()));
   output.report.filters = filtering_ctx->totals;
   output.report.candidate_pairs = verification_ctx->candidate_pairs;
   output.report.result_pairs = output.pairs.size();

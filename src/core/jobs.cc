@@ -218,7 +218,6 @@ class FilteringReducer : public mr::Reducer {
     opts.use_segment_length_filter = cfg.use_segment_length_filter;
     opts.use_segment_intersection_filter = cfg.use_segment_intersection_filter;
     opts.use_segment_difference_filter = cfg.use_segment_difference_filter;
-    opts.kernel = cfg.exec.kernel;
 
     const HorizontalScheme* horizontal = &ctx_->horizontal;
     // Same-side R-S pairs need no rule here: the side-tagged join loops

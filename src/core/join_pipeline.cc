@@ -16,21 +16,9 @@ namespace fsjoin {
 
 namespace {
 
-using exec::KernelMode;
-
 constexpr int MethodIndex(JoinMethod method) {
   return static_cast<int>(method);
 }
-
-/// Resolved kernels only: kScalar/kPacked/kSimd -> 0/1/2.
-constexpr int KernelIndex(KernelMode kernel) {
-  return static_cast<int>(kernel) - 1;
-}
-
-constexpr JoinMethod kMethods[] = {JoinMethod::kLoop, JoinMethod::kIndex,
-                                   JoinMethod::kPrefix};
-constexpr KernelMode kKernels[] = {KernelMode::kScalar, KernelMode::kPacked,
-                                   KernelMode::kSimd};
 
 /// Word-packed bucket-bitmap reject (the PR 3 gate): one AND decides
 /// "provably disjoint" for short segments; longer ones saturate the 64-bit
@@ -39,55 +27,6 @@ inline bool BitmapGateRejects(const SegmentBatch& batch, uint32_t i,
                               uint32_t j) {
   return std::min(batch.length(i), batch.length(j)) <= kPackedMaxTokens &&
          (batch.bitmap(i) & batch.bitmap(j)) == 0;
-}
-
-/// (container x container) dispatch for the kSimd kernel family, under the
-/// bounded-overlap contract of set_ops.h. Only the array x array case can
-/// stop early; the alternate-container kernels are already cheap enough
-/// that they just return the exact overlap (which satisfies the contract
-/// trivially).
-uint64_t ContainerOverlapBounded(const SegmentBatch& b, uint32_t i, uint32_t j,
-                                 uint64_t required) {
-  using C = SegContainer;
-  const C ci = b.container(i);
-  const C cj = b.container(j);
-  if (ci == C::kArray && cj == C::kArray) {
-    return SimdOverlapBounded(b.tokens(i), b.length(i), b.tokens(j),
-                              b.length(j), required);
-  }
-  if (ci == C::kBitset) {
-    switch (cj) {
-      case C::kBitset:
-        return BitsetBitsetOverlap(b.bitset_words(i), b.bitset_word0(i),
-                                   b.bitset_num_words(i), b.bitset_words(j),
-                                   b.bitset_word0(j), b.bitset_num_words(j));
-      case C::kRuns:
-        return BitsetRunsOverlap(b.bitset_words(i), b.bitset_word0(i),
-                                 b.bitset_num_words(i), /*base=*/0, b.runs(j),
-                                 b.num_runs(j));
-      case C::kArray:
-        return BitsetArrayOverlap(b.bitset_words(i), b.bitset_word0(i),
-                                  b.bitset_num_words(i), /*base=*/0,
-                                  b.tokens(j), b.length(j));
-    }
-  }
-  // ci == kRuns, or ci == kArray with cj != kArray: flip so the stronger
-  // container drives, or run the runs-side kernels directly.
-  switch (cj) {
-    case C::kBitset:
-      return ContainerOverlapBounded(b, j, i, required);
-    case C::kRuns:
-      if (ci == C::kRuns) {
-        return RunsRunsOverlap(b.runs(i), b.num_runs(i), b.runs(j),
-                               b.num_runs(j));
-      }
-      return RunsArrayOverlap(b.runs(j), b.num_runs(j), b.tokens(i),
-                              b.length(i));
-    case C::kArray:
-      return RunsArrayOverlap(b.runs(i), b.num_runs(i), b.tokens(j),
-                              b.length(j));
-  }
-  return 0;  // unreachable
 }
 
 /// Filters that run before the overlap is known: the pairing rule, Lemma 1
@@ -163,76 +102,26 @@ void FinishPairT(const FragmentJoinOptions& opts, const SegmentView& x,
 }
 
 /// The filter pipeline on one candidate segment pair, monomorphized on the
-/// enabled-filter mask and kernel family; disabled filters compile away.
-///
-/// All kernels produce identical emissions; the only observable difference
-/// is counter *attribution* under kSimd: a pair whose bounded merge stops
-/// below the SegI required-overlap bound counts as pruned_segi even when
-/// its exact overlap is 0 (the scalar/packed paths, which always finish the
-/// merge, would count empty_overlap first). The split is deterministic —
-/// the bounded contract makes `result < required` ISA-independent — so
-/// counters still agree between any two runs of the same kernel mode. The
-/// indexed probes only hand over pairs that share a token, so for them the
-/// split never arises and every kernel attributes alike.
-template <uint32_t Mask, KernelMode K>
+/// enabled-filter mask; disabled filters compile away. The overlap kernel is
+/// the bitmap gate, then the exact SortedOverlap merge.
+template <uint32_t Mask>
 void ProcessPairT(const SegmentBatch& batch, uint32_t i, uint32_t j,
                   const FragmentJoinOptions& opts,
                   std::vector<PartialOverlap>* out, FilterCounters* counters) {
   const SegmentView x = batch.View(i);
   const SegmentView y = batch.View(j);
   if (!PassesPreOverlapT<Mask>(opts, x, y, counters)) return;
-  if constexpr (K == KernelMode::kSimd) {
-    if (BitmapGateRejects(batch, i, j)) {
-      ++counters->empty_overlap;
-      return;
-    }
-    // Verification bound: any pair this fragment may emit satisfies
-    // overlap >= SegmentMinLocalOverlap for BOTH segments (the local-overlap
-    // gate of the scalar path), so the merge may stop as soon as that bound
-    // is unreachable. With SegI off the gate does not apply and the bound
-    // degenerates to 1, which forces an exact merge (contract).
-    uint64_t required = 1;
-    if constexpr ((Mask & kPipelineSegI) != 0) {
-      required =
-          std::max(SegmentMinLocalOverlap(opts.function, opts.theta, x),
-                   SegmentMinLocalOverlap(opts.function, opts.theta, y));
-    }
-    const uint64_t overlap = ContainerOverlapBounded(batch, i, j, required);
-    if (overlap < required) {
-      // Exact overlap is provably < required too. required == 1 means the
-      // merge ran to completion and the pair is truly token-disjoint.
-      if (required <= 1) {
-        ++counters->empty_overlap;
-      } else {
-        ++counters->pruned_segi;
-      }
-      return;
-    }
-    if constexpr ((Mask & kPipelineSegI) != 0) {
-      // overlap >= required >= both local bounds, so only the Lemma 3 check
-      // itself remains.
-      if (SegmentIntersectionPrunes(opts.function, opts.theta, x, y,
-                                    overlap)) {
-        ++counters->pruned_segi;
-        return;
-      }
-    }
-    EmitPairT<Mask>(opts, x, y, overlap, out, counters);
-  } else {
-    if constexpr (K == KernelMode::kPacked) {
-      if (BitmapGateRejects(batch, i, j)) {
-        ++counters->empty_overlap;
-        return;
-      }
-    }
-    const uint64_t overlap =
-        SortedOverlap(x.tokens, x.num_tokens, y.tokens, y.num_tokens);
-    if (overlap == 0) {
-      ++counters->empty_overlap;
-      return;
-    }
-    FinishPairT<Mask>(opts, x, y, overlap, out, counters);
+  if (BitmapGateRejects(batch, i, j)) {
+    ++counters->empty_overlap;
+    return;
   }
+  const uint64_t overlap =
+      SortedOverlap(x.tokens, x.num_tokens, y.tokens, y.num_tokens);
+  if (overlap == 0) {
+    ++counters->empty_overlap;
+    return;
+  }
+  FinishPairT<Mask>(opts, x, y, overlap, out, counters);
 }
 
 /// ProcessPairT for a pair whose exact overlap the probe already counted:
@@ -421,8 +310,8 @@ class ScratchPool {
 /// only, never on the token, so a candidate's hit count is
 /// |prefix(probe) ∩ prefix(candidate)|. When both prefixes are the whole
 /// segment that is the exact segment overlap and the kernel is skipped;
-/// otherwise the pair takes the kernel merge.
-template <uint32_t Mask, KernelMode K, typename WindowFn>
+/// otherwise the pair takes the gated merge.
+template <uint32_t Mask, typename WindowFn>
 void ProbeT(const SegmentBatch& batch, const FragmentJoinOptions& opts,
             const PrefixIndex& index, uint32_t xi, uint32_t px,
             uint32_t probe_id, const WindowFn& window, ProbeScratch* scratch,
@@ -451,7 +340,7 @@ void ProbeT(const SegmentBatch& batch, const FragmentJoinOptions& opts,
       ProcessCountedPairT<Mask>(batch, j, xi, slots[e].hits, opts, out,
                                 counters);
     } else {
-      ProcessPairT<Mask, K>(batch, j, xi, opts, out, counters);
+      ProcessPairT<Mask>(batch, j, xi, opts, out, counters);
     }
   }
 }
@@ -467,7 +356,7 @@ inline const uint32_t* FirstAtLeast(const PrefixIndex& index,
                           });
 }
 
-template <uint32_t Mask, KernelMode K>
+template <uint32_t Mask>
 void LoopJoinRangeT(const SegmentBatch& batch, const FragmentJoinOptions& opts,
                     uint32_t begin, uint32_t end,
                     std::vector<PartialOverlap>* out,
@@ -475,14 +364,14 @@ void LoopJoinRangeT(const SegmentBatch& batch, const FragmentJoinOptions& opts,
   const uint32_t n = batch.size();
   for (uint32_t i = begin; i < end; ++i) {
     for (uint32_t j = i + 1; j < n; ++j) {
-      ProcessPairT<Mask, K>(batch, i, j, opts, out, counters);
+      ProcessPairT<Mask>(batch, i, j, opts, out, counters);
     }
   }
 }
 
 /// R-S nested loop: probe rows [begin, end) of the side-tagged probe list
 /// against every build row. Same-side pairs are never enumerated.
-template <uint32_t Mask, KernelMode K>
+template <uint32_t Mask>
 void RsLoopJoinRangeT(const SegmentBatch& batch,
                       const FragmentJoinOptions& opts, uint32_t begin,
                       uint32_t end, std::vector<PartialOverlap>* out,
@@ -492,7 +381,7 @@ void RsLoopJoinRangeT(const SegmentBatch& batch,
   for (uint32_t pi = begin; pi < end; ++pi) {
     const uint32_t i = probes[pi];
     for (uint32_t j : builds) {
-      ProcessPairT<Mask, K>(batch, i, j, opts, out, counters);
+      ProcessPairT<Mask>(batch, i, j, opts, out, counters);
     }
   }
 }
@@ -500,7 +389,7 @@ void RsLoopJoinRangeT(const SegmentBatch& batch,
 /// Self-join probes at order positions [begin, end): candidates are the
 /// postings before the probe whose record size passes the length-filter
 /// bound.
-template <uint32_t Mask, KernelMode K>
+template <uint32_t Mask>
 void IndexedProbeRangeT(const SegmentBatch& batch,
                         const FragmentJoinOptions& opts,
                         const PrefixIndex& index, uint32_t begin, uint32_t end,
@@ -522,8 +411,8 @@ void IndexedProbeRangeT(const SegmentBatch& batch,
           std::lower_bound(first, list.data() + list.size(), oi);
       return std::pair{first, last};
     };
-    ProbeT<Mask, K>(batch, opts, index, xi, index.prefix_len[oi], oi, window,
-                    scratch, out, counters);
+    ProbeT<Mask>(batch, opts, index, xi, index.prefix_len[oi], oi, window,
+                 scratch, out, counters);
   }
 }
 
@@ -535,7 +424,7 @@ void IndexedProbeRangeT(const SegmentBatch& batch,
 /// inserted. `probe_prefix` holds the probe rows' own prefix lengths,
 /// computed with the same per-row policy as the index side, which keeps the
 /// prefix-sharing soundness argument pairwise identical to the self-join.
-template <uint32_t Mask, KernelMode K>
+template <uint32_t Mask>
 void RsIndexedProbeRangeT(const SegmentBatch& batch,
                           const FragmentJoinOptions& opts,
                           const PrefixIndex& index,
@@ -566,15 +455,15 @@ void RsIndexedProbeRangeT(const SegmentBatch& batch,
       }
       return std::pair{first, last};
     };
-    ProbeT<Mask, K>(batch, opts, index, xi, probe_prefix[pi], pi, window,
-                    scratch, out, counters);
+    ProbeT<Mask>(batch, opts, index, xi, probe_prefix[pi], pi, window,
+                 scratch, out, counters);
   }
 }
 
 /// Compiled pipeline, nested-loop shape. Self vs. R-S is a run-time branch
 /// taken once per fragment — doubling the template instantiations for it
 /// would buy nothing (the side lists are loop bounds, not per-pair work).
-template <uint32_t Mask, KernelMode K>
+template <uint32_t Mask>
 void LoopPipeline(const SegmentBatch& batch, const FragmentJoinOptions& opts,
                   std::vector<PartialOverlap>* out, FilterCounters* counters) {
   if (opts.rs_boundary.has_value()) {
@@ -583,8 +472,8 @@ void LoopPipeline(const SegmentBatch& batch, const FragmentJoinOptions& opts,
         [&](uint32_t begin, uint32_t end,
             std::vector<PartialOverlap>* range_out,
             FilterCounters* range_counters) {
-          RsLoopJoinRangeT<Mask, K>(batch, opts, begin, end, range_out,
-                                    range_counters);
+          RsLoopJoinRangeT<Mask>(batch, opts, begin, end, range_out,
+                                 range_counters);
         },
         out, counters);
     return;
@@ -593,8 +482,8 @@ void LoopPipeline(const SegmentBatch& batch, const FragmentJoinOptions& opts,
       batch.size(), opts,
       [&](uint32_t begin, uint32_t end, std::vector<PartialOverlap>* range_out,
           FilterCounters* range_counters) {
-        LoopJoinRangeT<Mask, K>(batch, opts, begin, end, range_out,
-                                range_counters);
+        LoopJoinRangeT<Mask>(batch, opts, begin, end, range_out,
+                             range_counters);
       },
       out, counters);
 }
@@ -603,7 +492,7 @@ void LoopPipeline(const SegmentBatch& batch, const FragmentJoinOptions& opts,
 /// (the per-row prefix length is a run-time choice made once at index
 /// build, not a loop-shape difference worth doubling the instantiations
 /// for).
-template <uint32_t Mask, KernelMode K>
+template <uint32_t Mask>
 void IndexedPipeline(const SegmentBatch& batch,
                      const FragmentJoinOptions& opts,
                      std::vector<PartialOverlap>* out,
@@ -635,9 +524,9 @@ void IndexedPipeline(const SegmentBatch& batch,
             std::vector<PartialOverlap>* range_out,
             FilterCounters* range_counters) {
           auto scratch = scratch_pool.Acquire();
-          RsIndexedProbeRangeT<Mask, K>(batch, opts, index, probe_prefix,
-                                        begin, end, scratch.get(), range_out,
-                                        range_counters);
+          RsIndexedProbeRangeT<Mask>(batch, opts, index, probe_prefix,
+                                     begin, end, scratch.get(), range_out,
+                                     range_counters);
           scratch_pool.Release(std::move(scratch));
         },
         out, counters);
@@ -652,46 +541,19 @@ void IndexedPipeline(const SegmentBatch& batch,
       [&](uint32_t begin, uint32_t end, std::vector<PartialOverlap>* range_out,
           FilterCounters* range_counters) {
         auto scratch = scratch_pool.Acquire();
-        IndexedProbeRangeT<Mask, K>(batch, opts, index, begin, end,
-                                    scratch.get(), range_out, range_counters);
+        IndexedProbeRangeT<Mask>(batch, opts, index, begin, end,
+                                 scratch.get(), range_out, range_counters);
         scratch_pool.Release(std::move(scratch));
       },
       out, counters);
 }
 
-/// Fills every kernel column of one filter-mask row of the table.
+/// Fills one filter-mask column of the table.
 template <uint32_t Mask, typename Table>
 void RegisterMask(Table& table) {
-  table[MethodIndex(JoinMethod::kLoop)][Mask]
-       [KernelIndex(KernelMode::kScalar)] =
-           &LoopPipeline<Mask, KernelMode::kScalar>;
-  table[MethodIndex(JoinMethod::kLoop)][Mask]
-       [KernelIndex(KernelMode::kPacked)] =
-           &LoopPipeline<Mask, KernelMode::kPacked>;
-  table[MethodIndex(JoinMethod::kLoop)][Mask][KernelIndex(KernelMode::kSimd)] =
-      &LoopPipeline<Mask, KernelMode::kSimd>;
-  for (JoinMethod method : {JoinMethod::kIndex, JoinMethod::kPrefix}) {
-    table[MethodIndex(method)][Mask][KernelIndex(KernelMode::kScalar)] =
-        &IndexedPipeline<Mask, KernelMode::kScalar>;
-    table[MethodIndex(method)][Mask][KernelIndex(KernelMode::kPacked)] =
-        &IndexedPipeline<Mask, KernelMode::kPacked>;
-    table[MethodIndex(method)][Mask][KernelIndex(KernelMode::kSimd)] =
-        &IndexedPipeline<Mask, KernelMode::kSimd>;
-  }
-}
-
-std::string MaskName(uint32_t mask) {
-  if (mask == 0) return "none";
-  std::string name;
-  auto add = [&name](const char* part) {
-    if (!name.empty()) name += '+';
-    name += part;
-  };
-  if (mask & kPipelineStrL) add("strl");
-  if (mask & kPipelineSegL) add("segl");
-  if (mask & kPipelineSegI) add("segi");
-  if (mask & kPipelineSegD) add("segd");
-  return name;
+  table[MethodIndex(JoinMethod::kLoop)][Mask] = &LoopPipeline<Mask>;
+  table[MethodIndex(JoinMethod::kIndex)][Mask] = &IndexedPipeline<Mask>;
+  table[MethodIndex(JoinMethod::kPrefix)][Mask] = &IndexedPipeline<Mask>;
 }
 
 }  // namespace
@@ -704,7 +566,6 @@ PipelineShape ShapeOf(const FragmentJoinOptions& opts) {
                       (opts.use_segment_intersection_filter ? kPipelineSegI
                                                             : 0) |
                       (opts.use_segment_difference_filter ? kPipelineSegD : 0);
-  shape.kernel = exec::ResolveKernelMode(opts.kernel);
   return shape;
 }
 
@@ -720,42 +581,7 @@ const KernelRegistry& KernelRegistry::Get() {
 }
 
 PipelineFn KernelRegistry::Lookup(const PipelineShape& shape) const {
-  return table_[MethodIndex(shape.method)][shape.filter_mask & 15u]
-               [KernelIndex(shape.kernel)];
-}
-
-PipelineFn KernelRegistry::LookupByName(std::string_view name) const {
-  for (JoinMethod method : kMethods) {
-    for (uint32_t mask = 0; mask < kNumFilterMasks; ++mask) {
-      for (KernelMode kernel : kKernels) {
-        const PipelineShape shape{method, mask, kernel};
-        if (ShapeName(shape) == name) return Lookup(shape);
-      }
-    }
-  }
-  return nullptr;
-}
-
-std::string KernelRegistry::ShapeName(const PipelineShape& shape) {
-  std::string name = JoinMethodName(shape.method);
-  name += '/';
-  name += MaskName(shape.filter_mask & 15u);
-  name += '/';
-  name += exec::KernelModeName(shape.kernel);
-  return name;
-}
-
-std::vector<std::string> KernelRegistry::Names() const {
-  std::vector<std::string> names;
-  names.reserve(kNumMethods * kNumFilterMasks * kNumKernels);
-  for (JoinMethod method : kMethods) {
-    for (uint32_t mask = 0; mask < kNumFilterMasks; ++mask) {
-      for (KernelMode kernel : kKernels) {
-        names.push_back(ShapeName(PipelineShape{method, mask, kernel}));
-      }
-    }
-  }
-  return names;
+  return table_[MethodIndex(shape.method)][shape.filter_mask & 15u];
 }
 
 }  // namespace fsjoin

@@ -2,8 +2,6 @@
 #define FSJOIN_CORE_JOIN_PIPELINE_H_
 
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/fragment_join.h"
@@ -12,13 +10,13 @@ namespace fsjoin {
 
 /// Per-plan-shape compiled join pipelines (DESIGN.md §5g).
 ///
-/// A fragment join's inner loop depends on three run-constant choices: the
-/// join method (probe-loop shape), the enabled filter subset, and the
-/// overlap kernel family. The seed code re-branched on all of them per
-/// candidate pair; here every combination is monomorphized into its own
-/// probe loop at build time (`if constexpr` drops disabled filters and the
-/// unused kernel paths entirely) and JoinFragmentBatch picks the matching
-/// function pointer ONCE per fragment from the KernelRegistry.
+/// A fragment join's inner loop depends on two run-constant choices: the
+/// join method (probe-loop shape) and the enabled filter subset. The seed
+/// code re-branched on both per candidate pair; here every combination is
+/// monomorphized into its own probe loop at build time (`if constexpr` drops
+/// disabled filters entirely) and JoinFragmentBatch picks the matching
+/// function pointer ONCE per fragment from the KernelRegistry. Every loop
+/// counts overlaps with the one kernel: the bitmap gate, then SortedOverlap.
 
 /// Filter-subset bits of a pipeline shape; bit set = filter enabled. The
 /// role/pairing rule (FragmentJoinOptions::pair_allowed) stays a runtime
@@ -29,16 +27,13 @@ inline constexpr uint32_t kPipelineSegI = 1u << 2;  ///< Lemma 3
 inline constexpr uint32_t kPipelineSegD = 1u << 3;  ///< Lemma 4
 inline constexpr uint32_t kNumFilterMasks = 16;
 
-/// One point of the specialization lattice. `kernel` is always resolved
-/// (never kAuto) so a shape names exactly one compiled loop.
+/// One point of the specialization lattice: names exactly one compiled loop.
 struct PipelineShape {
   JoinMethod method = JoinMethod::kPrefix;
   uint32_t filter_mask = kNumFilterMasks - 1;
-  exec::KernelMode kernel = exec::KernelMode::kPacked;
 };
 
-/// The shape a fragment join with these options dispatches to, with kAuto
-/// resolved against this build + machine.
+/// The shape a fragment join with these options dispatches to.
 PipelineShape ShapeOf(const FragmentJoinOptions& opts);
 
 /// A compiled pipeline: joins one sealed batch end to end (morsel split,
@@ -49,8 +44,8 @@ using PipelineFn = void (*)(const SegmentBatch&, const FragmentJoinOptions&,
 /// Immutable table of every monomorphized pipeline, built once per process.
 /// kIndex and kPrefix share loop instantiations (both are indexed probes;
 /// the per-row prefix length is decided at index build, at run time), so the
-/// table holds 2 loop shapes x 16 masks x 3 kernels distinct functions
-/// behind 3 x 16 x 3 named slots.
+/// table holds 2 loop shapes x 16 masks = 32 distinct functions behind
+/// 3 x 16 = 48 slots.
 class KernelRegistry {
  public:
   static const KernelRegistry& Get();
@@ -58,24 +53,12 @@ class KernelRegistry {
   /// Never null — every shape has a pipeline.
   PipelineFn Lookup(const PipelineShape& shape) const;
 
-  /// Resolves "<method>/<filters>/<kernel>" (see ShapeName); nullptr when
-  /// no shape has that name.
-  PipelineFn LookupByName(std::string_view name) const;
-
-  /// Canonical shape name, e.g. "prefix/strl+segl+segi+segd/simd" or
-  /// "loop/none/scalar".
-  static std::string ShapeName(const PipelineShape& shape);
-
-  /// Names of all 144 slots, in table order.
-  std::vector<std::string> Names() const;
-
  private:
   KernelRegistry();
 
   static constexpr int kNumMethods = 3;  ///< loop, index, prefix
-  static constexpr int kNumKernels = 3;  ///< scalar, packed, simd
 
-  PipelineFn table_[kNumMethods][kNumFilterMasks][kNumKernels] = {};
+  PipelineFn table_[kNumMethods][kNumFilterMasks] = {};
 };
 
 }  // namespace fsjoin

@@ -8,34 +8,6 @@
 
 namespace fsjoin {
 
-namespace {
-
-/// Container policy knobs. A segment keeps the plain array unless an
-/// alternate form is clearly cheaper: runs win when the tokens are so
-/// clustered that one run covers >= 4 tokens on average (interval merge then
-/// touches 4x fewer entries than the array), bitsets when the tokens are so
-/// dense that a 64-bit grid word covers >= 2 tokens on average (the words
-/// cost no more memory than the array window and intersect by popcount).
-/// Below kContainerMinTokens the array merge is already a handful of
-/// compares and the dispatch overhead would eat any win.
-constexpr uint32_t kContainerMinTokens = 16;
-constexpr uint32_t kRunsMaxRatio = 4;    ///< tokens per run, at least
-constexpr uint32_t kBitsetMinDensity = 2;  ///< tokens per grid word, at least
-
-}  // namespace
-
-const char* SegContainerName(SegContainer c) {
-  switch (c) {
-    case SegContainer::kArray:
-      return "array";
-    case SegContainer::kBitset:
-      return "bitset";
-    case SegContainer::kRuns:
-      return "runs";
-  }
-  return "?";
-}
-
 void SegmentBatch::Reserve(size_t num_segments, size_t num_tokens) {
   arena_.reserve(num_tokens);
   offsets_.reserve(num_segments + 1);
@@ -122,43 +94,6 @@ void SegmentBatch::Seal() {
         BitmapShiftForSpan(static_cast<uint64_t>(hi) - lo + 1);
     for (uint32_t i = 0; i < size(); ++i) {
       bitmaps_[i] = TokenBitmap(tokens(i), length(i), lo, shift);
-    }
-  }
-  // Container classification (policy constants at the top of this file).
-  // The token array stays in the arena either way; kRuns/kBitset segments
-  // additionally get a window in the shared run/bitset arena.
-  containers_.assign(size(), SegContainer::kArray);
-  bitset_arena_.clear();
-  bitset_offsets_.assign(size(), 0);
-  bitset_word0_.assign(size(), 0);
-  bitset_num_words_.assign(size(), 0);
-  runs_arena_.clear();
-  run_offsets_.assign(size(), 0);
-  run_counts_.assign(size(), 0);
-  for (uint32_t i = 0; i < size(); ++i) {
-    const uint32_t len = length(i);
-    if (len < kContainerMinTokens) continue;
-    const TokenRank* t = tokens(i);
-    const size_t nruns = CountTokenRuns(t, len);
-    if (nruns * kRunsMaxRatio <= len) {
-      containers_[i] = SegContainer::kRuns;
-      run_offsets_[i] = static_cast<uint32_t>(runs_arena_.size());
-      run_counts_[i] = static_cast<uint32_t>(nruns);
-      AppendTokenRuns(t, len, &runs_arena_);
-      continue;
-    }
-    const uint32_t word0 = t[0] / 64;
-    const uint32_t nwords = t[len - 1] / 64 - word0 + 1;
-    if (nwords * kBitsetMinDensity <= len) {
-      containers_[i] = SegContainer::kBitset;
-      bitset_offsets_[i] = static_cast<uint32_t>(bitset_arena_.size());
-      bitset_word0_[i] = word0;
-      bitset_num_words_[i] = nwords;
-      bitset_arena_.resize(bitset_arena_.size() + nwords, 0);
-      uint64_t* words = bitset_arena_.data() + bitset_offsets_[i];
-      for (uint32_t k = 0; k < len; ++k) {
-        words[t[k] / 64 - word0] |= uint64_t{1} << (t[k] % 64);
-      }
     }
   }
   sealed_ = true;

@@ -7,25 +7,9 @@
 #include <vector>
 
 #include "sim/global_order.h"
-#include "sim/set_ops.h"
 #include "util/status.h"
 
 namespace fsjoin {
-
-/// Physical representation Seal() picks per segment, Roaring-style. The
-/// sorted token array is ALWAYS kept in the arena (filters, encoding and the
-/// scalar kernels read it regardless); kBitset/kRuns additionally
-/// materialize the alternate form so the join can dispatch the cheapest
-/// (container x container) kernel. Bitsets live on the absolute 64-bit word
-/// grid (word w covers ranks [64w, 64w + 64)), so bitsets from different
-/// batches — the two sides of a fragment join — always agree on alignment.
-enum class SegContainer : uint8_t {
-  kArray,   ///< sorted rank array (the arena window) — always available
-  kBitset,  ///< dense: word-grid bitset, popcount intersection
-  kRuns,    ///< clustered: maximal consecutive-rank runs, interval merge
-};
-
-const char* SegContainerName(SegContainer c);
 
 /// One segment of a record inside a fragment, together with the side
 /// information the segment-aware filters need (§V-A): the full string
@@ -71,9 +55,7 @@ inline SegmentView ViewOf(const SegmentRecord& record) {
 ///
 /// Seal() finalizes the batch: it precomputes a 64-bit word-packed bucket
 /// bitmap per segment (sim/set_ops.h) under a fragment-local (base, shift)
-/// mapping, enabling the one-AND empty-overlap reject in the join kernels,
-/// and classifies each segment into a physical container (SegContainer
-/// above) for the (container x container) kernel dispatch.
+/// mapping, enabling the one-AND empty-overlap reject in the join kernel.
 class SegmentBatch {
  public:
   SegmentBatch() { offsets_.push_back(0); }
@@ -114,25 +96,6 @@ class SegmentBatch {
   /// Word-packed bucket bitmap of segment i (valid once sealed).
   uint64_t bitmap(uint32_t i) const { return bitmaps_[i]; }
 
-  /// Physical container Seal() chose for segment i (valid once sealed).
-  /// Dense segments (few grid words per token) become kBitset, clustered
-  /// ones (few runs per token) kRuns, everything else stays kArray.
-  SegContainer container(uint32_t i) const { return containers_[i]; }
-
-  /// Bitset window of a kBitset segment on the absolute word grid: word w of
-  /// the window is grid word bitset_word0(i) + w.
-  const uint64_t* bitset_words(uint32_t i) const {
-    return bitset_arena_.data() + bitset_offsets_[i];
-  }
-  uint32_t bitset_word0(uint32_t i) const { return bitset_word0_[i]; }
-  uint32_t bitset_num_words(uint32_t i) const { return bitset_num_words_[i]; }
-
-  /// Run list of a kRuns segment.
-  const TokenRun* runs(uint32_t i) const {
-    return runs_arena_.data() + run_offsets_[i];
-  }
-  uint32_t num_runs(uint32_t i) const { return run_counts_[i]; }
-
   SegmentView View(uint32_t i) const {
     return SegmentView{rids_[i], record_sizes_[i], heads_[i], tokens(i),
                        length(i)};
@@ -160,17 +123,6 @@ class SegmentBatch {
   std::vector<uint32_t> record_sizes_;
   std::vector<uint32_t> heads_;
   std::vector<uint64_t> bitmaps_;  ///< filled by Seal()
-  // Container columns, filled by Seal(). The bitset/run arenas are shared
-  // across segments; the per-segment offset columns carve out windows. For
-  // segments of another container kind the columns hold zeros.
-  std::vector<SegContainer> containers_;
-  std::vector<uint64_t> bitset_arena_;
-  std::vector<uint32_t> bitset_offsets_;
-  std::vector<uint32_t> bitset_word0_;
-  std::vector<uint32_t> bitset_num_words_;
-  std::vector<TokenRun> runs_arena_;
-  std::vector<uint32_t> run_offsets_;
-  std::vector<uint32_t> run_counts_;
   // Side columns, filled by TagSides() for R-S fragments; empty on
   // self-join batches (the side machinery costs nothing unless asked for).
   std::vector<uint8_t> probe_side_;

@@ -6,37 +6,8 @@
 
 #include "mr/engine.h"
 #include "util/endpoint.h"
-#include "util/simd.h"
 
 namespace fsjoin::exec {
-
-const char* KernelModeName(KernelMode mode) {
-  switch (mode) {
-    case KernelMode::kAuto:
-      return "auto";
-    case KernelMode::kScalar:
-      return "scalar";
-    case KernelMode::kPacked:
-      return "packed";
-    case KernelMode::kSimd:
-      return "simd";
-  }
-  return "?";
-}
-
-Result<KernelMode> KernelModeFromName(std::string_view name) {
-  if (name == "auto") return KernelMode::kAuto;
-  if (name == "scalar") return KernelMode::kScalar;
-  if (name == "packed") return KernelMode::kPacked;
-  if (name == "simd") return KernelMode::kSimd;
-  return Status::InvalidArgument("unknown kernel: '" + std::string(name) +
-                                 "' (expected auto|scalar|packed|simd)");
-}
-
-KernelMode ResolveKernelMode(KernelMode mode) {
-  if (mode != KernelMode::kAuto) return mode;
-  return SimdAvailable() ? KernelMode::kSimd : KernelMode::kPacked;
-}
 
 Status ExecConfig::Validate() const {
   if (num_map_tasks == 0 || num_reduce_tasks == 0) {

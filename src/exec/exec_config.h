@@ -4,32 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "mr/runner.h"
 #include "util/status.h"
 
 namespace fsjoin::exec {
-
-/// Which overlap kernel family the fragment-join verification loop uses.
-/// All modes produce identical join results and emissions; they differ in
-/// speed and (for kSimd) in how a provably-pruned pair is attributed between
-/// the empty_overlap and pruned_segi counters (DESIGN.md §5g).
-enum class KernelMode {
-  kAuto,    ///< kSimd when the CPU/build has vector kernels, else kPacked
-  kScalar,  ///< pure scalar reference merge, no bitmap gate — the baseline
-            ///< every other mode is verified against
-  kPacked,  ///< PR 3 path: word-packed bitmap gate + scalar merge
-  kSimd,    ///< bitmap gate + container dispatch + vectorized bounded merge
-};
-
-const char* KernelModeName(KernelMode mode);
-
-/// Parses auto|scalar|packed|simd; InvalidArgument otherwise.
-Result<KernelMode> KernelModeFromName(std::string_view name);
-
-/// What kAuto means on this build + machine (kSimd or kPacked).
-KernelMode ResolveKernelMode(KernelMode mode);
 
 /// Smallest cluster heartbeat interval: sub-50ms probes misdiagnose a busy
 /// loopback worker as dead.
@@ -49,11 +28,6 @@ struct ExecConfig {
   /// corpus encode and R-S merge and the fragment joins' morsels
   /// (DESIGN.md §5d).
   size_t num_threads = 0;
-
-  /// Overlap kernel family for fragment-join verification (taxonomy above).
-  /// kAuto resolves per process at job start; the resolved choice is logged
-  /// in JobMetrics so A/B runs are self-describing.
-  KernelMode kernel = KernelMode::kAuto;
 
   /// Abort with ResourceExhausted once a run emits more than this many
   /// intermediate records (0 = unlimited). Models the paper's observation

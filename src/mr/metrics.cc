@@ -30,7 +30,6 @@ double JobMetrics::ReduceSkew() const {
 std::string JobMetrics::Summary() const {
   std::ostringstream os;
   os << "job '" << job_name << "'";
-  if (!join_kernel.empty()) os << " (kernel " << join_kernel << ")";
   os << ":\n";
   os << StrFormat("  map:     %s records in, %s records out (%s), dup=%.2fx\n",
                   WithThousandsSep(map_input_records).c_str(),

@@ -38,10 +38,6 @@ struct TaskMetrics {
 /// here.
 struct JobMetrics {
   std::string job_name;
-  /// Resolved overlap-kernel pipeline of the job's reducers (filtering job
-  /// only, e.g. "simd[avx2]"; empty for jobs that run no fragment joins).
-  /// Logged so A/B benchmark runs are self-describing.
-  std::string join_kernel;
 
   uint64_t map_input_records = 0;
   uint64_t map_input_bytes = 0;

@@ -112,140 +112,6 @@ uint64_t SortedOverlapAtLeast(const std::vector<uint32_t>& a,
   return count >= required ? count : 0;
 }
 
-uint64_t SortedOverlapBounded(const uint32_t* a, size_t na, const uint32_t* b,
-                              size_t nb, uint64_t required) {
-  uint64_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < na && j < nb) {
-    // Matches so far plus everything that could still match; once that
-    // optimistic total drops below `required`, the bound is unreachable and
-    // the contract allows returning the (below-bound) partial count.
-    if (count + std::min(na - i, nb - j) < required) return count;
-    if (a[i] == b[j]) {
-      ++count;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return count;
-}
-
-size_t CountTokenRuns(const uint32_t* data, size_t n) {
-  size_t runs = 0;
-  for (size_t i = 0; i < n; ++runs) {
-    size_t j = i + 1;
-    while (j < n && data[j] == data[j - 1] + 1) ++j;
-    i = j;
-  }
-  return runs;
-}
-
-size_t AppendTokenRuns(const uint32_t* data, size_t n,
-                       std::vector<TokenRun>* out) {
-  size_t runs = 0;
-  for (size_t i = 0; i < n; ++runs) {
-    size_t j = i + 1;
-    while (j < n && data[j] == data[j - 1] + 1) ++j;
-    out->push_back(TokenRun{data[i], static_cast<uint32_t>(j - i)});
-    i = j;
-  }
-  return runs;
-}
-
-uint64_t BitsetBitsetOverlap(const uint64_t* a, uint32_t a_word0,
-                             uint32_t a_words, const uint64_t* b,
-                             uint32_t b_word0, uint32_t b_words) {
-  const uint32_t lo = std::max(a_word0, b_word0);
-  const uint32_t a_end = a_word0 + a_words;
-  const uint32_t b_end = b_word0 + b_words;
-  const uint32_t hi = std::min(a_end, b_end);
-  uint64_t count = 0;
-  for (uint32_t w = lo; w < hi; ++w) {
-    count += static_cast<uint64_t>(
-        __builtin_popcountll(a[w - a_word0] & b[w - b_word0]));
-  }
-  return count;
-}
-
-uint64_t BitsetArrayOverlap(const uint64_t* words, uint32_t word0,
-                            uint32_t num_words, uint32_t base,
-                            const uint32_t* tokens, size_t n) {
-  const uint64_t lo = base + uint64_t{64} * word0;
-  const uint64_t hi = lo + uint64_t{64} * num_words;
-  uint64_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t t = tokens[i];
-    if (t < lo) continue;
-    if (t >= hi) break;
-    const uint64_t off = t - lo;
-    count += (words[off >> 6] >> (off & 63)) & 1;
-  }
-  return count;
-}
-
-uint64_t BitsetRunsOverlap(const uint64_t* words, uint32_t word0,
-                           uint32_t num_words, uint32_t base,
-                           const TokenRun* runs, size_t num_runs) {
-  const uint64_t lo = base + uint64_t{64} * word0;
-  const uint64_t hi = lo + uint64_t{64} * num_words;
-  uint64_t count = 0;
-  for (size_t r = 0; r < num_runs; ++r) {
-    // Clip the run [start, start+length) to the bitset's rank window, then
-    // popcount the covered bits word by word with the edges masked.
-    uint64_t start = runs[r].start;
-    uint64_t end = start + runs[r].length;
-    if (end <= lo) continue;
-    if (start >= hi) break;
-    start = std::max(start, lo) - lo;
-    end = std::min(end, hi) - lo;
-    uint64_t w = start >> 6;
-    const uint64_t w_end = (end - 1) >> 6;
-    uint64_t mask = ~uint64_t{0} << (start & 63);
-    for (; w < w_end; ++w, mask = ~uint64_t{0}) {
-      count += static_cast<uint64_t>(__builtin_popcountll(words[w] & mask));
-    }
-    mask &= ~uint64_t{0} >> (63 - ((end - 1) & 63));
-    count += static_cast<uint64_t>(__builtin_popcountll(words[w] & mask));
-  }
-  return count;
-}
-
-uint64_t RunsRunsOverlap(const TokenRun* a, size_t na, const TokenRun* b,
-                         size_t nb) {
-  uint64_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < na && j < nb) {
-    const uint64_t a_end = uint64_t{a[i].start} + a[i].length;
-    const uint64_t b_end = uint64_t{b[j].start} + b[j].length;
-    const uint64_t lo = std::max(a[i].start, b[j].start);
-    const uint64_t hi = std::min(a_end, b_end);
-    if (hi > lo) count += hi - lo;
-    if (a_end <= b_end) ++i;
-    if (b_end <= a_end) ++j;
-  }
-  return count;
-}
-
-uint64_t RunsArrayOverlap(const TokenRun* runs, size_t num_runs,
-                          const uint32_t* tokens, size_t n) {
-  uint64_t count = 0;
-  size_t i = 0;
-  for (size_t r = 0; r < num_runs && i < n; ++r) {
-    const uint32_t start = runs[r].start;
-    const uint64_t end = uint64_t{start} + runs[r].length;
-    while (i < n && tokens[i] < start) ++i;
-    while (i < n && tokens[i] < end) {
-      ++count;
-      ++i;
-    }
-  }
-  return count;
-}
-
 uint64_t SortedSuffixOverlap(const std::vector<uint32_t>& a,
                              std::size_t a_start,
                              const std::vector<uint32_t>& b,

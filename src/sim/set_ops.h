@@ -83,88 +83,6 @@ uint64_t SortedOverlapAtLeast(const std::vector<uint32_t>& a,
                               const std::vector<uint32_t>& b,
                               uint64_t required);
 
-/// ---- Bounded-overlap contract -------------------------------------------
-/// The verification-bound kernels below share one contract, chosen so every
-/// implementation (scalar, AVX2, NEON) is interchangeable in the join:
-///
-///   * if |a ∩ b| >= required, the exact overlap is returned;
-///   * otherwise SOME value < required is returned (implementations may
-///     bail out at different points, so the below-bound value itself is
-///     unspecified — only the predicate `result < required` is portable,
-///     and it always equals `|a ∩ b| < required`);
-///   * required <= 1 therefore forces the exact overlap (a kernel may only
-///     stop early when the bound is provably unreachable, which for
-///     required <= 1 means the merge already finished).
-///
-/// Callers must treat a below-bound result as "pruned" and never use the
-/// returned value for anything else.
-
-/// Scalar reference implementation of the bounded contract.
-uint64_t SortedOverlapBounded(const uint32_t* a, std::size_t na,
-                              const uint32_t* b, std::size_t nb,
-                              uint64_t required);
-
-/// ---- Vectorized kernels (see util/simd.h) -------------------------------
-/// Exact |a ∩ b| dispatched on DetectedSimdIsa(): a broadcast/compare probe
-/// for short runs, galloping with a vector block-compare for skewed pairs,
-/// and a rotation block-merge for similar-length inputs. Falls back to
-/// SortedOverlap on scalar-only builds/CPUs — always exact, any ISA.
-uint64_t SimdOverlap(const uint32_t* a, std::size_t na, const uint32_t* b,
-                     std::size_t nb);
-
-/// Vectorized bounded-overlap kernel (contract above): stops as soon as
-/// `required` is provably unreachable. The fragment join's verification
-/// cutoff (SegL/SegI required overlap) goes through this.
-uint64_t SimdOverlapBounded(const uint32_t* a, std::size_t na,
-                            const uint32_t* b, std::size_t nb,
-                            uint64_t required);
-
-/// ---- Container kernels ---------------------------------------------------
-/// Roaring-style alternate representations a SegmentBatch may pick per
-/// segment at Seal (core/segments.h): a dense word bitset over the
-/// fragment's 64-bit-word grid, or a run-length list of consecutive ranks.
-/// All kernels compute the exact overlap; pairs mixing representations
-/// dispatch to the matching (container x container) kernel.
-
-/// One maximal run of consecutive token ranks: {start, start+1, ...,
-/// start+length-1}.
-struct TokenRun {
-  uint32_t start = 0;
-  uint32_t length = 0;
-};
-
-/// Number of maximal runs in a sorted, duplicate-free sequence.
-std::size_t CountTokenRuns(const uint32_t* data, std::size_t n);
-
-/// Appends the maximal runs of `data` to *out; returns how many were added.
-std::size_t AppendTokenRuns(const uint32_t* data, std::size_t n,
-                            std::vector<TokenRun>* out);
-
-/// |a ∩ b| of two bitsets on the same word grid: word w of a set covers
-/// ranks [base + 64*(w0 + w), base + 64*(w0 + w + 1)). Only the
-/// overlapping window is touched.
-uint64_t BitsetBitsetOverlap(const uint64_t* a, uint32_t a_word0,
-                             uint32_t a_words, const uint64_t* b,
-                             uint32_t b_word0, uint32_t b_words);
-
-/// |bitset ∩ sorted array|; `base` anchors the word grid in rank space.
-uint64_t BitsetArrayOverlap(const uint64_t* words, uint32_t word0,
-                            uint32_t num_words, uint32_t base,
-                            const uint32_t* tokens, std::size_t n);
-
-/// |bitset ∩ runs|.
-uint64_t BitsetRunsOverlap(const uint64_t* words, uint32_t word0,
-                           uint32_t num_words, uint32_t base,
-                           const TokenRun* runs, std::size_t num_runs);
-
-/// |runs ∩ runs| — interval-intersection two-pointer merge.
-uint64_t RunsRunsOverlap(const TokenRun* a, std::size_t na, const TokenRun* b,
-                         std::size_t nb);
-
-/// |runs ∩ sorted array|.
-uint64_t RunsArrayOverlap(const TokenRun* runs, std::size_t num_runs,
-                          const uint32_t* tokens, std::size_t n);
-
 /// Overlap of the suffixes a[a_start..) and b[b_start..).
 uint64_t SortedSuffixOverlap(const std::vector<uint32_t>& a,
                              std::size_t a_start,

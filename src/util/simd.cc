@@ -5,24 +5,15 @@ namespace fsjoin {
 namespace {
 
 SimdIsa ProbeCpu() {
-#if !defined(FSJOIN_NO_SIMD) && defined(__x86_64__)
+#if defined(__x86_64__)
   if (__builtin_cpu_supports("avx2")) return SimdIsa::kAvx2;
   return SimdIsa::kScalar;
-#elif !defined(FSJOIN_NO_SIMD) && defined(__ARM_NEON)
+#elif defined(__ARM_NEON)
   // NEON is architectural on aarch64; no runtime probe needed.
   return SimdIsa::kNeon;
 #else
   return SimdIsa::kScalar;
 #endif
-}
-
-/// Cached answer; ScopedSimdIsaOverride rewrites it for tests.
-SimdIsa g_detected = [] { return ProbeCpu(); }();
-
-SimdIsa Clamp(SimdIsa isa) {
-  // An override may only select what this build + machine actually have;
-  // anything else degrades to the scalar reference.
-  return ProbeCpu() == isa ? isa : SimdIsa::kScalar;
 }
 
 }  // namespace
@@ -39,15 +30,9 @@ const char* SimdIsaName(SimdIsa isa) {
   return "?";
 }
 
-SimdIsa DetectedSimdIsa() { return g_detected; }
-
-bool SimdAvailable() { return DetectedSimdIsa() != SimdIsa::kScalar; }
-
-ScopedSimdIsaOverride::ScopedSimdIsaOverride(SimdIsa isa)
-    : previous_(g_detected) {
-  g_detected = Clamp(isa);
+SimdIsa DetectedSimdIsa() {
+  static const SimdIsa detected = ProbeCpu();
+  return detected;
 }
-
-ScopedSimdIsaOverride::~ScopedSimdIsaOverride() { g_detected = previous_; }
 
 }  // namespace fsjoin

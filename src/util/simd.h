@@ -1,28 +1,12 @@
 #ifndef FSJOIN_UTIL_SIMD_H_
 #define FSJOIN_UTIL_SIMD_H_
 
-#include <string_view>
-
-/// Portable SIMD selection for the hot overlap kernels (sim/set_ops).
-///
-/// Configure time: the CMake option FSJOIN_ENABLE_SIMD (default ON) gates
-/// every vector code path; OFF defines FSJOIN_NO_SIMD and this header
-/// reports kScalar unconditionally — the build the SSE2-only CI job
-/// exercises. The AVX2 kernels are compiled with per-function target
-/// attributes, so the *baseline* ISA of the build never changes: a binary
-/// compiled for plain x86-64 still carries the AVX2 kernels and picks them
-/// at run time only on machines that have the instructions.
-///
-/// Run time: DetectedSimdIsa() probes the CPU once (cpuid via
-/// __builtin_cpu_supports on x86-64, compile-time __ARM_NEON on aarch64)
-/// and callers dispatch on the cached result. Tests pin the answer with
-/// ScopedSimdIsaOverride to cover the scalar fallback on any machine.
+/// The host's vector instruction set, for machine descriptors in benchmark
+/// reports. The overlap kernel itself is scalar (DESIGN.md §5g), so nothing
+/// dispatches on this.
 
 namespace fsjoin {
 
-/// Vector instruction set the overlap kernels can target. kScalar is the
-/// always-available reference; the other values only appear when the CPU
-/// (and the build, see FSJOIN_ENABLE_SIMD) support them.
 enum class SimdIsa {
   kScalar,
   kAvx2,  ///< x86-64, 8 x 32-bit lanes
@@ -31,27 +15,9 @@ enum class SimdIsa {
 
 const char* SimdIsaName(SimdIsa isa);
 
-/// The best ISA available to this process (cached after the first call,
-/// honoring any active override). Never higher than what the build allows.
+/// The best vector ISA this CPU offers (probed once, then cached): cpuid via
+/// __builtin_cpu_supports on x86-64, compile-time __ARM_NEON on aarch64.
 SimdIsa DetectedSimdIsa();
-
-/// True when DetectedSimdIsa() != kScalar.
-bool SimdAvailable();
-
-/// Test hook: forces DetectedSimdIsa() to report `isa` (clamped to what the
-/// build supports — requesting kAvx2 on an aarch64 or FSJOIN_NO_SIMD build
-/// yields kScalar) for the enclosing scope. Process-global, not thread
-/// safe; tests only.
-class ScopedSimdIsaOverride {
- public:
-  explicit ScopedSimdIsaOverride(SimdIsa isa);
-  ~ScopedSimdIsaOverride();
-  ScopedSimdIsaOverride(const ScopedSimdIsaOverride&) = delete;
-  ScopedSimdIsaOverride& operator=(const ScopedSimdIsaOverride&) = delete;
-
- private:
-  SimdIsa previous_;
-};
 
 }  // namespace fsjoin
 

@@ -55,7 +55,6 @@ expect_bad --heartbeat-ms "${missing[@]}" --runner cluster \
   --spawn-local-workers 1 --heartbeat-ms 10
 expect_bad --tokenizer "${join[@]}" --tokenizer qgramx
 expect_bad --tokenizer "${join[@]}" --tokenizer qgram0
-expect_bad --kernel "${join[@]}" --kernel warp
 expect_bad --runner "${join[@]}" --runner warp
 expect_bad --function "${join[@]}" --function warp
 expect_bad --method "${join[@]}" --method warp
@@ -64,8 +63,9 @@ printf 'a b c d e\n' > "$tmp/right.txt"
 # Removed flags are unknown flags now: "backend" chose the execution
 # engine, "rs" was a legacy alias of --right, "auto" and "sample-rate" ran
 # the sampling auto-tuner, "parallel-join" and "morsel" switched the
-# fragment joins' morsels, which now always run on the thread runner.
-for removed in backend rs auto sample-rate parallel-join morsel; do
+# fragment joins' morsels, which now always run on the thread runner, and
+# "kernel" chose among overlap kernels, of which one is left.
+for removed in backend rs auto sample-rate parallel-join morsel kernel; do
   expect_bad "--$removed" "${join[@]}" "--$removed" "$tmp/right.txt"
 done
 expect_bad --warmup "$bench" --warmup=-3

@@ -253,7 +253,7 @@ JoinResultSet RunAlgorithm(int algorithm, const Corpus& corpus,
   }
 }
 
-TEST(ClusterRunnerTest, DigestsIdenticalToInlineAcrossBackendsAlgorithms) {
+TEST(ClusterRunnerTest, DigestsIdenticalToInlineAcrossAlgorithms) {
   const Corpus corpus = testing::RandomCorpus(48, 60, 0.8, 8.0, 11);
   const char* names[] = {"fsjoin", "vernica", "vsmart", "massjoin"};
 
@@ -273,7 +273,7 @@ TEST(ClusterRunnerTest, DigestsIdenticalToInlineAcrossBackendsAlgorithms) {
 // survive network shuffle byte-identically. The inline reference is itself
 // pinned to the serial BruteForceJoinRS oracle so a cluster/inline match
 // can't hide a shared wrong answer.
-TEST(ClusterRunnerTest, RsDigestsIdenticalToInlineAcrossBackendsAlgorithms) {
+TEST(ClusterRunnerTest, RsDigestsIdenticalToInlineAcrossAlgorithms) {
   const Corpus corpus = testing::RandomCorpus(48, 60, 0.8, 8.0, 11);
   const RecordId boundary = 20;
   const char* names[] = {"fsjoin", "vernica", "vsmart", "massjoin"};

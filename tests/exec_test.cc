@@ -103,7 +103,7 @@ mr::JobConfig WordCountJob() {
   return job;
 }
 
-TEST(BackendTest, HistoryAccumulatesAcrossExecuteCalls) {
+TEST(BackendTest, HistoryAccumulatesAcrossRunCalls) {
   MapReduceBackend backend(SmallExec());
   Result<mr::Dataset> first = backend.Run(WordCountJob(), Words());
   ASSERT_TRUE(first.ok()) << first.status().ToString();
@@ -136,7 +136,9 @@ struct CorpusShape {
 /// parameter's raw bytes, `name` pointer included. The names sit at fixed
 /// offsets in one aligned table, so the pointer's low byte (and with it the
 /// ctest name's leading bytes) does not move when unrelated code shifts the
-/// binary's read-only data.
+/// binary's read-only data. The higher address bytes still change with
+/// every load, so each test name of this suite is at least 29 characters
+/// long: a test ID cut at 100 characters then ends before them.
 alignas(256) const char kShapeNames[][48] = {"email-like", "pubmed-like",
                                              "wiki-like"};
 
@@ -158,7 +160,7 @@ class BackendEquivalence : public ::testing::TestWithParam<CorpusShape> {};
 
 // FS-Join on the backend matches the serial oracle at three thresholds, and
 // its three jobs land in the report under their names.
-TEST_P(BackendEquivalence, FsJoinSameResultsOnBothBackends) {
+TEST_P(BackendEquivalence, FsJoinResultsMatchSerialOracle) {
   const CorpusShape& shape = GetParam();
   Corpus corpus = RandomCorpus(shape.records, shape.vocab, shape.skew,
                                shape.avg_len, shape.seed);
@@ -184,7 +186,7 @@ TEST_P(BackendEquivalence, FsJoinSameResultsOnBothBackends) {
 
 // Every baseline on the backend matches the serial oracle, and its
 // signature stage resolves by name.
-TEST_P(BackendEquivalence, BaselinesSameResultsOnBothBackends) {
+TEST_P(BackendEquivalence, BaselinesResultsMatchSerialOracle) {
   const CorpusShape& shape = GetParam();
   Corpus corpus = RandomCorpus(shape.records, shape.vocab, shape.skew,
                                shape.avg_len, shape.seed + 50);

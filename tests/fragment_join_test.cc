@@ -1,17 +1,21 @@
 // Fragment-local joins (§V-A "Join Algorithms"): Loop, Index and Prefix
 // must produce identical surviving partial overlaps (Loop is the oracle),
-// and the filter counters must account for every considered pair.
+// every compiled pipeline must match a brute-force reference, and the
+// filter counters must account for every considered pair.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "core/filters.h"
 #include "core/fragment_join.h"
+#include "core/join_pipeline.h"
 #include "core/pivots.h"
 #include "core/segments.h"
 #include "sim/set_ops.h"
@@ -134,10 +138,9 @@ TEST(FragmentJoinTest, MethodsProduceIdenticalPartials) {
 
 // The indexed probes (kIndex, kPrefix) learn a pair's overlap either from
 // the posting scan itself (both prefixes are the whole segment) or from the
-// overlap kernel. Whichever path a pair takes, every kernel family must emit
-// the same partials in the same order with the same counters, and every
-// emitted overlap must be the exact segment overlap.
-TEST(FragmentJoinTest, IndexedProbeIsKernelInvariantAndExact) {
+// gated merge. Whichever path a pair takes, every emitted overlap must be the
+// exact segment overlap, and the row adapter must agree with the batch path.
+TEST(FragmentJoinTest, IndexedProbeIsExact) {
   for (const FragmentShape& shape : kShapes) {
     for (bool rs : {false, true}) {
       SCOPED_TRACE(std::string(shape.name) + (rs ? "/rs" : "/self"));
@@ -162,24 +165,6 @@ TEST(FragmentJoinTest, IndexedProbeIsKernelInvariantAndExact) {
               opts.method = method;
               opts.aggressive_segment_prefix = aggressive;
               opts.rs_boundary = BoundaryFor(rs, fragment.size());
-              opts.kernel = exec::KernelMode::kScalar;
-              std::vector<PartialOverlap> scalar_out;
-              FilterCounters scalar_counters;
-              JoinFragment(fragment, opts, &scalar_out, &scalar_counters);
-              emitted += scalar_counters.emitted;
-              for (exec::KernelMode kernel :
-                   {exec::KernelMode::kPacked, exec::KernelMode::kSimd}) {
-                opts.kernel = kernel;
-                std::vector<PartialOverlap> out;
-                FilterCounters counters;
-                JoinFragment(fragment, opts, &out, &counters);
-                EXPECT_TRUE(SamePartials(scalar_out, out))
-                    << exec::KernelModeName(kernel);
-                ExpectSameCounters(scalar_counters, counters);
-              }
-              // The row adapter and the batch path agree under the
-              // aggressive per-segment prefix as well.
-              opts.kernel = exec::KernelMode::kAuto;
               SegmentBatch batch = SegmentBatch::FromRecords(fragment);
               if (rs) batch.TagSides(*opts.rs_boundary);
               std::vector<PartialOverlap> row_out, batch_out;
@@ -188,7 +173,8 @@ TEST(FragmentJoinTest, IndexedProbeIsKernelInvariantAndExact) {
               JoinFragmentBatch(batch, opts, &batch_out, &batch_counters);
               EXPECT_TRUE(SamePartials(row_out, batch_out));
               ExpectSameCounters(row_counters, batch_counters);
-              for (const PartialOverlap& p : scalar_out) {
+              emitted += row_counters.emitted;
+              for (const PartialOverlap& p : row_out) {
                 const std::vector<TokenRank>& a = fragment[p.a].tokens;
                 const std::vector<TokenRank>& b = fragment[p.b].tokens;
                 EXPECT_EQ(p.overlap, SortedOverlap(a.data(), a.size(),
@@ -202,6 +188,151 @@ TEST(FragmentJoinTest, IndexedProbeIsKernelInvariantAndExact) {
       EXPECT_GT(emitted, 0u);  // the shape exercises the emit path
     }
   }
+}
+
+// Brute-force reference for one registry slot: enumerates every cross pair
+// (self: i < j; R-S: probe x build), keeps the ones the slot's loop shape
+// considers, and runs the mask's filter chain on LinearOverlap. The loop
+// considers every pair. The indexed probes consider a pair when the prefixes
+// share a token (the whole segment for kIndex) and, with StrL on, the
+// partner's record size lies in the probe's length window; a self-join
+// probe is the later row in (record_size, rid) order.
+void BruteForceSlot(const std::vector<SegmentRecord>& fragment,
+                    JoinMethod method, uint32_t mask,
+                    const FragmentJoinOptions& opts,
+                    std::vector<PartialOverlap>* out,
+                    FilterCounters* counters) {
+  const SimilarityFunction fn = opts.function;
+  const double theta = opts.theta;
+  auto prefix = [&](const SegmentRecord& s) -> size_t {
+    if (method == JoinMethod::kIndex) return s.tokens.size();
+    return SegmentPrefixLength(fn, theta, s);
+  };
+  auto considered = [&](const SegmentRecord& x, const SegmentRecord& probe) {
+    if (method == JoinMethod::kLoop) return true;
+    if ((mask & kPipelineStrL) != 0) {
+      const uint64_t size = x.record_size;
+      if (size < PartnerSizeLowerBound(fn, theta, probe.record_size)) {
+        return false;
+      }
+      if (opts.rs_boundary.has_value() &&
+          size > PartnerSizeUpperBound(fn, theta, probe.record_size)) {
+        return false;
+      }
+    }
+    return LinearOverlap(x.tokens.data(), prefix(x), probe.tokens.data(),
+                         prefix(probe)) > 0;
+  };
+  auto process = [&](const SegmentRecord& x, const SegmentRecord& y) {
+    ++counters->pairs_considered;
+    if ((mask & kPipelineStrL) != 0 &&
+        StrLengthPrunes(fn, theta, x.record_size, y.record_size)) {
+      ++counters->pruned_strl;
+      return;
+    }
+    if ((mask & kPipelineSegL) != 0 && SegmentLengthPrunes(fn, theta, x, y)) {
+      ++counters->pruned_segl;
+      return;
+    }
+    const uint64_t overlap = LinearOverlap(x.tokens, y.tokens);
+    if (overlap == 0) {
+      ++counters->empty_overlap;
+      return;
+    }
+    if ((mask & kPipelineSegI) != 0 &&
+        (SegmentIntersectionPrunes(fn, theta, x, y, overlap) ||
+         overlap < SegmentMinLocalOverlap(fn, theta, x) ||
+         overlap < SegmentMinLocalOverlap(fn, theta, y))) {
+      ++counters->pruned_segi;
+      return;
+    }
+    if ((mask & kPipelineSegD) != 0 &&
+        SegmentDifferencePrunes(fn, theta, x, y, overlap)) {
+      ++counters->pruned_segd;
+      return;
+    }
+    const SegmentRecord& lo = x.rid <= y.rid ? x : y;
+    const SegmentRecord& hi = x.rid <= y.rid ? y : x;
+    out->push_back(PartialOverlap{lo.rid, hi.rid, lo.record_size,
+                                  hi.record_size, overlap});
+    ++counters->emitted;
+  };
+  auto before = [](const SegmentRecord& a, const SegmentRecord& b) {
+    if (a.record_size != b.record_size) return a.record_size < b.record_size;
+    return a.rid < b.rid;
+  };
+  for (size_t i = 0; i < fragment.size(); ++i) {
+    for (size_t j = i + 1; j < fragment.size(); ++j) {
+      const SegmentRecord* x = &fragment[i];
+      const SegmentRecord* y = &fragment[j];
+      if (opts.rs_boundary.has_value()) {
+        const bool x_probe = x->rid < *opts.rs_boundary;
+        if (x_probe == (y->rid < *opts.rs_boundary)) continue;
+        if (x_probe) std::swap(x, y);  // y is the probe
+      } else if (before(*y, *x)) {
+        std::swap(x, y);  // y is the later row
+      }
+      if (considered(*x, *y)) process(*x, *y);
+    }
+  }
+}
+
+// All 48 registry slots (3 methods x 16 filter masks), self and R-S, each
+// against the brute-force reference: the same partials and the same
+// counters. The narrow shape sends most indexed candidates through the gated
+// merge; the wide one counts them during the posting scan.
+TEST(FragmentJoinTest, EveryRegistrySlotMatchesBruteForce) {
+  const KernelRegistry& registry = KernelRegistry::Get();
+  std::set<PipelineFn> distinct;
+  for (const FragmentShape& shape : kShapes) {
+    for (bool rs : {false, true}) {
+      Rng rng(4242);
+      for (int iter = 0; iter < 4; ++iter) {
+        const std::vector<SegmentRecord> fragment = RandomFragment(
+            rng, 30, 0, shape.rank_hi, shape.context_lo, shape.context_hi);
+        SegmentBatch batch = SegmentBatch::FromRecords(fragment);
+        if (rs) batch.TagSides(*BoundaryFor(rs, fragment.size()));
+        for (double theta : {0.5, 0.8}) {
+          for (JoinMethod method :
+               {JoinMethod::kLoop, JoinMethod::kIndex, JoinMethod::kPrefix}) {
+            for (uint32_t mask = 0; mask < kNumFilterMasks; ++mask) {
+              SCOPED_TRACE(std::string(shape.name) + (rs ? "/rs/" : "/self/") +
+                           JoinMethodName(method) + "/mask" +
+                           std::to_string(mask) + "/theta" +
+                           std::to_string(theta));
+              FragmentJoinOptions opts;
+              opts.theta = theta;
+              opts.method = method;
+              opts.use_length_filter = (mask & kPipelineStrL) != 0;
+              opts.use_segment_length_filter = (mask & kPipelineSegL) != 0;
+              opts.use_segment_intersection_filter =
+                  (mask & kPipelineSegI) != 0;
+              opts.use_segment_difference_filter = (mask & kPipelineSegD) != 0;
+              opts.rs_boundary = BoundaryFor(rs, fragment.size());
+              const PipelineShape slot = ShapeOf(opts);
+              ASSERT_EQ(slot.method, method);
+              ASSERT_EQ(slot.filter_mask, mask);
+              const PipelineFn fn = registry.Lookup(slot);
+              ASSERT_NE(fn, nullptr);
+              distinct.insert(fn);
+
+              std::vector<PartialOverlap> got, want;
+              FilterCounters got_counters, want_counters;
+              fn(batch, opts, &got, &got_counters);
+              BruteForceSlot(fragment, method, mask, opts, &want,
+                             &want_counters);
+              SortPartials(&got);
+              SortPartials(&want);
+              EXPECT_TRUE(SamePartials(want, got));
+              ExpectSameCounters(want_counters, got_counters);
+            }
+          }
+        }
+      }
+    }
+  }
+  // kIndex and kPrefix share one compiled loop per mask.
+  EXPECT_EQ(distinct.size(), 2u * kNumFilterMasks);
 }
 
 TEST(FragmentJoinTest, CountersAccountForEveryConsideredPair) {

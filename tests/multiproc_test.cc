@@ -94,7 +94,7 @@ void ExpectSameFilterCounters(const FilterCounters& got,
   EXPECT_EQ(got.emitted, want.emitted) << where;
 }
 
-TEST(MultiprocTest, DigestsIdenticalAcrossRunnersBackendsAlgorithms) {
+TEST(MultiprocTest, DigestsIdenticalAcrossRunnersAlgorithms) {
   const Corpus corpus = testing::RandomCorpus(48, 60, 0.8, 8.0, 11);
   const double theta = 0.6;
 

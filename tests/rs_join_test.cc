@@ -4,7 +4,7 @@
 // suppresses), the edge cases ISSUE 10 calls out (empty R or S, disjoint
 // vocabularies with the identity-mapping guarantee of MergeJoinInput, one
 // side entirely outside the other's length-filter window), and digest
-// identity across join methods x kernels x runners for all four
+// identity across join methods x runners for all four
 // algorithms against the BruteForceJoinRS oracle.
 
 #include <gtest/gtest.h>
@@ -390,9 +390,9 @@ TEST(RsJoinEdgeCases, LengthWindowDisjointSidesYieldZeroCandidates) {
                 c.pruned_segd + c.empty_overlap + c.emitted);
 }
 
-// ---- Digest identity: methods x kernels against the oracle --------------
+// ---- Digest identity: methods against the oracle ------------------------
 
-TEST(RsJoinMatrix, MethodsKernelsBackendsMatchOracle) {
+TEST(RsJoinMatrix, MethodsMatchOracle) {
   const double theta = 0.6;
   const auto r_sets = SetsOf(RandomCorpus(40, 80, 1.0, 9, 501));
   const auto s_sets = SetsOf(RandomCorpus(55, 80, 1.0, 9, 502));
@@ -406,20 +406,15 @@ TEST(RsJoinMatrix, MethodsKernelsBackendsMatchOracle) {
 
   for (JoinMethod method :
        {JoinMethod::kLoop, JoinMethod::kIndex, JoinMethod::kPrefix}) {
-    for (exec::KernelMode kernel :
-         {exec::KernelMode::kScalar, exec::KernelMode::kSimd}) {
-      FsJoinConfig config = RsConfig(theta, boundary);
-      config.join_method = method;
-      config.exec.kernel = kernel;
-      Result<FsJoinOutput> out = FsJoin(config).Run(merged);
-      ASSERT_TRUE(out.ok()) << out.status().ToString();
-      EXPECT_TRUE(SamePairs(oracle, out->pairs))
-          << JoinMethodName(method) << "/" << exec::KernelModeName(kernel)
-          << "\n"
-          << DiffResults(oracle, out->pairs);
-      EXPECT_EQ(check::ResultDigest(out->pairs), oracle_digest)
-          << JoinMethodName(method) << "/" << exec::KernelModeName(kernel);
-    }
+    FsJoinConfig config = RsConfig(theta, boundary);
+    config.join_method = method;
+    Result<FsJoinOutput> out = FsJoin(config).Run(merged);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_TRUE(SamePairs(oracle, out->pairs))
+        << JoinMethodName(method) << "\n"
+        << DiffResults(oracle, out->pairs);
+    EXPECT_EQ(check::ResultDigest(out->pairs), oracle_digest)
+        << JoinMethodName(method);
   }
 }
 
