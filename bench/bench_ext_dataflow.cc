@@ -37,8 +37,8 @@ void Run(const BenchOptions& options) {
 
   // Runner comparison: the same jobs on the inline, thread-pool, and
   // forked-subprocess task runners. Scheduling and process overhead is the
-  // quantity under test; this section records into its own JSON
-  // (BENCH_runtime.json) to join the perf trajectory.
+  // quantity under test. Its rows are the --json output (BENCH_runtime.json
+  // by default); the later sections write their own sibling files.
   PrintBanner("Runtime — task-runner overhead: inline vs thread-pool vs "
               "forked subprocess",
               "same jobs, same digests; the delta is pure scheduling, "
@@ -84,11 +84,7 @@ void Run(const BenchOptions& options) {
     }
     table.Print(std::cout);
   }
-  BenchOptions runtime_options = options;
-  if (!options.json_path.empty()) {
-    runtime_options.json_path = "BENCH_runtime.json";
-  }
-  WriteBenchJson(runtime_options, "runtime", runtime_records);
+  WriteBenchJson(options, "runtime", runtime_records);
 
   // Cluster scaling: the same jobs on the socket-RPC cluster runner with
   // 1, 2 and 4 spawned loopback workers (DESIGN.md §5j). The quantity
@@ -225,6 +221,6 @@ int main(int argc, char** argv) {
     return code;
   }
   fsjoin::bench::Run(
-      fsjoin::bench::ParseBenchOptions("ext_dataflow", argc, argv));
+      fsjoin::bench::ParseBenchOptions("runtime", argc, argv));
   return 0;
 }

@@ -10,7 +10,6 @@ a {"bench": ..., "results": [{"name", "wall_micros", ...}]} object. Rows
 are matched by name; the default metric is wall_micros.
 
 Tracked artifacts (all written by `--json` runs of their benches):
-  BENCH_ext_dataflow.json  overlap-kernel families (bench_ext_dataflow)
   BENCH_runtime.json       task-runner overhead     (bench_ext_dataflow)
   BENCH_cluster.json       1/2/4-worker cluster scaling
                                                     (bench_ext_dataflow)
