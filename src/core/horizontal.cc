@@ -21,10 +21,11 @@ uint32_t HorizontalScheme::MainGroupOf(uint32_t len) const {
       pivots_.begin());
 }
 
-std::vector<uint32_t> HorizontalScheme::GroupsOf(uint32_t len) const {
-  std::vector<uint32_t> groups;
+void HorizontalScheme::GroupsOf(uint32_t len,
+                                std::vector<uint32_t>* groups) const {
+  groups->clear();
   const uint32_t main = MainGroupOf(len);
-  groups.push_back(main);
+  groups->push_back(main);
   const uint32_t t = NumPivots();
   // Minimal exact band membership (tighter than the paper's symmetric
   // [θ·L_k, L_k/θ] window, which duplicates records into bands where the
@@ -38,7 +39,7 @@ std::vector<uint32_t> HorizontalScheme::GroupsOf(uint32_t len) const {
   if (main < t) {
     const uint32_t next_pivot = pivots_[main];
     if (len >= PartnerSizeLowerBound(fn_, theta_, next_pivot)) {
-      groups.push_back(t + main + 1);
+      groups->push_back(t + main + 1);
     }
   }
   // Longer-side bands all have k <= main, so they can never collide with
@@ -47,9 +48,8 @@ std::vector<uint32_t> HorizontalScheme::GroupsOf(uint32_t len) const {
   for (uint32_t k = 1; k <= t; ++k) {
     const uint32_t pivot = pivots_[k - 1];
     if (pivot > len) break;  // pivots ascend; the rest are above len
-    if (pivot >= partner_lo) groups.push_back(t + k);
+    if (pivot >= partner_lo) groups->push_back(t + k);
   }
-  return groups;
 }
 
 bool HorizontalScheme::ShouldJoinInGroup(uint32_t group, uint32_t len_a,

@@ -37,8 +37,14 @@ class HorizontalScheme {
   uint32_t NumPivots() const { return static_cast<uint32_t>(pivots_.size()); }
   const std::vector<uint32_t>& pivots() const { return pivots_; }
 
-  /// All groups a record of length `len` belongs to (main group first).
-  std::vector<uint32_t> GroupsOf(uint32_t len) const;
+  /// All groups a record of length `len` belongs to (main group first),
+  /// written into `groups` (cleared first; its capacity is reused).
+  void GroupsOf(uint32_t len, std::vector<uint32_t>* groups) const;
+  std::vector<uint32_t> GroupsOf(uint32_t len) const {
+    std::vector<uint32_t> groups;
+    GroupsOf(len, &groups);
+    return groups;
+  }
 
   /// Main group of a record length.
   uint32_t MainGroupOf(uint32_t len) const;

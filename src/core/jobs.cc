@@ -135,6 +135,12 @@ mr::TaskFactories OrderingFactories(size_t vocab_size) {
 
 // ---- Filtering job -----------------------------------------------------
 
+/// Splits each record into its segments and emits them once per length
+/// group. Every buffer is per task and reused, so after warm-up a record
+/// allocates nothing: the decoded token ids are overwritten by their ranks,
+/// the splitter buckets them by fragment and sorts each bucket, and the
+/// segments are encoded back to back into one value string that the
+/// emits view.
 class FilteringMapper : public mr::Mapper {
  public:
   explicit FilteringMapper(std::shared_ptr<FilteringContext> ctx)
@@ -142,31 +148,47 @@ class FilteringMapper : public mr::Mapper {
 
   Status Map(const mr::KeyValue& record, mr::Emitter* out) override {
     RecordId rid = 0;
-    std::vector<TokenId> tokens;
-    FSJOIN_RETURN_NOT_OK(DecodeCorpusRecord(record, &rid, &tokens));
+    FSJOIN_RETURN_NOT_OK(DecodeCorpusRecord(record, &rid, &tokens_));
 
-    // Sort the record by the global ordering (paper: mapper-side sort).
-    OrderedRecord ordered;
-    ordered.id = rid;
-    ordered.tokens.reserve(tokens.size());
-    for (TokenId t : tokens) {
-      if (t >= ctx_->order->NumTokens()) {
+    // Map the record into the global ordering; the splitter sorts it
+    // fragment by fragment (paper: mapper-side sort).
+    const GlobalOrder& order = *ctx_->order;
+    for (TokenId& t : tokens_) {
+      if (t >= order.NumTokens()) {
         return Status::Internal("token id outside the global ordering");
       }
-      ordered.tokens.push_back(ctx_->order->RankOf(t));
+      t = order.RankOf(t);
     }
-    std::sort(ordered.tokens.begin(), ordered.tokens.end());
+    splitter_.Split(tokens_.data(), tokens_.size(), ctx_->pivots);
 
-    const uint32_t len = static_cast<uint32_t>(ordered.Size());
-    SegmentSplit split = SplitIntoSegments(ordered, ctx_->pivots);
-    for (uint32_t h : ctx_->horizontal.GroupsOf(len)) {
-      for (size_t i = 0; i < split.segments.size(); ++i) {
-        std::string key;
-        PutFixed32BE(&key, h);
-        PutFixed32BE(&key, split.fragment_ids[i]);
-        std::string value;
-        EncodeSegment(split.segments[i], &value);
-        out->Emit(std::move(key), std::move(value));
+    const uint32_t len = static_cast<uint32_t>(tokens_.size());
+    const TokenRank* ranks = splitter_.ranks().data();
+    values_.clear();
+    value_ends_.clear();
+    for (const SegmentRun& run : splitter_.runs()) {
+      const TokenRank* begin = ranks + run.begin;
+      const TokenRank* end = ranks + run.end;
+      if (std::adjacent_find(begin, end) != end) {
+        return Status::InvalidArgument("record " + std::to_string(rid) +
+                                       " repeats a token");
+      }
+      EncodeSegment(SegmentView{rid, len, run.begin, begin,
+                                run.end - run.begin},
+                    &values_);
+      value_ends_.push_back(values_.size());
+    }
+
+    ctx_->horizontal.GroupsOf(len, &groups_);
+    const std::vector<SegmentRun>& runs = splitter_.runs();
+    for (uint32_t h : groups_) {
+      size_t value_begin = 0;
+      for (size_t i = 0; i < runs.size(); ++i) {
+        key_.clear();
+        PutFixed32BE(&key_, h);
+        PutFixed32BE(&key_, runs[i].fragment);
+        out->Emit(key_, std::string_view(values_).substr(
+                            value_begin, value_ends_[i] - value_begin));
+        value_begin = value_ends_[i];
       }
     }
     return Status::OK();
@@ -174,6 +196,12 @@ class FilteringMapper : public mr::Mapper {
 
  private:
   std::shared_ptr<FilteringContext> ctx_;
+  std::vector<TokenId> tokens_;  ///< decoded ids, then their ranks
+  SegmentSplitter splitter_;
+  std::vector<uint32_t> groups_;
+  std::string key_;
+  std::string values_;              ///< the record's encoded segments
+  std::vector<size_t> value_ends_;  ///< end of each segment in values_
 };
 
 class FilteringReducer : public mr::Reducer {

@@ -71,12 +71,6 @@ std::vector<TokenRank> SelectPivots(const GlobalOrder& order,
   return pivots;
 }
 
-uint32_t SegmentOfRank(const std::vector<TokenRank>& pivots, TokenRank rank) {
-  // First pivot > rank gives the segment boundary; segment = #pivots <= rank.
-  return static_cast<uint32_t>(
-      std::upper_bound(pivots.begin(), pivots.end(), rank) - pivots.begin());
-}
-
 std::vector<uint64_t> FragmentFrequencies(
     const GlobalOrder& order, const std::vector<TokenRank>& pivots) {
   std::vector<uint64_t> freq(pivots.size() + 1, 0);

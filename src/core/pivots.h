@@ -1,6 +1,7 @@
 #ifndef FSJOIN_CORE_PIVOTS_H_
 #define FSJOIN_CORE_PIVOTS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -21,8 +22,12 @@ std::vector<TokenRank> SelectPivots(const GlobalOrder& order,
                                     uint32_t num_pivots, uint64_t seed);
 
 /// Segment index (0-based fragment id) a rank falls into for the given
-/// pivot boundaries.
-uint32_t SegmentOfRank(const std::vector<TokenRank>& pivots, TokenRank rank);
+/// pivot boundaries: the number of pivots <= rank, by binary search.
+inline uint32_t SegmentOfRank(const std::vector<TokenRank>& pivots,
+                              TokenRank rank) {
+  return static_cast<uint32_t>(
+      std::upper_bound(pivots.begin(), pivots.end(), rank) - pivots.begin());
+}
 
 /// Total term frequency covered by each of the pivots.size()+1 fragments —
 /// the quantity Even-TF balances (used by tests and the pivot benchmark).

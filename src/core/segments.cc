@@ -8,6 +8,25 @@
 
 namespace fsjoin {
 
+namespace {
+
+/// Reads an EncodeSegment header. A token count above the bytes left is
+/// malformed (each token takes at least one byte), so it is rejected before
+/// anything is sized from it.
+Status DecodeSegmentHeader(Decoder* dec, uint32_t* rid, uint32_t* record_size,
+                           uint32_t* head, uint64_t* num_tokens) {
+  FSJOIN_RETURN_NOT_OK(dec->GetVarint32(rid));
+  FSJOIN_RETURN_NOT_OK(dec->GetVarint32(record_size));
+  FSJOIN_RETURN_NOT_OK(dec->GetVarint32(head));
+  FSJOIN_RETURN_NOT_OK(dec->GetVarint64(num_tokens));
+  if (*num_tokens > dec->remaining()) {
+    return Status::OutOfRange("truncated segment token vector");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 void SegmentBatch::Reserve(size_t num_segments, size_t num_tokens) {
   arena_.reserve(num_tokens);
   offsets_.reserve(num_segments + 1);
@@ -34,31 +53,20 @@ void SegmentBatch::Append(const SegmentRecord& record) {
 Status SegmentBatch::AppendEncoded(std::string_view data) {
   Decoder dec(data);
   uint32_t rid = 0, record_size = 0, head = 0;
-  FSJOIN_RETURN_NOT_OK(dec.GetVarint32(&rid));
-  FSJOIN_RETURN_NOT_OK(dec.GetVarint32(&record_size));
-  FSJOIN_RETURN_NOT_OK(dec.GetVarint32(&head));
   uint64_t num_tokens = 0;
-  FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&num_tokens));
-  if (num_tokens > dec.remaining()) {
-    // Each token takes at least one byte, so this is malformed.
-    return Status::OutOfRange("truncated segment token vector");
-  }
-  // No exact-size reserve here: it would defeat the arena's geometric
-  // growth and copy the whole arena on every append. Callers that know the
-  // fragment's size call Reserve() once up front.
+  FSJOIN_RETURN_NOT_OK(
+      DecodeSegmentHeader(&dec, &rid, &record_size, &head, &num_tokens));
+  // No exact-size reserve here: resize keeps the arena's geometric growth.
+  // Callers that know the fragment's size call Reserve() once up front.
   const size_t start = arena_.size();
-  for (uint64_t i = 0; i < num_tokens; ++i) {
-    uint32_t token = 0;
-    Status st = dec.GetVarint32(&token);
-    if (!st.ok()) {
-      arena_.resize(start);  // leave the batch as it was before the call
-      return st;
-    }
-    arena_.push_back(token);
+  arena_.resize(start + num_tokens);
+  Status st = dec.GetAscendingVarint32Run(arena_.data() + start, num_tokens);
+  if (st.ok() && !dec.done()) {
+    st = Status::Internal("trailing bytes after segment record");
   }
-  if (!dec.done()) {
-    arena_.resize(start);
-    return Status::Internal("trailing bytes after segment record");
+  if (!st.ok()) {
+    arena_.resize(start);  // leave the batch as it was before the call
+    return st;
   }
   offsets_.push_back(arena_.size());
   rids_.push_back(rid);
@@ -129,48 +137,75 @@ SegmentBatch SegmentBatch::FromRecords(
   return batch;
 }
 
+void SegmentSplitter::Split(const TokenRank* ranks, size_t n,
+                            const std::vector<TokenRank>& pivots) {
+  if (counts_.size() < pivots.size() + 1) counts_.resize(pivots.size() + 1);
+  // Counting pass: each rank's fragment, and the touched fragments in
+  // first-touch order.
+  fragment_of_.resize(n);
+  runs_.clear();
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t f = SegmentOfRank(pivots, ranks[i]);
+    fragment_of_[i] = f;
+    if (counts_[f]++ == 0) runs_.push_back(SegmentRun{f, 0, 0});
+  }
+  std::sort(runs_.begin(), runs_.end(),
+            [](const SegmentRun& a, const SegmentRun& b) {
+              return a.fragment < b.fragment;
+            });
+  // Lay the runs out in fragment order; counts_ becomes each run's write
+  // cursor.
+  uint32_t offset = 0;
+  for (SegmentRun& run : runs_) {
+    run.begin = offset;
+    offset += counts_[run.fragment];
+    run.end = offset;
+    counts_[run.fragment] = run.begin;
+  }
+  ranks_.resize(n);
+  for (size_t i = 0; i < n; ++i) ranks_[counts_[fragment_of_[i]]++] = ranks[i];
+  for (const SegmentRun& run : runs_) {
+    std::sort(ranks_.begin() + run.begin, ranks_.begin() + run.end);
+    counts_[run.fragment] = 0;
+  }
+}
+
 SegmentSplit SplitIntoSegments(const OrderedRecord& record,
                                const std::vector<TokenRank>& pivots) {
+  SegmentSplitter splitter;
+  splitter.Split(record.tokens.data(), record.tokens.size(), pivots);
   SegmentSplit split;
-  const std::vector<TokenRank>& tokens = record.tokens;
-  size_t i = 0;
-  while (i < tokens.size()) {
-    const uint32_t fragment = SegmentOfRank(pivots, tokens[i]);
-    // End of this fragment's rank range (exclusive); the last fragment is
-    // unbounded.
-    size_t j = i;
-    if (fragment < pivots.size()) {
-      const TokenRank limit = pivots[fragment];
-      while (j < tokens.size() && tokens[j] < limit) ++j;
-    } else {
-      j = tokens.size();
-    }
+  for (const SegmentRun& run : splitter.runs()) {
     SegmentRecord seg;
     seg.rid = record.id;
-    seg.record_size = static_cast<uint32_t>(tokens.size());
-    seg.head = static_cast<uint32_t>(i);
-    seg.tokens.assign(tokens.begin() + i, tokens.begin() + j);
-    split.fragment_ids.push_back(fragment);
+    seg.record_size = static_cast<uint32_t>(record.tokens.size());
+    seg.head = run.begin;
+    seg.tokens.assign(splitter.ranks().begin() + run.begin,
+                      splitter.ranks().begin() + run.end);
+    split.fragment_ids.push_back(run.fragment);
     split.segments.push_back(std::move(seg));
-    i = j;
   }
   return split;
 }
 
-void EncodeSegment(const SegmentRecord& segment, std::string* out) {
+void EncodeSegment(const SegmentView& segment, std::string* out) {
   PutVarint32(out, segment.rid);
   PutVarint32(out, segment.record_size);
   PutVarint32(out, segment.head);
-  PutUint32Vector(out, segment.tokens);
+  PutVarint64(out, segment.num_tokens);
+  PutAscendingVarint32Run(out, segment.tokens, segment.num_tokens);
+}
+
+void EncodeSegment(const SegmentRecord& segment, std::string* out) {
+  EncodeSegment(ViewOf(segment), out);
 }
 
 uint64_t EncodedSegmentTokens(std::string_view data) {
   Decoder dec(data);
   uint32_t rid = 0, record_size = 0, head = 0;
   uint64_t num_tokens = 0;
-  if (!dec.GetVarint32(&rid).ok() || !dec.GetVarint32(&record_size).ok() ||
-      !dec.GetVarint32(&head).ok() || !dec.GetVarint64(&num_tokens).ok() ||
-      num_tokens > dec.remaining()) {
+  if (!DecodeSegmentHeader(&dec, &rid, &record_size, &head, &num_tokens)
+           .ok()) {
     return 0;
   }
   return num_tokens;
@@ -178,10 +213,13 @@ uint64_t EncodedSegmentTokens(std::string_view data) {
 
 Status DecodeSegment(std::string_view data, SegmentRecord* segment) {
   Decoder dec(data);
-  FSJOIN_RETURN_NOT_OK(dec.GetVarint32(&segment->rid));
-  FSJOIN_RETURN_NOT_OK(dec.GetVarint32(&segment->record_size));
-  FSJOIN_RETURN_NOT_OK(dec.GetVarint32(&segment->head));
-  FSJOIN_RETURN_NOT_OK(dec.GetUint32Vector(&segment->tokens));
+  uint64_t num_tokens = 0;
+  FSJOIN_RETURN_NOT_OK(DecodeSegmentHeader(&dec, &segment->rid,
+                                           &segment->record_size,
+                                           &segment->head, &num_tokens));
+  segment->tokens.resize(num_tokens);
+  FSJOIN_RETURN_NOT_OK(
+      dec.GetAscendingVarint32Run(segment->tokens.data(), num_tokens));
   if (!dec.done()) {
     return Status::Internal("trailing bytes after segment record");
   }

@@ -69,7 +69,8 @@ class SegmentBatch {
   void Append(const SegmentRecord& record);
 
   /// Decodes an EncodeSegment payload straight into the arena — the
-  /// shuffle-value fast path with no per-segment token vector.
+  /// shuffle-value fast path with no per-segment token vector. On any
+  /// error the batch is left as it was before the call.
   Status AppendEncoded(std::string_view data);
 
   /// Finalizes the batch: computes the per-segment bucket bitmaps. Must be
@@ -132,8 +133,43 @@ class SegmentBatch {
   bool side_tagged_ = false;
 };
 
-/// A record's split into segments: segment `v` spans ranks
-/// [pivots[v-1], pivots[v]). Only non-empty segments are materialized.
+/// One non-empty segment of a split record: its fragment id and its run
+/// [begin, end) in SegmentSplitter::ranks(). `begin` is also the segment's
+/// head |s^h|, since the runs tile the record in ascending rank order.
+struct SegmentRun {
+  uint32_t fragment = 0;
+  uint32_t begin = 0;
+  uint32_t end = 0;
+};
+
+/// Splits a record's ranks along the pivot boundaries: segment `v` spans
+/// ranks [pivots[v-1], pivots[v]). One counting pass finds each rank's
+/// fragment by binary search over the pivots (O(log F)), a scatter groups
+/// the ranks by fragment, and each group is sorted on its own, so a record
+/// costs F small sorts instead of one full sort. The buffers are reused
+/// across calls: after warm-up a split allocates nothing. This is the one
+/// split routine; the filtering mapper calls it per record and
+/// SplitIntoSegments wraps its result.
+class SegmentSplitter {
+ public:
+  /// Splits `ranks` (any order, no repeats) along `pivots`.
+  void Split(const TokenRank* ranks, size_t n,
+             const std::vector<TokenRank>& pivots);
+
+  /// The record's ranks in ascending order: the runs, back to back.
+  const std::vector<TokenRank>& ranks() const { return ranks_; }
+  /// The non-empty segments in ascending fragment order.
+  const std::vector<SegmentRun>& runs() const { return runs_; }
+
+ private:
+  std::vector<TokenRank> ranks_;
+  std::vector<SegmentRun> runs_;
+  std::vector<uint32_t> fragment_of_;  ///< per input rank
+  std::vector<uint32_t> counts_;       ///< per fragment; all 0 between calls
+};
+
+/// A record's split into segments, one SegmentRecord per non-empty segment
+/// (tests and benches; the mapper uses SegmentSplitter directly).
 struct SegmentSplit {
   /// Parallel arrays: fragment id of each emitted segment.
   std::vector<uint32_t> fragment_ids;
@@ -147,10 +183,16 @@ struct SegmentSplit {
 SegmentSplit SplitIntoSegments(const OrderedRecord& record,
                                const std::vector<TokenRank>& pivots);
 
-/// Serializes a SegmentRecord into an MR value.
+/// Serializes a segment into an MR value: the header varints rid,
+/// record_size, head and token count, then the tokens as an ascending-gap
+/// run (the first rank, then each later rank's strictly positive gap).
+/// The tokens must ascend strictly.
+void EncodeSegment(const SegmentView& segment, std::string* out);
 void EncodeSegment(const SegmentRecord& segment, std::string* out);
 
-/// Parses a value produced by EncodeSegment.
+/// Parses a value produced by EncodeSegment. A truncated value, a varint
+/// wider than 32 bits, a zero gap, a rank past 2^32 - 1 and trailing bytes
+/// are each an error.
 Status DecodeSegment(std::string_view data, SegmentRecord* segment);
 
 /// Number of tokens an EncodeSegment payload holds, read from its header

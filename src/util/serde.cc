@@ -3,11 +3,8 @@
 namespace fsjoin {
 
 void PutVarint64(std::string* dst, uint64_t v) {
-  while (v >= 0x80) {
-    dst->push_back(static_cast<char>((v & 0x7f) | 0x80));
-    v >>= 7;
-  }
-  dst->push_back(static_cast<char>(v));
+  char buf[10];
+  dst->append(buf, EncodeVarint64(buf, v));
 }
 
 void PutVarint32(std::string* dst, uint32_t v) {
@@ -33,34 +30,19 @@ void PutLengthPrefixed(std::string* dst, std::string_view value) {
 
 void PutUint32Vector(std::string* dst, const std::vector<uint32_t>& v) {
   PutVarint64(dst, v.size());
-  for (uint32_t x : v) PutVarint32(dst, x);
+  PutVarint32Run(dst, v.data(), v.size());
 }
 
 Status Decoder::GetVarint64(uint64_t* v) {
-  uint64_t result = 0;
-  int shift = 0;
-  while (pos_ < data_.size()) {
-    unsigned char byte = static_cast<unsigned char>(data_[pos_++]);
-    if (shift >= 63 && byte > 1) {
-      return Status::OutOfRange("varint64 overflow");
-    }
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) {
-      *v = result;
-      return Status::OK();
-    }
-    shift += 7;
-  }
-  return Status::OutOfRange("truncated varint64");
-}
-
-Status Decoder::GetVarint32(uint32_t* v) {
-  uint64_t wide = 0;
-  FSJOIN_RETURN_NOT_OK(GetVarint64(&wide));
-  if (wide > 0xffffffffULL) return Status::OutOfRange("varint32 overflow");
-  *v = static_cast<uint32_t>(wide);
+  Status error;
+  const char* p = ParseVarint64(data_.data() + pos_,
+                                data_.data() + data_.size(), v, &error);
+  if (p == nullptr) return error;
+  pos_ = static_cast<size_t>(p - data_.data());
   return Status::OK();
 }
+
+Status Decoder::GetVarint32(uint32_t* v) { return GetVarint32Run(v, 1); }
 
 Status Decoder::GetFixed32BE(uint32_t* v) {
   if (remaining() < 4) return Status::OutOfRange("truncated fixed32");
@@ -97,14 +79,8 @@ Status Decoder::GetUint32Vector(std::vector<uint32_t>* v) {
     // Each element takes at least one byte, so n > remaining is malformed.
     return Status::OutOfRange("truncated uint32 vector");
   }
-  v->clear();
-  v->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint32_t x = 0;
-    FSJOIN_RETURN_NOT_OK(GetVarint32(&x));
-    v->push_back(x);
-  }
-  return Status::OK();
+  v->resize(n);
+  return GetVarint32Run(v->data(), n);
 }
 
 }  // namespace fsjoin

@@ -13,6 +13,8 @@
 #include "baselines/baseline.h"
 #include "core/fsjoin.h"
 #include "core/jobs.h"
+#include "core/pivots.h"
+#include "core/segments.h"
 #include "mr/engine.h"
 #include "mr/task.h"
 #include "test_util.h"
@@ -326,6 +328,104 @@ TEST(GlobalOrderCountingSortTest, MatchesComparisonSort) {
     ExpectMatchesReference(freq, "trial " + std::to_string(trial) +
                                      " n=" + std::to_string(n));
   }
+}
+
+// ---- Filtering mapper ----------------------------------------------------
+
+/// Records every emitted pair in order.
+class CollectingEmitter : public mr::Emitter {
+ public:
+  void Emit(std::string_view key, std::string_view value) override {
+    pairs.emplace_back(std::string(key), std::string(value));
+  }
+  std::vector<std::pair<std::string, std::string>> pairs;
+};
+
+// The filtering mapper buckets each record's ranks by fragment and sorts
+// each bucket. Its output must be exactly what the plain reference emits:
+// a full std::sort of the ranks, SplitIntoSegments, EncodeSegment, once per
+// length group, in the same order.
+TEST(FilteringMapperTest, MatchesFullSortSplitEncodeReference) {
+  const Corpus corpus = RandomCorpus(150, 120, 1.0, 14, 77);
+  const mr::Dataset input = MakeCorpusDataset(corpus);
+  const auto order =
+      std::make_shared<const GlobalOrder>(GlobalOrder::FromCorpus(corpus));
+  const TokenRank vocab = static_cast<TokenRank>(order->NumTokens());
+  std::vector<uint32_t> lengths;
+  for (const Record& rec : corpus.records) {
+    lengths.push_back(static_cast<uint32_t>(rec.tokens.size()));
+  }
+
+  const std::vector<std::pair<const char*, std::vector<TokenRank>>>
+      pivot_sets = {
+          {"single fragment", {}},
+          {"even", {vocab / 4, vocab / 2, 3 * vocab / 4}},
+          // Adjacent pivots leave fragments no rank can fall into.
+          {"empty fragments", {1, 2, 3, vocab / 2, vocab / 2 + 1}},
+          {"pivots past the vocabulary", {vocab / 3, vocab + 5, vocab + 900}},
+      };
+  for (const auto& [label, pivots] : pivot_sets) {
+    for (uint32_t t : {0u, 2u}) {
+      SCOPED_TRACE(std::string(label) + ", horizontal t=" + std::to_string(t));
+      auto ctx = std::make_shared<FilteringContext>();
+      ctx->config.theta = 0.7;
+      ctx->order = order;
+      ctx->pivots = pivots;
+      if (t > 0) {
+        ctx->horizontal = HorizontalScheme(
+            SelectLengthPivotsFromLengths(lengths, t, ctx->config.function,
+                                          ctx->config.theta),
+            ctx->config.function, ctx->config.theta);
+        ASSERT_GT(ctx->horizontal.NumPivots(), 0u);
+      }
+
+      // One mapper over every record: its scratch is reused throughout.
+      std::unique_ptr<mr::Mapper> mapper =
+          MakeFilteringJobConfig(ctx).mapper_factory();
+      CollectingEmitter got;
+      for (const mr::KeyValue& kv : input) {
+        ASSERT_TRUE(mapper->Map(kv, &got).ok());
+      }
+
+      CollectingEmitter want;
+      for (const Record& rec : corpus.records) {
+        OrderedRecord ordered{rec.id, {}};
+        for (TokenId id : rec.tokens) ordered.tokens.push_back(order->RankOf(id));
+        std::sort(ordered.tokens.begin(), ordered.tokens.end());
+        const SegmentSplit split = SplitIntoSegments(ordered, pivots);
+        for (uint32_t h :
+             ctx->horizontal.GroupsOf(static_cast<uint32_t>(ordered.Size()))) {
+          for (size_t i = 0; i < split.segments.size(); ++i) {
+            std::string key, value;
+            PutFixed32BE(&key, h);
+            PutFixed32BE(&key, split.fragment_ids[i]);
+            EncodeSegment(split.segments[i], &value);
+            want.Emit(key, value);
+          }
+        }
+      }
+      ASSERT_FALSE(want.pairs.empty());
+      EXPECT_TRUE(got.pairs == want.pairs);
+    }
+  }
+}
+
+// Token sets are sets: a record that repeats a token cannot be coded as an
+// ascending-gap run, so the mapper refuses it instead of emitting a value
+// the reducer would reject.
+TEST(FilteringMapperTest, RejectsRepeatedToken) {
+  const Corpus corpus = CorpusFromTokenSets({{0, 1, 2}, {1, 2}});
+  auto ctx = std::make_shared<FilteringContext>();
+  ctx->order =
+      std::make_shared<const GlobalOrder>(GlobalOrder::FromCorpus(corpus));
+  std::unique_ptr<mr::Mapper> mapper =
+      MakeFilteringJobConfig(ctx).mapper_factory();
+  mr::KeyValue kv;
+  PutFixed32BE(&kv.key, 0);
+  PutUint32Vector(&kv.value, {0, 2, 2});
+  CollectingEmitter out;
+  EXPECT_FALSE(mapper->Map(kv, &out).ok());
+  EXPECT_TRUE(out.pairs.empty());
 }
 
 TEST(FragmentPartitionerTest, SpreadsFragmentsRoundRobin) {

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/pivots.h"
 #include "core/segments.h"
 #include "sim/set_ops.h"
@@ -131,6 +136,129 @@ TEST(SegmentsTest, SerdeRejectsCorruption) {
           .ok());
   EXPECT_FALSE(DecodeSegment(buf + "x", &decoded).ok());
   EXPECT_FALSE(DecodeSegment("", &decoded).ok());
+}
+
+// The splitter takes ranks in any order: bucketing then sorting each bucket
+// gives the split of the sorted record, and one splitter reused across
+// records and pivot sets keeps giving it.
+TEST(SegmentsTest, SplitterMatchesSplitOfSortedRecord) {
+  Rng rng(23);
+  SegmentSplitter splitter;
+  for (int iter = 0; iter < 200; ++iter) {
+    std::vector<TokenRank> tokens;
+    for (TokenRank r = 0; r < 300; ++r) {
+      if (rng.NextBool(0.1)) tokens.push_back(r);
+    }
+    std::vector<TokenRank> pivots;
+    const double density = iter % 2 == 0 ? 0.02 : 0.3;
+    for (TokenRank r = 1; r < 320; ++r) {
+      if (rng.NextBool(density)) pivots.push_back(r);
+    }
+    const SegmentSplit want = SplitIntoSegments(MakeRecord(4, tokens), pivots);
+    std::vector<TokenRank> shuffled = tokens;
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.NextBounded(i)]);
+    }
+    splitter.Split(shuffled.data(), shuffled.size(), pivots);
+    EXPECT_EQ(splitter.ranks(), tokens);
+    ASSERT_EQ(splitter.runs().size(), want.segments.size());
+    for (size_t i = 0; i < want.segments.size(); ++i) {
+      const SegmentRun& run = splitter.runs()[i];
+      EXPECT_EQ(run.fragment, want.fragment_ids[i]);
+      EXPECT_EQ(run.begin, want.segments[i].head);
+      EXPECT_EQ(run.end - run.begin, want.segments[i].tokens.size());
+    }
+  }
+}
+
+// Wire format: the header, then the first rank and each later rank's gap.
+TEST(SegmentsTest, EncodesRanksAsAscendingGaps) {
+  const SegmentRecord seg = {5, 300, 1, {200, 204, 460}};
+  std::string buf;
+  EncodeSegment(seg, &buf);
+  // rid 5, size 300 (ac 02), head 1, n 3, rank 200 (c8 01), gaps 4, 256.
+  EXPECT_EQ(buf, std::string("\x05\xac\x02\x01\x03\xc8\x01\x04\x80\x02",
+                             10));
+}
+
+TEST(SegmentsTest, SerdeRoundTripsEveryRankWidth) {
+  Rng rng(5);
+  for (int iter = 0; iter < 200; ++iter) {
+    SegmentRecord seg;
+    seg.rid = static_cast<RecordId>(rng.Next());
+    seg.head = static_cast<uint32_t>(rng.NextBounded(1000));
+    std::vector<TokenRank> set;
+    const int bits = 1 + static_cast<int>(rng.NextBounded(32));
+    const size_t n = 1 + rng.NextBounded(40);
+    for (size_t i = 0; i < n; ++i) {
+      set.push_back(static_cast<TokenRank>(rng.Next() >> (64 - bits)));
+    }
+    if (iter == 0) set = {0, 0xffffffffu};  // both ends of the rank space
+    std::sort(set.begin(), set.end());
+    set.erase(std::unique(set.begin(), set.end()), set.end());
+    seg.tokens = set;
+    seg.record_size = seg.head + static_cast<uint32_t>(set.size()) + 3;
+    std::string buf;
+    EncodeSegment(seg, &buf);
+    SegmentRecord decoded;
+    ASSERT_TRUE(DecodeSegment(buf, &decoded).ok());
+    EXPECT_EQ(decoded.rid, seg.rid);
+    EXPECT_EQ(decoded.record_size, seg.record_size);
+    EXPECT_EQ(decoded.head, seg.head);
+    EXPECT_EQ(decoded.tokens, seg.tokens);
+    EXPECT_EQ(EncodedSegmentTokens(buf), seg.tokens.size());
+    SegmentBatch batch;
+    ASSERT_TRUE(batch.AppendEncoded(buf).ok());
+    ASSERT_EQ(batch.length(0), seg.tokens.size());
+    EXPECT_TRUE(std::equal(seg.tokens.begin(), seg.tokens.end(),
+                           batch.tokens(0)));
+  }
+}
+
+/// A header for `n` tokens followed by the raw token varints `body`.
+std::string SegmentBytes(uint64_t n, const std::vector<uint32_t>& body) {
+  std::string buf;
+  PutVarint32(&buf, 9);   // rid
+  PutVarint32(&buf, 20);  // record_size
+  PutVarint32(&buf, 2);   // head
+  PutVarint64(&buf, n);
+  for (uint32_t v : body) PutVarint32(&buf, v);
+  return buf;
+}
+
+// Each malformed value is a Status from both decoders, and AppendEncoded
+// leaves the batch as it was.
+TEST(SegmentsTest, DecodersRejectMalformedValues) {
+  const std::string good = SegmentBytes(3, {4, 1, 7});
+  const std::vector<std::pair<const char*, std::string>> bad = {
+      {"zero gap", SegmentBytes(3, {4, 0, 7})},
+      {"sum past 2^32 - 1", SegmentBytes(2, {0xfffffff0u, 0x10})},
+      {"varint wider than 32 bits",
+       SegmentBytes(1, {}) + std::string("\x80\x80\x80\x80\x10", 5)},
+      {"trailing bytes", good + "x"},
+      {"fewer tokens than the header claims", SegmentBytes(4, {4, 1, 7})},
+      {"truncated", good.substr(0, good.size() - 1)},
+      {"empty", ""},
+  };
+  SegmentBatch batch;
+  ASSERT_TRUE(batch.AppendEncoded(good).ok());
+  for (const auto& [label, bytes] : bad) {
+    SegmentRecord decoded;
+    EXPECT_FALSE(DecodeSegment(bytes, &decoded).ok()) << label;
+    EXPECT_FALSE(batch.AppendEncoded(bytes).ok()) << label;
+    EXPECT_EQ(batch.size(), 1u) << label;
+    EXPECT_EQ(batch.total_tokens(), 3u) << label;
+  }
+  // Every proper prefix of a good value is truncated.
+  for (size_t len = 0; len < good.size(); ++len) {
+    SegmentRecord decoded;
+    EXPECT_FALSE(DecodeSegment(good.substr(0, len), &decoded).ok()) << len;
+    EXPECT_FALSE(batch.AppendEncoded(good.substr(0, len)).ok()) << len;
+  }
+  EXPECT_EQ(batch.total_tokens(), 3u);
+  SegmentRecord decoded;
+  ASSERT_TRUE(DecodeSegment(good, &decoded).ok());
+  EXPECT_EQ(decoded.tokens, (std::vector<TokenRank>{4, 5, 12}));
 }
 
 // ---- SegmentBatch (columnar storage) --------------------------------------

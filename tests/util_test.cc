@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <latch>
 #include <map>
 #include <numeric>
@@ -163,6 +164,139 @@ TEST(SerdeTest, TruncatedInputsReturnErrors) {
     uint64_t v = 0;
     EXPECT_FALSE(dec.GetVarint64(&v).ok());
   }
+}
+
+// ---- Varint runs ----------------------------------------------------------
+
+/// Random values plus every varint length boundary.
+std::vector<uint32_t> RunTestValues() {
+  std::vector<uint32_t> v = {0,         127,       128,       1u << 14,
+                             (1u << 21) - 1, 1u << 28, 0xffffffffu};
+  Rng rng(2024);
+  for (int i = 0; i < 400; ++i) {
+    // Spread over all five encoded lengths.
+    const int bits = 1 + static_cast<int>(rng.NextBounded(32));
+    v.push_back(static_cast<uint32_t>(rng.Next() >> (64 - bits)));
+  }
+  return v;
+}
+
+TEST(VarintRunTest, ByteIdenticalToScalarLoop) {
+  const std::vector<uint32_t> values = RunTestValues();
+  std::string scalar, run;
+  for (uint32_t v : values) PutVarint32(&scalar, v);
+  PutVarint32Run(&run, values.data(), values.size());
+  EXPECT_EQ(run, scalar);
+
+  // The ascending twin writes the first value, then the gaps.
+  std::vector<uint32_t> set = values;
+  std::sort(set.begin(), set.end());
+  set.erase(std::unique(set.begin(), set.end()), set.end());
+  std::string scalar_gaps, gaps;
+  uint32_t prev = 0;
+  for (uint32_t v : set) {
+    PutVarint32(&scalar_gaps, v - prev);
+    prev = v;
+  }
+  PutAscendingVarint32Run(&gaps, set.data(), set.size());
+  EXPECT_EQ(gaps, scalar_gaps);
+
+  // Runs append: existing bytes stay in front.
+  std::string prefixed = "ab";
+  PutVarint32Run(&prefixed, values.data(), values.size());
+  EXPECT_EQ(prefixed, "ab" + scalar);
+
+  // And both decode back.
+  std::vector<uint32_t> decoded(values.size());
+  Decoder dec(run);
+  ASSERT_TRUE(dec.GetVarint32Run(decoded.data(), decoded.size()).ok());
+  EXPECT_TRUE(dec.done());
+  EXPECT_EQ(decoded, values);
+  std::vector<uint32_t> decoded_set(set.size());
+  Decoder gap_dec(gaps);
+  ASSERT_TRUE(
+      gap_dec.GetAscendingVarint32Run(decoded_set.data(), decoded_set.size())
+          .ok());
+  EXPECT_TRUE(gap_dec.done());
+  EXPECT_EQ(decoded_set, set);
+}
+
+TEST(VarintRunTest, Uint32VectorKeepsItsBytes) {
+  const std::vector<uint32_t> values = RunTestValues();
+  std::string expected;
+  PutVarint64(&expected, values.size());
+  for (uint32_t v : values) PutVarint32(&expected, v);
+  std::string got;
+  PutUint32Vector(&got, values);
+  EXPECT_EQ(got, expected);
+  std::vector<uint32_t> decoded = {9, 9};  // overwritten, not appended to
+  Decoder dec(got);
+  ASSERT_TRUE(dec.GetUint32Vector(&decoded).ok());
+  EXPECT_EQ(decoded, values);
+}
+
+TEST(VarintRunTest, RejectsEveryTruncatedPrefix) {
+  const std::vector<uint32_t> values = RunTestValues();
+  std::vector<uint32_t> set = values;
+  std::sort(set.begin(), set.end());
+  set.erase(std::unique(set.begin(), set.end()), set.end());
+  std::string run, gaps, vec;
+  PutVarint32Run(&run, values.data(), values.size());
+  PutAscendingVarint32Run(&gaps, set.data(), set.size());
+  PutUint32Vector(&vec, values);
+  std::vector<uint32_t> out(values.size());
+  for (size_t len = 0; len < run.size(); ++len) {
+    Decoder dec(std::string_view(run).substr(0, len));
+    EXPECT_FALSE(dec.GetVarint32Run(out.data(), values.size()).ok()) << len;
+  }
+  for (size_t len = 0; len < gaps.size(); ++len) {
+    Decoder dec(std::string_view(gaps).substr(0, len));
+    EXPECT_FALSE(dec.GetAscendingVarint32Run(out.data(), set.size()).ok())
+        << len;
+  }
+  for (size_t len = 0; len < vec.size(); ++len) {
+    Decoder dec(std::string_view(vec).substr(0, len));
+    std::vector<uint32_t> v;
+    EXPECT_FALSE(dec.GetUint32Vector(&v).ok()) << len;
+  }
+}
+
+TEST(VarintRunTest, RejectsFiveByteVarintAbove32Bits) {
+  // 0x80 0x80 0x80 0x80 0x10 is 2^32: five bytes, one bit too wide.
+  const std::string wide = "\x80\x80\x80\x80\x10";
+  const std::string max = "\xff\xff\xff\xff\x0f";  // 2^32 - 1 still fits
+  uint32_t out = 0;
+  EXPECT_FALSE(Decoder(wide).GetVarint32Run(&out, 1).ok());
+  EXPECT_FALSE(Decoder(wide).GetAscendingVarint32Run(&out, 1).ok());
+  EXPECT_FALSE(Decoder(wide).GetVarint32(&out).ok());
+  std::vector<uint32_t> v;
+  EXPECT_FALSE(Decoder("\x01" + wide).GetUint32Vector(&v).ok());
+  ASSERT_TRUE(Decoder(max).GetVarint32Run(&out, 1).ok());
+  EXPECT_EQ(out, 0xffffffffu);
+}
+
+TEST(VarintRunTest, AscendingRunRejectsZeroGapAndOverflow) {
+  uint32_t out[3] = {};
+  // A zero first value is a rank like any other; a zero later gap repeats
+  // the previous value, which a set cannot hold.
+  std::string zero_first;
+  PutVarint32(&zero_first, 0);
+  PutVarint32(&zero_first, 4);
+  ASSERT_TRUE(Decoder(zero_first).GetAscendingVarint32Run(out, 2).ok());
+  EXPECT_EQ(out[1], 4u);
+  std::string zero_gap;
+  PutVarint32(&zero_gap, 7);
+  PutVarint32(&zero_gap, 0);
+  EXPECT_FALSE(Decoder(zero_gap).GetAscendingVarint32Run(out, 2).ok());
+  // Gaps that each fit 32 bits but sum past 2^32 - 1.
+  std::string overflow;
+  PutVarint32(&overflow, 0xfffffff0u);
+  PutVarint32(&overflow, 0x10);
+  EXPECT_FALSE(Decoder(overflow).GetAscendingVarint32Run(out, 2).ok());
+  // A failed run leaves the cursor where it was.
+  Decoder dec(zero_gap);
+  EXPECT_FALSE(dec.GetAscendingVarint32Run(out, 2).ok());
+  EXPECT_EQ(dec.remaining(), zero_gap.size());
 }
 
 // ---- RNG / Zipf ---------------------------------------------------------
