@@ -9,16 +9,19 @@
 //                    and mid-length segments and across segment lengths;
 //                    serial vs morsel-parallel JoinFragment on a skewed
 //                    fragment set; the filtering reducer's fragment build at
-//                    three sizes; corpus ingest, serial and default).
+//                    three sizes; corpus ingest, serial and default; the
+//                    varint run codecs, checked against the scalar loop).
 //                    Honors --warmup/--repeat.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -116,20 +119,60 @@ void BM_SortedOverlapAtLeast(benchmark::State& state) {
 }
 BENCHMARK(BM_SortedOverlapAtLeast)->Arg(512)->Arg(4096);
 
-void BM_VarintRoundTrip(benchmark::State& state) {
-  std::vector<uint32_t> values(1024);
+// Varint run codecs over 1024 values spread across all five encoded
+// lengths: `encode` is PutVarint32Run, `decode` GetVarint32Run, and
+// `ascending` a PutAscendingVarint32Run plus GetAscendingVarint32Run round
+// trip of the values as a sorted set (the segment token codec).
+enum class VarintRunOp { kEncode, kDecode, kAscending };
+
+std::vector<uint32_t> VarintRunValues() {
   Rng rng(3);
-  for (auto& v : values) v = static_cast<uint32_t>(rng.Next());
+  std::vector<uint32_t> values(1024);
+  for (uint32_t& v : values) {
+    const int bits = 1 + static_cast<int>(rng.NextBounded(32));
+    v = static_cast<uint32_t>(rng.Next() >> (64 - bits));
+  }
+  return values;
+}
+
+std::vector<uint32_t> SortedUnique(std::vector<uint32_t> v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+void BM_VarintRun(benchmark::State& state, VarintRunOp op) {
+  const std::vector<uint32_t> values = op == VarintRunOp::kAscending
+                                           ? SortedUnique(VarintRunValues())
+                                           : VarintRunValues();
+  std::string buf;
+  PutVarint32Run(&buf, values.data(), values.size());
+  std::vector<uint32_t> out(values.size());
   for (auto _ : state) {
-    std::string buf;
-    PutUint32Vector(&buf, values);
-    std::vector<uint32_t> out;
-    Decoder dec(buf);
-    benchmark::DoNotOptimize(dec.GetUint32Vector(&out));
+    switch (op) {
+      case VarintRunOp::kEncode:
+        buf.clear();
+        PutVarint32Run(&buf, values.data(), values.size());
+        break;
+      case VarintRunOp::kDecode:
+        benchmark::DoNotOptimize(
+            Decoder(buf).GetVarint32Run(out.data(), out.size()));
+        break;
+      case VarintRunOp::kAscending:
+        buf.clear();
+        PutAscendingVarint32Run(&buf, values.data(), values.size());
+        benchmark::DoNotOptimize(
+            Decoder(buf).GetAscendingVarint32Run(out.data(), out.size()));
+        break;
+    }
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * values.size());
 }
-BENCHMARK(BM_VarintRoundTrip);
+BENCHMARK_CAPTURE(BM_VarintRun, encode, VarintRunOp::kEncode);
+BENCHMARK_CAPTURE(BM_VarintRun, decode, VarintRunOp::kDecode);
+BENCHMARK_CAPTURE(BM_VarintRun, ascending, VarintRunOp::kAscending);
 
 void BM_ZipfSample(benchmark::State& state) {
   Rng rng(4);
@@ -151,14 +194,22 @@ void BM_MinOverlap(benchmark::State& state) {
 }
 BENCHMARK(BM_MinOverlap);
 
+// The filtering mapper's split: a 256-token record's ranks, in the
+// unsorted order the mapper maps them in, through one reused splitter.
 void BM_SplitIntoSegments(benchmark::State& state) {
   Rng rng(5);
-  OrderedRecord rec{0, RandomSortedSet(rng, 256, 1 << 16)};
+  std::vector<TokenRank> ranks = RandomSortedSet(rng, 256, 1 << 16);
+  for (size_t i = ranks.size(); i > 1; --i) {
+    std::swap(ranks[i - 1], ranks[rng.NextBounded(i)]);
+  }
   std::vector<TokenRank> pivots;
   for (int i = 1; i < 30; ++i) pivots.push_back((i << 16) / 30);
+  SegmentSplitter splitter;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SplitIntoSegments(rec, pivots));
+    splitter.Split(ranks.data(), ranks.size(), pivots);
+    benchmark::DoNotOptimize(splitter.runs().data());
   }
+  state.SetItemsProcessed(state.iterations() * ranks.size());
 }
 BENCHMARK(BM_SplitIntoSegments);
 
@@ -656,6 +707,60 @@ int RunKernelComparison(int argc, char** argv) {
   if (!same) {
     std::fprintf(stderr, "build_corpus mismatch between serial and default\n");
     return 1;
+  }
+
+  // 5) Varint run codecs, named like the google-benchmark rows, each
+  // checked against the scalar per-value loop.
+  std::printf("varint_run (1024 values per run, 1000 runs):\n");
+  const std::vector<uint32_t> values = VarintRunValues();
+  const std::vector<uint32_t> set = SortedUnique(values);
+  std::string scalar, scalar_gaps;
+  for (uint32_t v : values) PutVarint32(&scalar, v);
+  for (size_t i = 0; i < set.size(); ++i) {
+    PutVarint32(&scalar_gaps, set[i] - (i == 0 ? 0 : set[i - 1]));
+  }
+  const int kRuns = 1000;
+  std::string buf;
+  std::vector<uint32_t> decoded(values.size());
+  const double encode_us = bench::MinWallMicros(options, [&] {
+    for (int r = 0; r < kRuns; ++r) {
+      buf.clear();
+      PutVarint32Run(&buf, values.data(), values.size());
+    }
+  });
+  bool ok = buf == scalar;
+  const double decode_us = bench::MinWallMicros(options, [&] {
+    for (int r = 0; r < kRuns; ++r) {
+      ok &= Decoder(scalar).GetVarint32Run(decoded.data(), values.size()).ok();
+    }
+  });
+  ok &= decoded == values;
+  std::vector<uint32_t> decoded_set(set.size());
+  const double ascending_us = bench::MinWallMicros(options, [&] {
+    for (int r = 0; r < kRuns; ++r) {
+      buf.clear();
+      PutAscendingVarint32Run(&buf, set.data(), set.size());
+      ok &= Decoder(buf)
+                .GetAscendingVarint32Run(decoded_set.data(), set.size())
+                .ok();
+    }
+  });
+  ok &= buf == scalar_gaps && decoded_set == set;
+  if (!ok) {
+    std::fprintf(stderr, "varint run mismatch against the scalar loop\n");
+    return 1;
+  }
+  const struct {
+    const char* op;
+    double us;
+    size_t n;
+  } varint_rows[] = {{"encode", encode_us, values.size()},
+                     {"decode", decode_us, values.size()},
+                     {"ascending", ascending_us, set.size()}};
+  for (const auto& row : varint_rows) {
+    records.push_back({std::string("BM_VarintRun/") + row.op, row.us});
+    std::printf("  %-9s %10.0f us  (%.2f ns per value)\n", row.op, row.us,
+                row.us * 1000.0 / (kRuns * static_cast<double>(row.n)));
   }
 
   bench::WriteBenchJson(options, "kernels", records);
