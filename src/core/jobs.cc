@@ -139,8 +139,8 @@ mr::TaskFactories OrderingFactories(size_t vocab_size) {
 /// group. Every buffer is per task and reused, so after warm-up a record
 /// allocates nothing: the decoded token ids are overwritten by their ranks,
 /// the splitter buckets them by fragment and sorts each bucket, and the
-/// segments are encoded back to back into one value string that the
-/// emits view.
+/// segments are encoded back to back into one value string whose slices
+/// are emitted as views.
 class FilteringMapper : public mr::Mapper {
  public:
   explicit FilteringMapper(std::shared_ptr<FilteringContext> ctx)
