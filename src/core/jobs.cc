@@ -163,9 +163,10 @@ class FilteringMapper : public mr::Mapper {
 
     const uint32_t len = static_cast<uint32_t>(tokens_.size());
     const TokenRank* ranks = splitter_.ranks().data();
+    const std::vector<SegmentRun>& runs = splitter_.runs();
     values_.clear();
     value_ends_.clear();
-    for (const SegmentRun& run : splitter_.runs()) {
+    for (const SegmentRun& run : runs) {
       const TokenRank* begin = ranks + run.begin;
       const TokenRank* end = ranks + run.end;
       if (std::adjacent_find(begin, end) != end) {
@@ -179,7 +180,6 @@ class FilteringMapper : public mr::Mapper {
     }
 
     ctx_->horizontal.GroupsOf(len, &groups_);
-    const std::vector<SegmentRun>& runs = splitter_.runs();
     for (uint32_t h : groups_) {
       size_t value_begin = 0;
       for (size_t i = 0; i < runs.size(); ++i) {
