@@ -84,7 +84,8 @@ struct FragmentJoinOptions {
 /// reducer body of the filtering job, §V-A "Join Algorithms"), appending
 /// surviving partial overlaps to *out and pruning statistics to *counters.
 /// The batch must be sealed. Output order is deterministic and independent
-/// of morsel size and thread count.
+/// of morsel size and thread count. Defined beside its probe loops in
+/// core/join_pipeline.cc.
 void JoinFragmentBatch(const SegmentBatch& batch,
                        const FragmentJoinOptions& options,
                        std::vector<PartialOverlap>* out,

@@ -1,4 +1,4 @@
-#include "core/join_pipeline.h"
+#include "core/fragment_join.h"
 
 #include <algorithm>
 #include <limits>
@@ -11,16 +11,18 @@
 #include "core/filters.h"
 #include "sim/set_ops.h"
 #include "sim/similarity.h"
+#include "util/logging.h"
+
+// The fragment join's probe loops (DESIGN.md §5g): a nested loop for kLoop
+// and an indexed probe shared by kIndex and kPrefix. Each reads the enabled
+// filters from FragmentJoinOptions at run time and counts overlaps with the
+// one kernel: the bitmap gate, then SortedOverlap.
 
 namespace fsjoin {
 
 namespace {
 
-constexpr int MethodIndex(JoinMethod method) {
-  return static_cast<int>(method);
-}
-
-/// Word-packed bucket-bitmap reject (the PR 3 gate): one AND decides
+/// Word-packed bucket-bitmap reject: one AND decides
 /// "provably disjoint" for short segments; longer ones saturate the 64-bit
 /// summary and skip the test.
 inline bool BitmapGateRejects(const SegmentBatch& batch, uint32_t i,
@@ -30,60 +32,38 @@ inline bool BitmapGateRejects(const SegmentBatch& batch, uint32_t i,
 }
 
 /// Filters that run before the overlap is known: the pairing rule, Lemma 1
-/// and Lemma 2. Counts the pair as considered; false = pruned.
-template <uint32_t Mask>
-bool PassesPreOverlapT(const FragmentJoinOptions& opts, const SegmentView& x,
-                       const SegmentView& y, FilterCounters* counters) {
+/// and Lemma 2. Counts the pair as considered; false = pruned. Lemma 1 runs
+/// here only when `check_strl`: the indexed probes apply it as their posting
+/// window instead, which admits exactly the pairs it would keep
+/// (filters_test, PartnerWindowNeverStrLengthPrunes).
+bool PassesPreOverlap(const FragmentJoinOptions& opts, bool check_strl,
+                      const SegmentView& x, const SegmentView& y,
+                      FilterCounters* counters) {
   ++counters->pairs_considered;
   if (opts.pair_allowed && !opts.pair_allowed(x, y)) {
     ++counters->pruned_role;
     return false;
   }
-  if constexpr ((Mask & kPipelineStrL) != 0) {
-    if (StrLengthPrunes(opts.function, opts.theta, x.record_size,
-                        y.record_size)) {
-      ++counters->pruned_strl;
-      return false;
-    }
+  if (check_strl &&
+      StrLengthPrunes(opts.function, opts.theta, x.record_size,
+                      y.record_size)) {
+    ++counters->pruned_strl;
+    return false;
   }
-  if constexpr ((Mask & kPipelineSegL) != 0) {
-    if (SegmentLengthPrunes(opts.function, opts.theta, x, y)) {
-      ++counters->pruned_segl;
-      return false;
-    }
+  if (opts.use_segment_length_filter &&
+      SegmentLengthPrunes(opts.function, opts.theta, x, y)) {
+    ++counters->pruned_segl;
+    return false;
   }
   return true;
 }
 
-/// Lemma 4, then the emit: the tail of every path once the exact overlap
-/// has passed SegI.
-template <uint32_t Mask>
-void EmitPairT(const FragmentJoinOptions& opts, const SegmentView& x,
-               const SegmentView& y, uint64_t overlap,
-               std::vector<PartialOverlap>* out, FilterCounters* counters) {
-  if constexpr ((Mask & kPipelineSegD) != 0) {
-    if (SegmentDifferencePrunes(opts.function, opts.theta, x, y, overlap)) {
-      ++counters->pruned_segd;
-      return;
-    }
-  }
-  if (x.rid <= y.rid) {
-    out->push_back(
-        PartialOverlap{x.rid, y.rid, x.record_size, y.record_size, overlap});
-  } else {
-    out->push_back(
-        PartialOverlap{y.rid, x.rid, y.record_size, x.record_size, overlap});
-  }
-  ++counters->emitted;
-}
-
 /// The filters after a known, non-zero exact overlap: Lemma 3 with the
-/// local-overlap gate, then EmitPairT.
-template <uint32_t Mask>
-void FinishPairT(const FragmentJoinOptions& opts, const SegmentView& x,
-                 const SegmentView& y, uint64_t overlap,
-                 std::vector<PartialOverlap>* out, FilterCounters* counters) {
-  if constexpr ((Mask & kPipelineSegI) != 0) {
+/// local-overlap gate, then Lemma 4, then the emit.
+void FinishPair(const FragmentJoinOptions& opts, const SegmentView& x,
+                const SegmentView& y, uint64_t overlap,
+                std::vector<PartialOverlap>* out, FilterCounters* counters) {
+  if (opts.use_segment_intersection_filter) {
     if (SegmentIntersectionPrunes(opts.function, opts.theta, x, y, overlap)) {
       ++counters->pruned_segi;
       return;
@@ -98,19 +78,29 @@ void FinishPairT(const FragmentJoinOptions& opts, const SegmentView& x,
       return;
     }
   }
-  EmitPairT<Mask>(opts, x, y, overlap, out, counters);
+  if (opts.use_segment_difference_filter &&
+      SegmentDifferencePrunes(opts.function, opts.theta, x, y, overlap)) {
+    ++counters->pruned_segd;
+    return;
+  }
+  if (x.rid <= y.rid) {
+    out->push_back(
+        PartialOverlap{x.rid, y.rid, x.record_size, y.record_size, overlap});
+  } else {
+    out->push_back(
+        PartialOverlap{y.rid, x.rid, y.record_size, x.record_size, overlap});
+  }
+  ++counters->emitted;
 }
 
-/// The filter pipeline on one candidate segment pair, monomorphized on the
-/// enabled-filter mask; disabled filters compile away. The overlap kernel is
+/// The filter chain on one candidate segment pair. The overlap kernel is
 /// the bitmap gate, then the exact SortedOverlap merge.
-template <uint32_t Mask>
-void ProcessPairT(const SegmentBatch& batch, uint32_t i, uint32_t j,
-                  const FragmentJoinOptions& opts,
-                  std::vector<PartialOverlap>* out, FilterCounters* counters) {
+void ProcessPair(const SegmentBatch& batch, uint32_t i, uint32_t j,
+                 const FragmentJoinOptions& opts, bool check_strl,
+                 std::vector<PartialOverlap>* out, FilterCounters* counters) {
   const SegmentView x = batch.View(i);
   const SegmentView y = batch.View(j);
-  if (!PassesPreOverlapT<Mask>(opts, x, y, counters)) return;
+  if (!PassesPreOverlap(opts, check_strl, x, y, counters)) return;
   if (BitmapGateRejects(batch, i, j)) {
     ++counters->empty_overlap;
     return;
@@ -121,20 +111,19 @@ void ProcessPairT(const SegmentBatch& batch, uint32_t i, uint32_t j,
     ++counters->empty_overlap;
     return;
   }
-  FinishPairT<Mask>(opts, x, y, overlap, out, counters);
+  FinishPair(opts, x, y, overlap, out, counters);
 }
 
-/// ProcessPairT for a pair whose exact overlap the probe already counted:
-/// the same filter chain, minus the kernel.
-template <uint32_t Mask>
-void ProcessCountedPairT(const SegmentBatch& batch, uint32_t i, uint32_t j,
-                         uint64_t overlap, const FragmentJoinOptions& opts,
-                         std::vector<PartialOverlap>* out,
-                         FilterCounters* counters) {
+/// ProcessPair for an indexed-probe pair whose exact overlap the probe
+/// already counted: the same filter chain, minus the kernel.
+void ProcessCountedPair(const SegmentBatch& batch, uint32_t i, uint32_t j,
+                        uint64_t overlap, const FragmentJoinOptions& opts,
+                        std::vector<PartialOverlap>* out,
+                        FilterCounters* counters) {
   const SegmentView x = batch.View(i);
   const SegmentView y = batch.View(j);
-  if (!PassesPreOverlapT<Mask>(opts, x, y, counters)) return;
-  FinishPairT<Mask>(opts, x, y, overlap, out, counters);
+  if (!PassesPreOverlap(opts, /*check_strl=*/false, x, y, counters)) return;
+  FinishPair(opts, x, y, overlap, out, counters);
 }
 
 /// Runs probes [0, probes) in morsels of opts.morsel_size on the shared
@@ -311,11 +300,11 @@ class ScratchPool {
 /// |prefix(probe) ∩ prefix(candidate)|. When both prefixes are the whole
 /// segment that is the exact segment overlap and the kernel is skipped;
 /// otherwise the pair takes the gated merge.
-template <uint32_t Mask, typename WindowFn>
-void ProbeT(const SegmentBatch& batch, const FragmentJoinOptions& opts,
-            const PrefixIndex& index, uint32_t xi, uint32_t px,
-            uint32_t probe_id, const WindowFn& window, ProbeScratch* scratch,
-            std::vector<PartialOverlap>* out, FilterCounters* counters) {
+template <typename WindowFn>
+void Probe(const SegmentBatch& batch, const FragmentJoinOptions& opts,
+           const PrefixIndex& index, uint32_t xi, uint32_t px,
+           uint32_t probe_id, const WindowFn& window, ProbeScratch* scratch,
+           std::vector<PartialOverlap>* out, FilterCounters* counters) {
   std::vector<uint32_t>& candidates = scratch->candidates;
   candidates.clear();
   ProbeScratch::Slot* slots = scratch->slots.data();
@@ -337,10 +326,9 @@ void ProbeT(const SegmentBatch& batch, const FragmentJoinOptions& opts,
   for (uint32_t e : candidates) {
     const uint32_t j = index.order[e];
     if (probe_full && index.prefix_len[e] == batch.length(j)) {
-      ProcessCountedPairT<Mask>(batch, j, xi, slots[e].hits, opts, out,
-                                counters);
+      ProcessCountedPair(batch, j, xi, slots[e].hits, opts, out, counters);
     } else {
-      ProcessPairT<Mask>(batch, j, xi, opts, out, counters);
+      ProcessPair(batch, j, xi, opts, /*check_strl=*/false, out, counters);
     }
   }
 }
@@ -356,53 +344,48 @@ inline const uint32_t* FirstAtLeast(const PrefixIndex& index,
                           });
 }
 
-template <uint32_t Mask>
-void LoopJoinRangeT(const SegmentBatch& batch, const FragmentJoinOptions& opts,
-                    uint32_t begin, uint32_t end,
-                    std::vector<PartialOverlap>* out,
-                    FilterCounters* counters) {
+void LoopJoinRange(const SegmentBatch& batch, const FragmentJoinOptions& opts,
+                   uint32_t begin, uint32_t end,
+                   std::vector<PartialOverlap>* out, FilterCounters* counters) {
   const uint32_t n = batch.size();
   for (uint32_t i = begin; i < end; ++i) {
     for (uint32_t j = i + 1; j < n; ++j) {
-      ProcessPairT<Mask>(batch, i, j, opts, out, counters);
+      ProcessPair(batch, i, j, opts, opts.use_length_filter, out, counters);
     }
   }
 }
 
 /// R-S nested loop: probe rows [begin, end) of the side-tagged probe list
 /// against every build row. Same-side pairs are never enumerated.
-template <uint32_t Mask>
-void RsLoopJoinRangeT(const SegmentBatch& batch,
-                      const FragmentJoinOptions& opts, uint32_t begin,
-                      uint32_t end, std::vector<PartialOverlap>* out,
-                      FilterCounters* counters) {
+void RsLoopJoinRange(const SegmentBatch& batch,
+                     const FragmentJoinOptions& opts, uint32_t begin,
+                     uint32_t end, std::vector<PartialOverlap>* out,
+                     FilterCounters* counters) {
   const std::vector<uint32_t>& probes = batch.probe_rows();
   const std::vector<uint32_t>& builds = batch.build_rows();
   for (uint32_t pi = begin; pi < end; ++pi) {
     const uint32_t i = probes[pi];
     for (uint32_t j : builds) {
-      ProcessPairT<Mask>(batch, i, j, opts, out, counters);
+      ProcessPair(batch, i, j, opts, opts.use_length_filter, out, counters);
     }
   }
 }
 
 /// Self-join probes at order positions [begin, end): candidates are the
-/// postings before the probe whose record size passes the length-filter
-/// bound.
-template <uint32_t Mask>
-void IndexedProbeRangeT(const SegmentBatch& batch,
-                        const FragmentJoinOptions& opts,
-                        const PrefixIndex& index, uint32_t begin, uint32_t end,
-                        ProbeScratch* scratch,
-                        std::vector<PartialOverlap>* out,
-                        FilterCounters* counters) {
+/// postings before the probe whose record size, with StrL on, reaches
+/// Lemma 1's partner-size lower bound.
+void IndexedProbeRange(const SegmentBatch& batch,
+                       const FragmentJoinOptions& opts,
+                       const PrefixIndex& index, uint32_t begin, uint32_t end,
+                       ProbeScratch* scratch, std::vector<PartialOverlap>* out,
+                       FilterCounters* counters) {
   for (uint32_t oi = begin; oi < end; ++oi) {
     const uint32_t xi = index.order[oi];
-    uint64_t min_partner = 0;
-    if constexpr ((Mask & kPipelineStrL) != 0) {
-      min_partner = PartnerSizeLowerBound(opts.function, opts.theta,
-                                          batch.record_size(xi));
-    }
+    const uint64_t min_partner =
+        opts.use_length_filter
+            ? PartnerSizeLowerBound(opts.function, opts.theta,
+                                    batch.record_size(xi))
+            : 0;
     const auto window = [&](std::span<const uint32_t> list) {
       const uint32_t* first =
           min_partner > 0 ? FirstAtLeast(index, list, min_partner)
@@ -411,33 +394,34 @@ void IndexedProbeRangeT(const SegmentBatch& batch,
           std::lower_bound(first, list.data() + list.size(), oi);
       return std::pair{first, last};
     };
-    ProbeT<Mask>(batch, opts, index, xi, index.prefix_len[oi], oi, window,
-                 scratch, out, counters);
+    Probe(batch, opts, index, xi, index.prefix_len[oi], oi, window, scratch,
+          out, counters);
   }
 }
 
 /// R-S indexed probe: probe rows [begin, end) of the probe list against a
 /// prefix index built over the build side only. Unlike the self-join
 /// formulation the index holds records both shorter AND longer than the
-/// probe, so the candidate window is bounded by the partner-size bounds on
-/// both ends, and there is no position-<-probe cut: probes are never
-/// inserted. `probe_prefix` holds the probe rows' own prefix lengths,
-/// computed with the same per-row policy as the index side, which keeps the
-/// prefix-sharing soundness argument pairwise identical to the self-join.
-template <uint32_t Mask>
-void RsIndexedProbeRangeT(const SegmentBatch& batch,
-                          const FragmentJoinOptions& opts,
-                          const PrefixIndex& index,
-                          const std::vector<uint32_t>& probe_prefix,
-                          uint32_t begin, uint32_t end, ProbeScratch* scratch,
-                          std::vector<PartialOverlap>* out,
-                          FilterCounters* counters) {
+/// probe, so with StrL on the candidate window is bounded by the
+/// partner-size bounds on both ends, and there is no position-<-probe cut:
+/// probes are never inserted. `probe_prefix` holds the probe rows' own
+/// prefix lengths, computed with the same per-row policy as the index side,
+/// which keeps the prefix-sharing soundness argument pairwise identical to
+/// the self-join.
+void RsIndexedProbeRange(const SegmentBatch& batch,
+                         const FragmentJoinOptions& opts,
+                         const PrefixIndex& index,
+                         const std::vector<uint32_t>& probe_prefix,
+                         uint32_t begin, uint32_t end, ProbeScratch* scratch,
+                         std::vector<PartialOverlap>* out,
+                         FilterCounters* counters) {
   const std::vector<uint32_t>& probes = batch.probe_rows();
+  const bool windowed = opts.use_length_filter;
   for (uint32_t pi = begin; pi < end; ++pi) {
     const uint32_t xi = probes[pi];
     uint64_t min_partner = 0;
     uint64_t max_partner = std::numeric_limits<uint64_t>::max();
-    if constexpr ((Mask & kPipelineStrL) != 0) {
+    if (windowed) {
       min_partner = PartnerSizeLowerBound(opts.function, opts.theta,
                                           batch.record_size(xi));
       max_partner = PartnerSizeUpperBound(opts.function, opts.theta,
@@ -446,7 +430,7 @@ void RsIndexedProbeRangeT(const SegmentBatch& batch,
     const auto window = [&](std::span<const uint32_t> list) {
       const uint32_t* first = list.data();
       const uint32_t* last = list.data() + list.size();
-      if constexpr ((Mask & kPipelineStrL) != 0) {
+      if (windowed) {
         first = FirstAtLeast(index, list, min_partner);
         last = std::upper_bound(first, last, max_partner,
                                 [&](uint64_t bound, uint32_t e) {
@@ -455,15 +439,13 @@ void RsIndexedProbeRangeT(const SegmentBatch& batch,
       }
       return std::pair{first, last};
     };
-    ProbeT<Mask>(batch, opts, index, xi, probe_prefix[pi], pi, window,
-                 scratch, out, counters);
+    Probe(batch, opts, index, xi, probe_prefix[pi], pi, window, scratch, out,
+          counters);
   }
 }
 
-/// Compiled pipeline, nested-loop shape. Self vs. R-S is a run-time branch
-/// taken once per fragment — doubling the template instantiations for it
-/// would buy nothing (the side lists are loop bounds, not per-pair work).
-template <uint32_t Mask>
+/// Nested-loop join (kLoop). Self vs. R-S is a branch taken once per
+/// fragment: the side lists are loop bounds, not per-pair work.
 void LoopPipeline(const SegmentBatch& batch, const FragmentJoinOptions& opts,
                   std::vector<PartialOverlap>* out, FilterCounters* counters) {
   if (opts.rs_boundary.has_value()) {
@@ -472,8 +454,7 @@ void LoopPipeline(const SegmentBatch& batch, const FragmentJoinOptions& opts,
         [&](uint32_t begin, uint32_t end,
             std::vector<PartialOverlap>* range_out,
             FilterCounters* range_counters) {
-          RsLoopJoinRangeT<Mask>(batch, opts, begin, end, range_out,
-                                 range_counters);
+          RsLoopJoinRange(batch, opts, begin, end, range_out, range_counters);
         },
         out, counters);
     return;
@@ -482,17 +463,13 @@ void LoopPipeline(const SegmentBatch& batch, const FragmentJoinOptions& opts,
       batch.size(), opts,
       [&](uint32_t begin, uint32_t end, std::vector<PartialOverlap>* range_out,
           FilterCounters* range_counters) {
-        LoopJoinRangeT<Mask>(batch, opts, begin, end, range_out,
-                             range_counters);
+        LoopJoinRange(batch, opts, begin, end, range_out, range_counters);
       },
       out, counters);
 }
 
-/// Compiled pipeline, indexed-probe shape — serves both kIndex and kPrefix
-/// (the per-row prefix length is a run-time choice made once at index
-/// build, not a loop-shape difference worth doubling the instantiations
-/// for).
-template <uint32_t Mask>
+/// Indexed-probe join, serving both kIndex and kPrefix: the per-row prefix
+/// length is the only difference, decided once at index build.
 void IndexedPipeline(const SegmentBatch& batch,
                      const FragmentJoinOptions& opts,
                      std::vector<PartialOverlap>* out,
@@ -524,9 +501,8 @@ void IndexedPipeline(const SegmentBatch& batch,
             std::vector<PartialOverlap>* range_out,
             FilterCounters* range_counters) {
           auto scratch = scratch_pool.Acquire();
-          RsIndexedProbeRangeT<Mask>(batch, opts, index, probe_prefix,
-                                     begin, end, scratch.get(), range_out,
-                                     range_counters);
+          RsIndexedProbeRange(batch, opts, index, probe_prefix, begin, end,
+                              scratch.get(), range_out, range_counters);
           scratch_pool.Release(std::move(scratch));
         },
         out, counters);
@@ -541,47 +517,35 @@ void IndexedPipeline(const SegmentBatch& batch,
       [&](uint32_t begin, uint32_t end, std::vector<PartialOverlap>* range_out,
           FilterCounters* range_counters) {
         auto scratch = scratch_pool.Acquire();
-        IndexedProbeRangeT<Mask>(batch, opts, index, begin, end,
-                                 scratch.get(), range_out, range_counters);
+        IndexedProbeRange(batch, opts, index, begin, end, scratch.get(),
+                          range_out, range_counters);
         scratch_pool.Release(std::move(scratch));
       },
       out, counters);
 }
 
-/// Fills one filter-mask column of the table.
-template <uint32_t Mask, typename Table>
-void RegisterMask(Table& table) {
-  table[MethodIndex(JoinMethod::kLoop)][Mask] = &LoopPipeline<Mask>;
-  table[MethodIndex(JoinMethod::kIndex)][Mask] = &IndexedPipeline<Mask>;
-  table[MethodIndex(JoinMethod::kPrefix)][Mask] = &IndexedPipeline<Mask>;
-}
-
 }  // namespace
 
-PipelineShape ShapeOf(const FragmentJoinOptions& opts) {
-  PipelineShape shape;
-  shape.method = opts.method;
-  shape.filter_mask = (opts.use_length_filter ? kPipelineStrL : 0) |
-                      (opts.use_segment_length_filter ? kPipelineSegL : 0) |
-                      (opts.use_segment_intersection_filter ? kPipelineSegI
-                                                            : 0) |
-                      (opts.use_segment_difference_filter ? kPipelineSegD : 0);
-  return shape;
-}
-
-KernelRegistry::KernelRegistry() {
-  [this]<std::size_t... M>(std::index_sequence<M...>) {
-    (RegisterMask<static_cast<uint32_t>(M)>(table_), ...);
-  }(std::make_index_sequence<kNumFilterMasks>{});
-}
-
-const KernelRegistry& KernelRegistry::Get() {
-  static const KernelRegistry registry;
-  return registry;
-}
-
-PipelineFn KernelRegistry::Lookup(const PipelineShape& shape) const {
-  return table_[MethodIndex(shape.method)][shape.filter_mask & 15u];
+void JoinFragmentBatch(const SegmentBatch& batch,
+                       const FragmentJoinOptions& opts,
+                       std::vector<PartialOverlap>* out,
+                       FilterCounters* counters) {
+  if (batch.empty()) return;
+  FSJOIN_CHECK(batch.sealed());  // the bitmaps back the overlap gate
+  // R-S joins iterate the side lists; an untagged batch would join nothing.
+  FSJOIN_CHECK(!opts.rs_boundary.has_value() || batch.side_tagged());
+  // One branch per fragment picks the loop; the filter subset is read per
+  // pair from opts, which measured no slower than compiling one loop per
+  // subset (DESIGN.md §5g).
+  switch (opts.method) {
+    case JoinMethod::kLoop:
+      LoopPipeline(batch, opts, out, counters);
+      return;
+    case JoinMethod::kIndex:
+    case JoinMethod::kPrefix:
+      IndexedPipeline(batch, opts, out, counters);
+      return;
+  }
 }
 
 }  // namespace fsjoin

@@ -31,8 +31,9 @@ JoinResultSet BruteForceJoinRS(const std::vector<OrderedRecord>& records,
                                double theta);
 
 /// Serial AllPairs (Bayardo et al.): prefix-filter index + length filter +
-/// merge verification. Used as the in-memory reference join and inside the
-/// RIDPairsPPJoin baseline's reducers.
+/// merge verification, without PPJoin's positional filter. A reference
+/// join: SerialJoinTest.PositionalFilterOnlyPrunes compares PPJoin against
+/// it: the positional filter may prune candidates, never result pairs.
 JoinResultSet AllPairsJoin(const std::vector<OrderedRecord>& records,
                            SimilarityFunction fn, double theta,
                            SerialJoinStats* stats = nullptr);

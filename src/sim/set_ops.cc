@@ -112,44 +112,4 @@ uint64_t SortedOverlapAtLeast(const std::vector<uint32_t>& a,
   return count >= required ? count : 0;
 }
 
-uint64_t SortedSuffixOverlap(const std::vector<uint32_t>& a,
-                             std::size_t a_start,
-                             const std::vector<uint32_t>& b,
-                             std::size_t b_start) {
-  uint64_t count = 0;
-  size_t i = a_start, j = b_start;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) {
-      ++count;
-      ++i;
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return count;
-}
-
-uint64_t SortedSymmetricDifference(const std::vector<uint32_t>& a,
-                                   const std::vector<uint32_t>& b) {
-  uint64_t overlap = SortedOverlap(a, b);
-  return a.size() + b.size() - 2 * overlap;
-}
-
-bool SortedIntersects(const std::vector<uint32_t>& a,
-                      const std::vector<uint32_t>& b) {
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == b[j]) return true;
-    if (a[i] < b[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
-}
-
 }  // namespace fsjoin

@@ -83,20 +83,6 @@ uint64_t SortedOverlapAtLeast(const std::vector<uint32_t>& a,
                               const std::vector<uint32_t>& b,
                               uint64_t required);
 
-/// Overlap of the suffixes a[a_start..) and b[b_start..).
-uint64_t SortedSuffixOverlap(const std::vector<uint32_t>& a,
-                             std::size_t a_start,
-                             const std::vector<uint32_t>& b,
-                             std::size_t b_start);
-
-/// |a \ b| + |b \ a| (symmetric difference size) by linear merge.
-uint64_t SortedSymmetricDifference(const std::vector<uint32_t>& a,
-                                   const std::vector<uint32_t>& b);
-
-/// True iff a and b share at least one element.
-bool SortedIntersects(const std::vector<uint32_t>& a,
-                      const std::vector<uint32_t>& b);
-
 /// ---- Vector wrappers ----------------------------------------------------
 
 inline uint64_t SortedOverlap(const std::vector<uint32_t>& a,

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/filters.h"
 #include "core/fragment_join.h"
 #include "core/pivots.h"
@@ -87,6 +90,39 @@ TEST(FiltersTest, StrLengthMatchesLemma1) {
   EXPECT_FALSE(StrLengthPrunes(SimilarityFunction::kJaccard, 0.8, 10, 10));
   // Symmetric in the arguments.
   EXPECT_TRUE(StrLengthPrunes(SimilarityFunction::kJaccard, 0.8, 10, 7));
+}
+
+// The indexed probes apply Lemma 1 only as their posting-list window and do
+// not re-check it per pair. That is sound only if no partner size inside the
+// window is StrL-pruned. Self join: the partner is no larger than the probe
+// and at least PartnerSizeLowerBound. R-S join: the partner lies between
+// PartnerSizeLowerBound and PartnerSizeUpperBound, so it holds the self
+// window whenever the upper bound reaches the probe. Exhaustive over sizes,
+// so a rounding difference at a window edge shows.
+TEST(FiltersTest, PartnerWindowNeverStrLengthPrunes) {
+  constexpr uint32_t kMaxSize = 1000;
+  for (SimilarityFunction fn :
+       {SimilarityFunction::kJaccard, SimilarityFunction::kDice,
+        SimilarityFunction::kCosine}) {
+    for (double theta : {0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0}) {
+      SCOPED_TRACE(std::string(SimilarityFunctionName(fn)) + "/theta" +
+                   std::to_string(theta));
+      for (uint32_t probe = 1; probe <= kMaxSize; ++probe) {
+        const uint64_t lo = PartnerSizeLowerBound(fn, theta, probe);
+        const uint64_t hi = PartnerSizeUpperBound(fn, theta, probe);
+        ASSERT_LE(lo, probe);
+        ASSERT_GE(hi, probe);
+        for (uint64_t partner = std::max<uint64_t>(lo, 1); partner <= hi;
+             ++partner) {
+          const uint32_t size = static_cast<uint32_t>(partner);
+          ASSERT_FALSE(StrLengthPrunes(fn, theta, probe, size))
+              << "probe " << probe << " partner " << partner;
+          ASSERT_FALSE(StrLengthPrunes(fn, theta, size, probe))
+              << "probe " << probe << " partner " << partner;
+        }
+      }
+    }
+  }
 }
 
 TEST(FiltersTest, SegIStrongerThanSegL) {

@@ -1,6 +1,6 @@
 // Fragment-local joins (§V-A "Join Algorithms"): Loop, Index and Prefix
 // must produce identical surviving partial overlaps (Loop is the oracle),
-// every compiled pipeline must match a brute-force reference, and the
+// every method and filter subset must match a brute-force reference, and the
 // filter counters must account for every considered pair.
 
 #include <gtest/gtest.h>
@@ -8,14 +8,12 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
 
 #include "core/filters.h"
 #include "core/fragment_join.h"
-#include "core/join_pipeline.h"
 #include "core/pivots.h"
 #include "core/segments.h"
 #include "sim/set_ops.h"
@@ -190,18 +188,18 @@ TEST(FragmentJoinTest, IndexedProbeIsExact) {
   }
 }
 
-// Brute-force reference for one registry slot: enumerates every cross pair
-// (self: i < j; R-S: probe x build), keeps the ones the slot's loop shape
-// considers, and runs the mask's filter chain on LinearOverlap. The loop
+// Brute-force reference for one method and filter subset: enumerates every
+// cross pair (self: i < j; R-S: probe x build), keeps the ones the method's
+// loop considers, and runs the options' filter chain on LinearOverlap. The loop
 // considers every pair. The indexed probes consider a pair when the prefixes
 // share a token (the whole segment for kIndex) and, with StrL on, the
 // partner's record size lies in the probe's length window; a self-join
 // probe is the later row in (record_size, rid) order.
 void BruteForceSlot(const std::vector<SegmentRecord>& fragment,
-                    JoinMethod method, uint32_t mask,
                     const FragmentJoinOptions& opts,
                     std::vector<PartialOverlap>* out,
                     FilterCounters* counters) {
+  const JoinMethod method = opts.method;
   const SimilarityFunction fn = opts.function;
   const double theta = opts.theta;
   auto prefix = [&](const SegmentRecord& s) -> size_t {
@@ -210,7 +208,7 @@ void BruteForceSlot(const std::vector<SegmentRecord>& fragment,
   };
   auto considered = [&](const SegmentRecord& x, const SegmentRecord& probe) {
     if (method == JoinMethod::kLoop) return true;
-    if ((mask & kPipelineStrL) != 0) {
+    if (opts.use_length_filter) {
       const uint64_t size = x.record_size;
       if (size < PartnerSizeLowerBound(fn, theta, probe.record_size)) {
         return false;
@@ -225,12 +223,13 @@ void BruteForceSlot(const std::vector<SegmentRecord>& fragment,
   };
   auto process = [&](const SegmentRecord& x, const SegmentRecord& y) {
     ++counters->pairs_considered;
-    if ((mask & kPipelineStrL) != 0 &&
+    if (opts.use_length_filter &&
         StrLengthPrunes(fn, theta, x.record_size, y.record_size)) {
       ++counters->pruned_strl;
       return;
     }
-    if ((mask & kPipelineSegL) != 0 && SegmentLengthPrunes(fn, theta, x, y)) {
+    if (opts.use_segment_length_filter &&
+        SegmentLengthPrunes(fn, theta, x, y)) {
       ++counters->pruned_segl;
       return;
     }
@@ -239,14 +238,14 @@ void BruteForceSlot(const std::vector<SegmentRecord>& fragment,
       ++counters->empty_overlap;
       return;
     }
-    if ((mask & kPipelineSegI) != 0 &&
+    if (opts.use_segment_intersection_filter &&
         (SegmentIntersectionPrunes(fn, theta, x, y, overlap) ||
          overlap < SegmentMinLocalOverlap(fn, theta, x) ||
          overlap < SegmentMinLocalOverlap(fn, theta, y))) {
       ++counters->pruned_segi;
       return;
     }
-    if ((mask & kPipelineSegD) != 0 &&
+    if (opts.use_segment_difference_filter &&
         SegmentDifferencePrunes(fn, theta, x, y, overlap)) {
       ++counters->pruned_segd;
       return;
@@ -277,13 +276,14 @@ void BruteForceSlot(const std::vector<SegmentRecord>& fragment,
   }
 }
 
-// All 48 registry slots (3 methods x 16 filter masks), self and R-S, each
-// against the brute-force reference: the same partials and the same
-// counters. The narrow shape sends most indexed candidates through the gated
-// merge; the wide one counts them during the posting scan.
-TEST(FragmentJoinTest, EveryRegistrySlotMatchesBruteForce) {
-  const KernelRegistry& registry = KernelRegistry::Get();
-  std::set<PipelineFn> distinct;
+// Every join method x filter subset (3 x 16), for every similarity function,
+// self and R-S, each against the brute-force reference: the same partials
+// and the same counters. The narrow shape sends most indexed candidates
+// through the gated merge; the wide one counts them during the posting scan.
+// The reference applies Lemma 1 per pair on every method, so the indexed
+// methods' pruned_strl of 0 shows that their posting window admits only
+// pairs StrL keeps.
+TEST(FragmentJoinTest, EveryMethodAndFilterSubsetMatchesBruteForce) {
   for (const FragmentShape& shape : kShapes) {
     for (bool rs : {false, true}) {
       Rng rng(4242);
@@ -292,47 +292,47 @@ TEST(FragmentJoinTest, EveryRegistrySlotMatchesBruteForce) {
             rng, 30, 0, shape.rank_hi, shape.context_lo, shape.context_hi);
         SegmentBatch batch = SegmentBatch::FromRecords(fragment);
         if (rs) batch.TagSides(*BoundaryFor(rs, fragment.size()));
-        for (double theta : {0.5, 0.8}) {
-          for (JoinMethod method :
-               {JoinMethod::kLoop, JoinMethod::kIndex, JoinMethod::kPrefix}) {
-            for (uint32_t mask = 0; mask < kNumFilterMasks; ++mask) {
-              SCOPED_TRACE(std::string(shape.name) + (rs ? "/rs/" : "/self/") +
-                           JoinMethodName(method) + "/mask" +
-                           std::to_string(mask) + "/theta" +
-                           std::to_string(theta));
-              FragmentJoinOptions opts;
-              opts.theta = theta;
-              opts.method = method;
-              opts.use_length_filter = (mask & kPipelineStrL) != 0;
-              opts.use_segment_length_filter = (mask & kPipelineSegL) != 0;
-              opts.use_segment_intersection_filter =
-                  (mask & kPipelineSegI) != 0;
-              opts.use_segment_difference_filter = (mask & kPipelineSegD) != 0;
-              opts.rs_boundary = BoundaryFor(rs, fragment.size());
-              const PipelineShape slot = ShapeOf(opts);
-              ASSERT_EQ(slot.method, method);
-              ASSERT_EQ(slot.filter_mask, mask);
-              const PipelineFn fn = registry.Lookup(slot);
-              ASSERT_NE(fn, nullptr);
-              distinct.insert(fn);
+        for (SimilarityFunction fn :
+             {SimilarityFunction::kJaccard, SimilarityFunction::kDice,
+              SimilarityFunction::kCosine}) {
+          for (double theta : {0.5, 0.8}) {
+            for (JoinMethod method :
+                 {JoinMethod::kLoop, JoinMethod::kIndex, JoinMethod::kPrefix}) {
+              for (uint32_t subset = 0; subset < 16; ++subset) {
+                SCOPED_TRACE(std::string(shape.name) +
+                             (rs ? "/rs/" : "/self/") +
+                             SimilarityFunctionName(fn) + "/" +
+                             JoinMethodName(method) + "/filters" +
+                             std::to_string(subset) + "/theta" +
+                             std::to_string(theta));
+                FragmentJoinOptions opts;
+                opts.function = fn;
+                opts.theta = theta;
+                opts.method = method;
+                opts.use_length_filter = (subset & 1u) != 0;
+                opts.use_segment_length_filter = (subset & 2u) != 0;
+                opts.use_segment_intersection_filter = (subset & 4u) != 0;
+                opts.use_segment_difference_filter = (subset & 8u) != 0;
+                opts.rs_boundary = BoundaryFor(rs, fragment.size());
 
-              std::vector<PartialOverlap> got, want;
-              FilterCounters got_counters, want_counters;
-              fn(batch, opts, &got, &got_counters);
-              BruteForceSlot(fragment, method, mask, opts, &want,
-                             &want_counters);
-              SortPartials(&got);
-              SortPartials(&want);
-              EXPECT_TRUE(SamePartials(want, got));
-              ExpectSameCounters(want_counters, got_counters);
+                std::vector<PartialOverlap> got, want;
+                FilterCounters got_counters, want_counters;
+                JoinFragmentBatch(batch, opts, &got, &got_counters);
+                BruteForceSlot(fragment, opts, &want, &want_counters);
+                SortPartials(&got);
+                SortPartials(&want);
+                EXPECT_TRUE(SamePartials(want, got));
+                ExpectSameCounters(want_counters, got_counters);
+                if (method != JoinMethod::kLoop) {
+                  EXPECT_EQ(want_counters.pruned_strl, 0u);
+                }
+              }
             }
           }
         }
       }
     }
   }
-  // kIndex and kPrefix share one compiled loop per mask.
-  EXPECT_EQ(distinct.size(), 2u * kNumFilterMasks);
 }
 
 TEST(FragmentJoinTest, CountersAccountForEveryConsideredPair) {

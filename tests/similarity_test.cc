@@ -130,18 +130,6 @@ TEST(SetOpsTest, OverlapBasics) {
   EXPECT_EQ(SortedOverlap(a, b), 2u);
   EXPECT_EQ(SortedOverlap(a, {}), 0u);
   EXPECT_EQ(SortedOverlap(a, a), 4u);
-  EXPECT_TRUE(SortedIntersects(a, b));
-  EXPECT_FALSE(SortedIntersects({1, 2}, {3, 4}));
-  EXPECT_EQ(SortedSymmetricDifference(a, b), 4u);
-  EXPECT_EQ(SortedSymmetricDifference(a, a), 0u);
-}
-
-TEST(SetOpsTest, SuffixOverlap) {
-  std::vector<uint32_t> a = {1, 3, 5, 7};
-  std::vector<uint32_t> b = {3, 5, 9};
-  EXPECT_EQ(SortedSuffixOverlap(a, 0, b, 0), 2u);
-  EXPECT_EQ(SortedSuffixOverlap(a, 2, b, 1), 1u);  // {5,7} vs {5,9}
-  EXPECT_EQ(SortedSuffixOverlap(a, 4, b, 0), 0u);
 }
 
 TEST(SetOpsTest, GallopingOverlapMatchesLinearMerge) {
