@@ -2,7 +2,7 @@
 // per-record string path (vector<KeyValue> buckets, bytewise stable_sort,
 // per-value copies into a std::vector<std::string> per group) against the
 // zero-copy arena path (KvBuffer -> ShuffleShard tag sort -> ReduceShard
-// over string_views) on an ordering-job-shaped workload: >= 1M records of
+// over string_views) on a token-count-shaped workload: >= 1M records of
 // 4-byte big-endian token keys with varint count values, Zipf-distributed
 // tokens. Both paths run the same reducer and must produce identical
 // output; the arena path is expected to win by >= 1.5x.
@@ -169,10 +169,11 @@ PathResult RunArenaPath(const std::vector<uint32_t>& tokens) {
     }
     result.shuffle_bytes += shard.PayloadBytes();
     shard.SortByKey();
-    uint64_t max_group = 0;
-    Status st = mr::ReduceShard(&reducer, shard, &emitter, &max_group);
+    mr::TaskMetrics metrics;
+    Status st = mr::ReduceShard(&reducer, shard, &emitter, &metrics);
     if (!st.ok()) FSJOIN_LOG(Fatal) << st.ToString();
-    result.peak_group_bytes = std::max(result.peak_group_bytes, max_group);
+    result.peak_group_bytes =
+        std::max(result.peak_group_bytes, metrics.max_group_bytes);
   }
   return result;
 }
@@ -221,10 +222,11 @@ PathResult RunSpillPath(const std::vector<uint32_t>& tokens,
     result.spilled_bytes += shard.spilled_bytes();
     result.spill_runs += shard.spill_runs();
     if (!shard.spilled()) shard.SortByKey();
-    uint64_t max_group = 0;
-    st = mr::ReduceShard(&reducer, shard, &emitter, &max_group);
+    mr::TaskMetrics metrics;
+    st = mr::ReduceShard(&reducer, shard, &emitter, &metrics);
     if (!st.ok()) FSJOIN_LOG(Fatal) << st.ToString();
-    result.peak_group_bytes = std::max(result.peak_group_bytes, max_group);
+    result.peak_group_bytes =
+        std::max(result.peak_group_bytes, metrics.max_group_bytes);
   }
   return result;
 }

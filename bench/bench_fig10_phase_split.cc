@@ -2,7 +2,10 @@
 // horizontal partitions grows (per dataset, the paper uses different
 // partition counts per corpus). Expected shapes: the filtering phase
 // dominates end-to-end time (the filters leave verification little work),
-// and more horizontal partitions shrink the dominant filtering phase.
+// and more horizontal partitions shrink the dominant filtering phase. The
+// paper's job 1, the token order, is a driver phase here (built from the
+// dictionary's document frequencies), so its column is the measured wall of
+// that build, not a simulated job.
 
 #include <cstdio>
 #include <iostream>
@@ -39,8 +42,9 @@ void Run(const BenchOptions& options) {
       }
       model.reduce_memory_bytes = max_fragment / 2;
     }
-    TablePrinter table({"h-partitions", "filter sim10 (ms)",
-                        "verify sim10 (ms)", "total (ms)", "filter share"});
+    TablePrinter table({"h-partitions", "order build (ms)",
+                        "filter sim10 (ms)", "verify sim10 (ms)", "total (ms)",
+                        "filter share"});
     for (uint32_t t : partition_counts) {
       FsJoinConfig config = DefaultFsConfig(0.8);
       config.num_horizontal_partitions = t;
@@ -55,8 +59,11 @@ void Run(const BenchOptions& options) {
           SimulatedMs({fs->report.filtering_job}, kDefaultNodes, model);
       double verify_ms =
           SimulatedMs({fs->report.verification_job}, kDefaultNodes, model);
+      const double order_ms =
+          fs->report.ordering_job.total_wall_micros / 1000.0;
       table.AddRow(
-          {t == 0 ? "off" : std::to_string(t), StrFormat("%.0f", filter_ms),
+          {t == 0 ? "off" : std::to_string(t), StrFormat("%.2f", order_ms),
+           StrFormat("%.0f", filter_ms),
            StrFormat("%.0f", verify_ms),
            StrFormat("%.0f", filter_ms + verify_ms),
            StrFormat("%.0f%%", 100.0 * filter_ms / (filter_ms + verify_ms))});

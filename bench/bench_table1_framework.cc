@@ -1,7 +1,9 @@
 // Table I: framework comparison — the qualitative table quantified. For
 // each algorithm we measure the properties the paper tabulates: record
 // duplication in the signature/partition job, reduce-side load balance,
-// number of MapReduce jobs, and total shuffle volume.
+// number of MapReduce jobs (the token order is built on the driver from
+// the dictionary, so no algorithm counts an ordering job), and total
+// shuffle volume.
 
 #include <cstdio>
 #include <iostream>
@@ -62,8 +64,8 @@ void Run() {
     double dup =
         static_cast<double>(fs->report.filtering_job.map_output_bytes) /
         static_cast<double>(fs->report.filtering_job.map_input_bytes);
-    AddRow(&table, "FS-Join", 3, dup,
-           MaxReduceSkew(fs->report.AllJobs(), "filtering"),
+    AddRow(&table, "FS-Join", fs->report.JoinJobs().size(), dup,
+           MaxReduceSkew(fs->report.JoinJobs(), "filtering"),
            TotalShuffle(fs->report.JoinJobs()), fs->report.result_pairs);
   }
 

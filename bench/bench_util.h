@@ -45,8 +45,8 @@ FsJoinConfig DefaultFsConfig(double theta);
 BaselineConfig DefaultBaselineConfig(double theta);
 
 /// Simulated cluster time of a job pipeline on `nodes` workers using the
-/// default Hadoop-era cost model. Excludes the ordering job when the
-/// caller passes report.JoinJobs() (the paper's cost scope).
+/// default Hadoop-era cost model. Callers pass report.JoinJobs(), the
+/// paper's cost scope; the global order is a driver build, not a job.
 double SimulatedMs(const std::vector<mr::JobMetrics>& jobs, uint32_t nodes);
 
 /// Same, with a caller-supplied model (Fig. 13 uses a memory-constrained

@@ -34,7 +34,7 @@ int main() {
   config.function = fsjoin::SimilarityFunction::kJaccard;
   config.num_vertical_partitions = 4;
 
-  // 3. Run the three-job MapReduce pipeline.
+  // 3. Run the two-job MapReduce pipeline.
   fsjoin::FsJoin join(config);
   fsjoin::Result<fsjoin::FsJoinOutput> result = join.Run(corpus);
   if (!result.ok()) {

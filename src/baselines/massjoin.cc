@@ -32,7 +32,7 @@ struct MassJoinContext {
   std::shared_ptr<EmissionBudget> budget;
 };
 
-// ---- Job 2: signatures -> candidate pairs -------------------------------
+// ---- Job 1: signatures -> candidate pairs -------------------------------
 
 class SignatureMapper : public mr::Mapper {
  public:
@@ -166,7 +166,7 @@ class CandidateReducer : public mr::Reducer {
   std::shared_ptr<MassJoinContext> ctx_;
 };
 
-// ---- Job 3: dedup + attach left record content --------------------------
+// ---- Job 2: dedup + attach left record content --------------------------
 
 class MergeMapper : public mr::Mapper {
  public:
@@ -238,7 +238,7 @@ class MergeReducer : public mr::Reducer {
   std::shared_ptr<MassJoinContext> ctx_;
 };
 
-// ---- Job 4: attach right record content + verify -------------------------
+// ---- Job 3: attach right record content + verify -------------------------
 
 class VerifyReducer : public mr::Reducer {
  public:
@@ -340,8 +340,10 @@ Result<BaselineOutput> RunMassJoin(const Corpus& corpus,
   };
 
   mr::Dataset input = MakeCorpusDataset(corpus, backend.pool());
-  FSJOIN_ASSIGN_OR_RETURN(
-      ctx->order, RunOrderingJob(&backend, input, corpus.dictionary.size()));
+  // The token order, from the dictionary's document frequencies like
+  // FS-Join's.
+  ctx->order =
+      std::make_shared<const GlobalOrder>(GlobalOrder::FromCorpus(corpus));
 
   // Signatures -> candidate pairs. From here on each job's input moves into
   // a temporary, freed as soon as the job returns.

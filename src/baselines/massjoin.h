@@ -12,18 +12,18 @@ namespace fsjoin {
 /// source of its enormous intermediate data ("for each integer from 80 to
 /// 125, string t will generate signatures separately").
 ///
-/// Pipeline (4 jobs, matching the paper's description):
-///   1. ordering job — token frequencies.
-///   2. signature job — map: each record emits (a) index signatures: its
+/// Pipeline (3 jobs after the paper's ordering stage, which the driver
+/// builds from the dictionary's document frequencies like FS-Join's):
+///   1. signature job — map: each record emits (a) index signatures: its
 ///      conservative prefix tokens, and (b) probe signatures: for every
 ///      candidate partner length l in [lb(|t|), |t|] (grouped into buckets
 ///      of `length_group` for Merge+Light), the exact-length prefix tokens;
 ///      reduce: per-token groups match probes to index entries with a
 ///      matching length, emitting candidate rid pairs.
-///   3. merge job — dedups candidates per left rid and attaches the left
+///   2. merge job — dedups candidates per left rid and attaches the left
 ///      record's content ("outputs the same string multiple times with the
 ///      items" — the paper's critique).
-///   4. verify job — attaches the right record's content, computes the
+///   3. verify job — attaches the right record's content, computes the
 ///      exact overlap and applies the threshold.
 struct MassJoinConfig : public BaselineConfig {
   /// Partner-length bucket width: 1 reproduces the Merge variant, larger

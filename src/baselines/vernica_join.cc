@@ -203,8 +203,10 @@ Result<BaselineOutput> RunVernicaJoin(const Corpus& corpus,
   auto ctx = std::make_shared<VernicaContext>();
   ctx->config = config;
   ctx->budget = std::make_shared<EmissionBudget>(config.exec.emission_limit);
-  FSJOIN_ASSIGN_OR_RETURN(
-      ctx->order, RunOrderingJob(&backend, input, corpus.dictionary.size()));
+  // Stage 1's token order, from the dictionary's document frequencies
+  // like FS-Join's.
+  ctx->order =
+      std::make_shared<const GlobalOrder>(GlobalOrder::FromCorpus(corpus));
 
   // RID-pairs kernel. The candidate counter crosses fork-isolated reduce
   // tasks through the job's side channel. The input moves into a

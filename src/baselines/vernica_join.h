@@ -10,8 +10,8 @@ namespace fsjoin {
 /// joins using MapReduce", SIGMOD 2010) — the paper's main competitor [18].
 ///
 /// Pipeline:
-///   1. ordering job — token frequencies -> global ordering (shared with
-///      FS-Join).
+///   1. token ordering (stage 1) — built on the driver from the
+///      dictionary's document frequencies, the same order as FS-Join's.
 ///   2. kernel job — map: emit one *full copy of the record per prefix
 ///      token* (the duplication FS-Join eliminates); reduce: per-token
 ///      groups run a PPJoin-style in-memory join with length filtering and

@@ -137,13 +137,11 @@ Result<BaselineOutput> RunVSmartJoin(const Corpus& corpus,
 
   // Similarity: aggregate + threshold, with FS-Join's verification job.
   // The partials move into a temporary, freed as soon as the job returns.
-  auto verification_ctx = std::make_shared<VerificationContext>();
-  verification_ctx->config.theta = config.theta;
-  verification_ctx->config.function = config.function;
-  verification_ctx->config.exec = config.exec;
   FSJOIN_ASSIGN_OR_RETURN(
       mr::Dataset results,
-      backend.Run(MakeVerificationJobConfig(verification_ctx),
+      backend.Run(MakeVerificationJobConfig(config.function, config.theta,
+                                            config.exec.num_map_tasks,
+                                            config.exec.num_reduce_tasks),
                   mr::Dataset(std::move(partials))));
 
   BaselineOutput output;
@@ -151,7 +149,7 @@ Result<BaselineOutput> RunVSmartJoin(const Corpus& corpus,
   output.report.algorithm = "V-Smart-Join";
   output.report.jobs = backend.history();
   output.report.signature_stage = "vsmart-join";
-  output.report.candidate_pairs = verification_ctx->candidate_pairs;
+  output.report.candidate_pairs = backend.history().back().reduce_input_groups;
   output.report.result_pairs = output.pairs.size();
   output.report.total_wall_ms = timer.ElapsedMillis();
   return output;

@@ -37,7 +37,7 @@ Result<RunOutcome> RunPoint(const Corpus& corpus, const LatticePoint& point) {
                               FsJoin(config).Run(corpus));
       RunOutcome outcome;
       outcome.pairs = std::move(output.pairs);
-      outcome.jobs = output.report.AllJobs();
+      outcome.jobs = output.report.JoinJobs();
       outcome.has_filters = true;
       outcome.filters = output.report.filters;
       outcome.partials = std::move(output.partial_overlaps);

@@ -12,7 +12,7 @@ namespace fsjoin {
 
 /// The paper's cost analysis (§V-C, Lemma 5 and Appendix A) as executable
 /// code. The analysis prices one FS-Join self-join (filtering +
-/// verification jobs, the ordering job excluded as in the paper) as
+/// verification jobs; the paper excludes its ordering job) as
 ///
 ///   map      Σ|s_i|·C_m                      — tokenize/split each record
 ///   shuffle  Σ|s_i|·C_s                      — duplicate-free: the map

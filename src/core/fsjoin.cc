@@ -83,13 +83,18 @@ Result<FsJoinOutput> FsJoin::RunJobs(const Corpus& corpus,
 
   mr::Dataset input = MakeCorpusDataset(corpus, backend.pool());
 
-  // --- Job 1: ordering ----------------------------------------------------
+  // --- Global order (driver-side) ----------------------------------------
+  // The dictionary already holds every token's document frequency, so the
+  // order is a counting sort of those, not a job that counts them again
+  // (DESIGN.md, documented deviations). The report keeps the build's wall
+  // as its "ordering" row, with no tasks and no bytes.
   auto filtering_ctx = std::make_shared<FilteringContext>();
   filtering_ctx->config = config_;
-  FSJOIN_ASSIGN_OR_RETURN(
-      filtering_ctx->order,
-      RunOrderingJob(&backend, input, corpus.dictionary.size()));
-  output.report.ordering_job = backend.history().back();
+  WallTimer order_timer;
+  filtering_ctx->order =
+      std::make_shared<const GlobalOrder>(GlobalOrder::FromCorpus(corpus));
+  output.report.ordering_job.job_name = "ordering";
+  output.report.ordering_job.total_wall_micros = order_timer.ElapsedMicros();
 
   // The reducers' own pool: a worker that runs out of fragments steals
   // morsels of a skewed one. Null (serial joins) off the thread runner.
@@ -117,7 +122,7 @@ Result<FsJoinOutput> FsJoin::RunJobs(const Corpus& corpus,
   output.report.pivots = filtering_ctx->pivots;
   output.report.length_pivots = filtering_ctx->horizontal.pivots();
 
-  // --- Job 2: filtering ---------------------------------------------------
+  // --- Job 1: filtering ---------------------------------------------------
   // The input's last reader: it moves into a temporary, freed as soon as
   // the job returns.
   FSJOIN_ASSIGN_OR_RETURN(
@@ -126,18 +131,19 @@ Result<FsJoinOutput> FsJoin::RunJobs(const Corpus& corpus,
                   mr::Dataset(std::move(input))));
   output.report.filtering_job = backend.history().back();
 
-  // --- Job 3: verification ------------------------------------------------
-  auto verification_ctx = std::make_shared<VerificationContext>();
-  verification_ctx->config = config_;
+  // --- Job 2: verification ------------------------------------------------
   FSJOIN_ASSIGN_OR_RETURN(
       mr::Dataset results,
-      backend.Run(MakeVerificationJobConfig(verification_ctx),
+      backend.Run(MakeVerificationJobConfig(config_.function, config_.theta,
+                                            config_.exec.num_map_tasks,
+                                            config_.exec.num_reduce_tasks),
                   mr::Dataset(std::move(partials))));
   output.report.verification_job = backend.history().back();
   FSJOIN_ASSIGN_OR_RETURN(output.pairs, DecodeJoinResults(results));
 
   output.report.filters = filtering_ctx->totals;
-  output.report.candidate_pairs = verification_ctx->candidate_pairs;
+  output.report.candidate_pairs =
+      output.report.verification_job.reduce_input_groups;
   output.report.result_pairs = output.pairs.size();
   if (config_.collect_partial_overlaps) {
     output.partial_overlaps = std::move(filtering_ctx->captured_partials);
@@ -210,18 +216,25 @@ Corpus MergeJoinInput(const JoinInput& input, ThreadPool* pool) {
 
   // R's dictionary first, whole: the union mapping is the identity on R, so
   // probe-side token ids survive the merge unchanged even when the
-  // vocabularies are disjoint. Frequencies are recounted over both sides.
+  // vocabularies are disjoint. Both sides' dictionaries hold document
+  // frequencies, so the union's are their sums: R's as they are, S's added
+  // once per shared token and carried over for fresh ones, with no pass
+  // over the records.
   Corpus merged;
   merged.dictionary = r.dictionary;
-  merged.dictionary.ClearFrequencies();
   const TokenId base = static_cast<TokenId>(merged.dictionary.size());
+  for (size_t t = 0; t < s_vocab; ++t) {
+    if (ids[t] == kNone) continue;
+    const uint64_t f = s.dictionary.Frequency(static_cast<TokenId>(t));
+    merged.dictionary.AddFrequency(ids[t], f);
+  }
   for (size_t i = 0; i < fresh.size(); ++i) {
     ids[fresh[i]] = base + static_cast<TokenId>(i);
   }
   merged.dictionary.AppendDistinct(
       fresh.size(),
       [&](size_t i) { return s.dictionary.TokenString(fresh[i]); },
-      [](size_t) { return uint64_t{0}; }, workers);
+      [&](size_t i) { return s.dictionary.Frequency(fresh[i]); }, workers);
 
   // R records are copied as they are; S records are remapped and re-sorted
   // (the map is one-to-one, so no duplicate arises) with ids offset by |R|.
@@ -243,9 +256,6 @@ Corpus MergeJoinInput(const JoinInput& input, ThreadPool* pool) {
       std::sort(copy.tokens.begin(), copy.tokens.end());
     }
   });
-  for (const Record& rec : merged.records) {
-    for (TokenId t : rec.tokens) merged.dictionary.AddFrequency(t, 1);
-  }
   return merged;
 }
 

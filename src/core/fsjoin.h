@@ -26,9 +26,12 @@ struct FsJoinReport {
   std::vector<TokenRank> pivots;
   std::vector<uint32_t> length_pivots;
 
-  /// The three materialized MapReduce jobs' exact counters (pinned by
-  /// MetricsRegressionTest).
+  /// The driver's global-order build, as a job row with no tasks and no
+  /// bytes: job_name "ordering" and total_wall_micros from the build. The
+  /// order comes from the ingest dictionary, so no job counts tokens.
   mr::JobMetrics ordering_job;
+  /// The two MapReduce jobs' exact counters (pinned by
+  /// MetricsRegressionTest).
   mr::JobMetrics filtering_job;
   mr::JobMetrics verification_job;
 
@@ -37,9 +40,9 @@ struct FsJoinReport {
   uint64_t result_pairs = 0;
   double total_wall_ms = 0.0;
 
-  /// Jobs in execution order (for the cluster simulator). The ordering job
-  /// is included; the paper's cost analysis excludes it, so benches that
-  /// follow the paper pass JoinJobs() instead.
+  /// The ordering row, then the two jobs, in execution order. The ordering
+  /// row adds its wall and no bytes; benches that follow the paper's cost
+  /// scope pass JoinJobs() instead.
   std::vector<mr::JobMetrics> AllJobs() const;
   /// Filtering + verification jobs only (paper's §V-C scope).
   std::vector<mr::JobMetrics> JoinJobs() const;
@@ -61,9 +64,10 @@ struct JoinInput {
 /// in token-id order, so the union mapping is the identity on R and probe
 /// tokens are never remapped (the disjoint-vocabulary invariant the check
 /// harness asserts). S's tokens are interned into the union dictionary and
-/// its record ids are offset by |R|. Term frequencies are recomputed over
-/// R ∪ S, which is what makes the global token ordering shared by both
-/// sides. The R/S boundary of the result is input.r.records.size().
+/// its record ids are offset by |R|. Term frequencies are the sums of both
+/// sides' frequencies, the document frequencies over R ∪ S, which is what
+/// makes the global token ordering shared by both sides. The R/S boundary
+/// of the result is input.r.records.size().
 ///
 /// S tokens new to R get ids above R's in first-sight order: by the first
 /// S record that holds the token, then by S token id (S records hold their
@@ -84,12 +88,12 @@ struct FsJoinOutput {
   std::vector<PartialOverlap> partial_overlaps;
 };
 
-/// FS-Join (§III–§V) as a chain of three jobs on the Hadoop-style
-/// MapReduce engine (the paper's substrate):
-///   1. ordering     — token frequencies -> global ordering
-///   2. filtering    — vertical (+ horizontal) partitioning, fragment joins
-///   3. verification — partial-overlap aggregation and thresholding
-/// Pivot selection runs driver-side between jobs 1 and 2.
+/// FS-Join (§III–§V) as a chain of two jobs on the Hadoop-style MapReduce
+/// engine (the paper's substrate):
+///   1. filtering    — vertical (+ horizontal) partitioning, fragment joins
+///   2. verification — partial-overlap aggregation and thresholding
+/// The global ordering (the paper's job 1) is built driver-side from the
+/// dictionary's document frequencies, and pivot selection follows it.
 ///
 /// Usage:
 ///   FsJoinConfig config;

@@ -13,126 +13,6 @@ namespace fsjoin {
 
 namespace {
 
-// ---- Ordering job ------------------------------------------------------
-
-/// Parses the ordering task payload: the vocabulary size as one varint.
-Result<size_t> DecodeOrderingPayload(std::string_view payload) {
-  Decoder dec(payload);
-  uint64_t vocab_size = 0;
-  FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&vocab_size));
-  if (!dec.done()) {
-    return Status::Corruption("ordering payload: trailing bytes");
-  }
-  if (vocab_size > (uint64_t{1} << 32)) {
-    return Status::InvalidArgument(
-        "ordering payload: vocabulary exceeds the 32-bit token id space");
-  }
-  return static_cast<size_t>(vocab_size);
-}
-
-/// Collects the non-zero slots of one stripe's dense counters as entries.
-template <typename Count>
-void CollectStripe(uint32_t stripe, const Count* slots,
-                   std::vector<StripeEntry>* entries) {
-  entries->clear();
-  const TokenId base = stripe * kOrderingStripeWidth;
-  for (uint32_t i = 0; i < kOrderingStripeWidth; ++i) {
-    if (slots[i] != 0) entries->push_back(StripeEntry{base + i, slots[i]});
-  }
-}
-
-/// Counts the task's token ids in dense per-stripe counters, allocated on
-/// first touch, and emits one record per touched stripe from Finish.
-class OrderingMapper : public mr::Mapper {
- public:
-  explicit OrderingMapper(size_t vocab_size)
-      : vocab_size_(vocab_size),
-        stripes_((vocab_size + kOrderingStripeWidth - 1) /
-                 kOrderingStripeWidth) {}
-
-  Status Map(const mr::KeyValue& record, mr::Emitter* /*out*/) override {
-    RecordId rid = 0;
-    FSJOIN_RETURN_NOT_OK(DecodeCorpusRecord(record, &rid, &tokens_));
-    for (size_t i = 0; i < tokens_.size(); ++i) {
-      const TokenId t = tokens_[i];
-      // Records are sorted sets; an adjacent repeat counts once.
-      if (i > 0 && t == tokens_[i - 1]) continue;
-      if (t >= vocab_size_) {
-        return Status::InvalidArgument(
-            "ordering: token id " + std::to_string(t) +
-            " outside the vocabulary of " + std::to_string(vocab_size_));
-      }
-      std::unique_ptr<uint32_t[]>& slots = stripes_[t / kOrderingStripeWidth];
-      if (slots == nullptr) {
-        slots = std::make_unique<uint32_t[]>(kOrderingStripeWidth);
-      }
-      ++slots[t % kOrderingStripeWidth];
-    }
-    return Status::OK();
-  }
-
-  Status Finish(mr::Emitter* out) override {
-    std::vector<StripeEntry> entries;
-    std::string key, value;
-    for (size_t s = 0; s < stripes_.size(); ++s) {
-      if (stripes_[s] == nullptr) continue;
-      CollectStripe(static_cast<uint32_t>(s), stripes_[s].get(), &entries);
-      key.clear();
-      value.clear();
-      EncodeOrderingStripe(static_cast<uint32_t>(s), entries, &key, &value);
-      out->Emit(key, value);
-    }
-    return Status::OK();
-  }
-
- private:
-  size_t vocab_size_;
-  std::vector<TokenId> tokens_;  ///< decode buffer reused across records
-  std::vector<std::unique_ptr<uint32_t[]>> stripes_;
-};
-
-/// Sums every value of one stripe key into a dense accumulator and emits
-/// the summed stripe.
-class StripeSumReducer : public mr::Reducer {
- public:
-  explicit StripeSumReducer(size_t vocab_size)
-      : vocab_size_(vocab_size), sums_(kOrderingStripeWidth, 0) {}
-
-  Status Reduce(std::string_view key, mr::ValueList values,
-                mr::Emitter* out) override {
-    std::fill(sums_.begin(), sums_.end(), 0);
-    uint32_t stripe = 0;
-    for (std::string_view v : values) {
-      FSJOIN_RETURN_NOT_OK(
-          DecodeOrderingStripe(key, v, vocab_size_, &stripe, &entries_));
-      for (const StripeEntry& e : entries_) {
-        sums_[e.id % kOrderingStripeWidth] += e.count;
-      }
-    }
-    CollectStripe(stripe, sums_.data(), &entries_);
-    std::string out_key, out_value;
-    EncodeOrderingStripe(stripe, entries_, &out_key, &out_value);
-    out->Emit(out_key, out_value);
-    return Status::OK();
-  }
-
- private:
-  size_t vocab_size_;
-  std::vector<uint64_t> sums_;
-  std::vector<StripeEntry> entries_;
-};
-
-mr::TaskFactories OrderingFactories(size_t vocab_size) {
-  mr::TaskFactories factories;
-  factories.mapper = [vocab_size] {
-    return std::make_unique<OrderingMapper>(vocab_size);
-  };
-  factories.reducer = [vocab_size] {
-    return std::make_unique<StripeSumReducer>(vocab_size);
-  };
-  return factories;
-}
-
 // ---- Filtering job -----------------------------------------------------
 
 /// Splits each record into its segments and emits them once per length
@@ -159,7 +39,9 @@ class FilteringMapper : public mr::Mapper {
       }
       t = order.RankOf(t);
     }
-    splitter_.Split(tokens_.data(), tokens_.size(), ctx_->pivots);
+    splitter_.Split(tokens_.data(), tokens_.size(),
+                    ctx_->fragment_of_rank.data(),
+                    static_cast<uint32_t>(ctx_->pivots.size() + 1));
 
     const uint32_t len = static_cast<uint32_t>(tokens_.size());
     const TokenRank* ranks = splitter_.ranks().data();
@@ -285,8 +167,8 @@ class FilteringReducer : public mr::Reducer {
 
 class VerificationReducer : public mr::Reducer {
  public:
-  explicit VerificationReducer(std::shared_ptr<VerificationContext> ctx)
-      : ctx_(std::move(ctx)) {}
+  VerificationReducer(SimilarityFunction function, double theta)
+      : function_(function), theta_(theta) {}
 
   Status Reduce(std::string_view key, mr::ValueList values,
                 mr::Emitter* out) override {
@@ -302,12 +184,8 @@ class VerificationReducer : public mr::Reducer {
       size_a = la;
       size_b = lb;
     }
-    ++local_candidates_;
-    const FsJoinConfig& cfg = ctx_->config;
-    if (PassesThreshold(cfg.function, total_overlap, size_a, size_b,
-                        cfg.theta)) {
-      double sim =
-          ComputeSimilarity(cfg.function, total_overlap, size_a, size_b);
+    if (PassesThreshold(function_, total_overlap, size_a, size_b, theta_)) {
+      double sim = ComputeSimilarity(function_, total_overlap, size_a, size_b);
       std::string value;
       uint64_t bits = 0;
       static_assert(sizeof(bits) == sizeof(sim));
@@ -318,34 +196,71 @@ class VerificationReducer : public mr::Reducer {
     return Status::OK();
   }
 
-  Status Finish(mr::Emitter* out) override {
-    (void)out;
-    std::lock_guard<std::mutex> lock(ctx_->mu);
-    ctx_->candidate_pairs += local_candidates_;
-    return Status::OK();
-  }
-
  private:
-  std::shared_ptr<VerificationContext> ctx_;
-  uint64_t local_candidates_ = 0;
+  SimilarityFunction function_;
+  double theta_;
 };
+
+/// Encodes the verification task payload: the similarity function as one
+/// varint, then theta's IEEE-754 bits as Fixed64BE.
+std::string EncodeVerificationPayload(SimilarityFunction function,
+                                      double theta) {
+  std::string payload;
+  PutVarint64(&payload, static_cast<uint64_t>(function));
+  uint64_t bits = 0;
+  std::memcpy(&bits, &theta, sizeof(bits));
+  PutFixed64BE(&payload, bits);
+  return payload;
+}
+
+mr::TaskFactories VerificationFactories(SimilarityFunction function,
+                                        double theta) {
+  mr::TaskFactories factories;
+  factories.mapper = [] { return std::make_unique<IdentityMapper>(); };
+  factories.reducer = [function, theta] {
+    return std::make_unique<VerificationReducer>(function, theta);
+  };
+  return factories;
+}
+
+/// Parses a verification payload. Trailing bytes, an unknown function and
+/// a theta outside (0, 1] are each an error.
+Result<mr::TaskFactories> DecodeVerificationPayload(
+    std::string_view payload) {
+  Decoder dec(payload);
+  uint64_t function = 0, bits = 0;
+  FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&function));
+  FSJOIN_RETURN_NOT_OK(dec.GetFixed64BE(&bits));
+  if (!dec.done()) {
+    return Status::Corruption("verification payload: trailing bytes");
+  }
+  if (function > static_cast<uint64_t>(SimilarityFunction::kCosine)) {
+    return Status::InvalidArgument("verification payload: unknown function " +
+                                   std::to_string(function));
+  }
+  double theta = 0.0;
+  std::memcpy(&theta, &bits, sizeof(theta));
+  if (!(theta > 0.0 && theta <= 1.0)) {
+    return Status::InvalidArgument(
+        "verification payload: theta outside (0, 1]");
+  }
+  return VerificationFactories(static_cast<SimilarityFunction>(function),
+                               theta);
+}
 
 // ---- Task factories and side channels ----------------------------------
 
-/// The ordering job's operators depend only on the vocabulary size, which
-/// travels in the task payload, so its tasks can be described by a
-/// registered name and re-executed by a re-execed --worker-task process or
-/// a cluster worker (mr/task.h). The filtering and verification jobs
-/// capture driver-built shared contexts in their closures; their tasks stay
-/// fork-only and report context mutations through the side channels below.
-[[maybe_unused]] const bool kOrderingFactoryRegistered =
-    mr::RegisterTaskFactory(
-        "core.ordering",
-        [](const std::string& payload) -> Result<mr::TaskFactories> {
-          FSJOIN_ASSIGN_OR_RETURN(size_t vocab_size,
-                                  DecodeOrderingPayload(payload));
-          return OrderingFactories(vocab_size);
-        });
+/// The verification job's operators depend only on its payload, so its
+/// tasks can be described by a registered name and re-executed by a
+/// re-execed --worker-task process or a cluster worker (mr/task.h). The
+/// filtering job captures a driver-built shared context in its closures;
+/// its tasks stay fork-only and report context mutations through the side
+/// channel below.
+[[maybe_unused]] const bool kVerificationFactoryRegistered =
+    mr::RegisterTaskFactory("core.verification",
+                            [](const std::string& payload) {
+                              return DecodeVerificationPayload(payload);
+                            });
 
 /// Fork-boundary channel for FilteringContext: a child task starts from
 /// zeroed counters and no morsel pool (a pool's threads do not survive
@@ -421,31 +336,6 @@ mr::TaskSideChannel FilteringSideChannel(
   return side;
 }
 
-/// Fork-boundary channel for VerificationContext: candidate-pair count only.
-mr::TaskSideChannel VerificationSideChannel(
-    std::shared_ptr<VerificationContext> ctx) {
-  mr::TaskSideChannel side;
-  side.reset = [ctx] { ctx->candidate_pairs = 0; };
-  side.capture = [ctx]() -> std::string {
-    std::string bytes;
-    std::lock_guard<std::mutex> lock(ctx->mu);
-    PutVarint64(&bytes, ctx->candidate_pairs);
-    return bytes;
-  };
-  side.merge = [ctx](const std::string& bytes) -> Status {
-    Decoder dec(bytes);
-    uint64_t count = 0;
-    FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&count));
-    if (!dec.done()) {
-      return Status::Corruption("trailing bytes in verification side state");
-    }
-    std::lock_guard<std::mutex> lock(ctx->mu);
-    ctx->candidate_pairs += count;
-    return Status::OK();
-  };
-  return side;
-}
-
 }  // namespace
 
 mr::Dataset MakeCorpusDataset(const Corpus& corpus, ThreadPool* pool) {
@@ -474,110 +364,6 @@ Status DecodeCorpusRecord(const mr::KeyValue& kv, RecordId* rid,
   return Status::OK();
 }
 
-void EncodeOrderingStripe(uint32_t stripe,
-                          const std::vector<StripeEntry>& entries,
-                          std::string* key, std::string* value) {
-  PutFixed32BE(key, stripe);
-  PutVarint64(value, entries.size());
-  TokenId prev = stripe * kOrderingStripeWidth;
-  for (const StripeEntry& e : entries) {
-    PutVarint32(value, e.id - prev);
-    PutVarint64(value, e.count);
-    prev = e.id;
-  }
-}
-
-Status DecodeOrderingStripe(std::string_view key, std::string_view value,
-                            size_t vocab_size, uint32_t* stripe,
-                            std::vector<StripeEntry>* entries) {
-  entries->clear();
-  Decoder key_dec(key);
-  FSJOIN_RETURN_NOT_OK(key_dec.GetFixed32BE(stripe));
-  if (!key_dec.done()) {
-    return Status::Corruption("ordering stripe: key longer than 4 bytes");
-  }
-  const uint64_t begin = uint64_t{*stripe} * kOrderingStripeWidth;
-  Decoder dec(value);
-  uint64_t n = 0;
-  FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&n));
-  if (n > kOrderingStripeWidth) {
-    return Status::Corruption("ordering stripe: " + std::to_string(n) +
-                              " entries exceed the stripe width");
-  }
-  entries->reserve(n);
-  uint64_t id = begin;
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t delta = 0, count = 0;
-    FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&delta));
-    FSJOIN_RETURN_NOT_OK(dec.GetVarint64(&count));
-    if (i > 0 && delta == 0) {
-      return Status::Corruption("ordering stripe: ids do not ascend");
-    }
-    if (delta >= kOrderingStripeWidth ||
-        id + delta >= begin + kOrderingStripeWidth) {
-      return Status::Corruption("ordering stripe: id outside stripe " +
-                                std::to_string(*stripe));
-    }
-    id += delta;
-    if (id >= vocab_size) {
-      return Status::Corruption("ordering stripe: token id " +
-                                std::to_string(id) +
-                                " outside the vocabulary of " +
-                                std::to_string(vocab_size));
-    }
-    entries->push_back(StripeEntry{static_cast<TokenId>(id), count});
-  }
-  if (!dec.done()) {
-    return Status::Corruption("ordering stripe: trailing bytes");
-  }
-  return Status::OK();
-}
-
-mr::JobConfig MakeOrderingJobConfig(uint32_t num_map_tasks,
-                                    uint32_t num_reduce_tasks,
-                                    size_t vocab_size) {
-  mr::TaskFactories factories = OrderingFactories(vocab_size);
-  mr::JobConfig config;
-  config.name = "ordering";
-  config.num_map_tasks = num_map_tasks;
-  config.num_reduce_tasks = num_reduce_tasks;
-  config.mapper_factory = std::move(factories.mapper);
-  config.reducer_factory = std::move(factories.reducer);
-  // The payload rebuilds the same operators in another process.
-  config.task_factory = "core.ordering";
-  PutVarint64(&config.task_payload, vocab_size);
-  return config;
-}
-
-Result<GlobalOrder> BuildGlobalOrderFromJobOutput(const mr::Dataset& output,
-                                                  size_t vocab_size) {
-  std::vector<uint64_t> frequency(vocab_size, 0);
-  std::vector<StripeEntry> entries;
-  uint32_t stripe = 0;
-  for (const mr::KeyValue& kv : output) {
-    FSJOIN_RETURN_NOT_OK(DecodeOrderingStripe(kv.key, kv.value, vocab_size,
-                                              &stripe, &entries));
-    for (const StripeEntry& e : entries) frequency[e.id] += e.count;
-  }
-  return GlobalOrder::FromFrequencies(std::move(frequency));
-}
-
-Result<std::shared_ptr<const GlobalOrder>> RunOrderingJob(
-    exec::MapReduceBackend* backend, const mr::Dataset& input,
-    size_t vocab_size) {
-  const exec::ExecConfig& exec = backend->config();
-  FSJOIN_ASSIGN_OR_RETURN(
-      mr::Dataset frequencies,
-      backend->Run(
-          MakeOrderingJobConfig(exec.num_map_tasks, exec.num_reduce_tasks,
-                                vocab_size),
-          input));
-  FSJOIN_ASSIGN_OR_RETURN(
-      GlobalOrder order,
-      BuildGlobalOrderFromJobOutput(frequencies, vocab_size));
-  return std::make_shared<const GlobalOrder>(std::move(order));
-}
-
 uint32_t FragmentPartitioner::Partition(std::string_view key,
                                         uint32_t num_partitions) const {
   Decoder dec(key);
@@ -590,6 +376,8 @@ uint32_t FragmentPartitioner::Partition(std::string_view key,
 
 mr::JobConfig MakeFilteringJobConfig(
     const std::shared_ptr<FilteringContext>& context) {
+  context->fragment_of_rank =
+      FragmentTable(context->pivots, context->order->NumTokens());
   mr::JobConfig config;
   config.name = "filtering";
   config.num_map_tasks = context->config.exec.num_map_tasks;
@@ -606,17 +394,19 @@ mr::JobConfig MakeFilteringJobConfig(
   return config;
 }
 
-mr::JobConfig MakeVerificationJobConfig(
-    const std::shared_ptr<VerificationContext>& context) {
+mr::JobConfig MakeVerificationJobConfig(SimilarityFunction function,
+                                        double theta, uint32_t num_map_tasks,
+                                        uint32_t num_reduce_tasks) {
+  mr::TaskFactories factories = VerificationFactories(function, theta);
   mr::JobConfig config;
   config.name = "verification";
-  config.num_map_tasks = context->config.exec.num_map_tasks;
-  config.num_reduce_tasks = context->config.exec.num_reduce_tasks;
-  config.mapper_factory = [] { return std::make_unique<IdentityMapper>(); };
-  config.reducer_factory = [context] {
-    return std::make_unique<VerificationReducer>(context);
-  };
-  config.side = VerificationSideChannel(context);
+  config.num_map_tasks = num_map_tasks;
+  config.num_reduce_tasks = num_reduce_tasks;
+  config.mapper_factory = std::move(factories.mapper);
+  config.reducer_factory = std::move(factories.reducer);
+  // The payload rebuilds the same operators in another process.
+  config.task_factory = "core.verification";
+  config.task_payload = EncodeVerificationPayload(function, theta);
   return config;
 }
 

@@ -10,7 +10,6 @@
 #include "core/fragment_join.h"
 #include "core/fsjoin_config.h"
 #include "core/horizontal.h"
-#include "exec/backend.h"
 #include "mr/job.h"
 #include "mr/kv.h"
 #include "sim/global_order.h"
@@ -38,60 +37,7 @@ mr::Dataset MakeCorpusDataset(const Corpus& corpus,
 Status DecodeCorpusRecord(const mr::KeyValue& kv, RecordId* rid,
                           std::vector<TokenId>* tokens);
 
-/// ---- Job 1: ordering (token frequency) -------------------------------
-/// map:    (rid, tokens) -> one stripe record per non-empty 4096-id stripe
-///         of the task's dense per-token counters
-/// reduce: sum a stripe's counts -> one summed stripe
-///
-/// A stripe record's key is the stripe index as Fixed32BE; its value is a
-/// varint entry count, then one (id delta, count) varint pair per entry in
-/// ascending id order. The first delta is taken from the stripe's first id,
-/// each later one from the previous entry's id, so ids strictly ascend.
-
-/// Token ids per ordering stripe record.
-inline constexpr uint32_t kOrderingStripeWidth = 4096;
-
-/// One decoded stripe entry: a token id and its (partial) set frequency.
-struct StripeEntry {
-  TokenId id = 0;
-  uint64_t count = 0;
-
-  bool operator==(const StripeEntry&) const = default;
-};
-
-/// Encodes one stripe record. `entries` must ascend strictly by id and lie
-/// inside the stripe.
-void EncodeOrderingStripe(uint32_t stripe,
-                          const std::vector<StripeEntry>& entries,
-                          std::string* key, std::string* value);
-
-/// Decodes one stripe record into its index and `entries` (cleared first).
-/// A malformed key, a truncated value, trailing bytes, ids that do not
-/// ascend or leave the stripe and ids at or above `vocab_size` are each a
-/// non-OK Status.
-Status DecodeOrderingStripe(std::string_view key, std::string_view value,
-                            size_t vocab_size, uint32_t* stripe,
-                            std::vector<StripeEntry>* entries);
-
-/// Job config of the ordering job. `vocab_size` bounds the token ids and
-/// travels in the task payload, so re-execed and cluster workers get it.
-mr::JobConfig MakeOrderingJobConfig(uint32_t num_map_tasks,
-                                    uint32_t num_reduce_tasks,
-                                    size_t vocab_size);
-
-/// Builds the global ordering from the ordering job's output. `vocab_size`
-/// is the dictionary size (tokens with no output record get frequency 0).
-Result<GlobalOrder> BuildGlobalOrderFromJobOutput(const mr::Dataset& output,
-                                                  size_t vocab_size);
-
-/// Runs the ordering job over `input` on `backend` (task counts from its
-/// config) and builds the global ordering from the job's output. The job's
-/// metrics land in backend->history().
-Result<std::shared_ptr<const GlobalOrder>> RunOrderingJob(
-    exec::MapReduceBackend* backend, const mr::Dataset& input,
-    size_t vocab_size);
-
-/// ---- Job 2: filtering (vertical partition + fragment join) ----------
+/// ---- Filtering job (vertical partition + fragment join) ----------
 /// map:    (rid, tokens) -> ((h, v), segment) per horizontal group h and
 ///         non-empty vertical segment v  — duplicate-free in v.
 /// reduce: fragment join -> ((rid_a, rid_b), (overlap, |a|, |b|))
@@ -104,6 +50,12 @@ struct FilteringContext {
   std::shared_ptr<const GlobalOrder> order;
   std::vector<TokenRank> pivots;
   HorizontalScheme horizontal;
+
+  /// Fragment of every rank of `order` along `pivots` (FragmentTable), so
+  /// the mapper splits a record with one lookup per token instead of a
+  /// binary search. MakeFilteringJobConfig builds it; 4 bytes per token,
+  /// 1.24 MB on a 310k-token vocabulary.
+  std::vector<uint32_t> fragment_of_rank;
 
   /// Morsel pool for the fragment joins: the thread-pool runner's own
   /// pool, on which the filtering reducers themselves run, so a worker that
@@ -119,6 +71,8 @@ struct FilteringContext {
   std::vector<PartialOverlap> captured_partials;
 };
 
+/// Job config of the filtering job. Builds context->fragment_of_rank from
+/// the context's order and pivots first.
 mr::JobConfig MakeFilteringJobConfig(
     const std::shared_ptr<FilteringContext>& context);
 
@@ -135,7 +89,7 @@ class FragmentPartitioner : public mr::Partitioner {
   uint32_t num_vertical_;
 };
 
-/// ---- Job 3: verification (overlap aggregation) -----------------------
+/// ---- Verification job (overlap aggregation) ---------------------------
 /// map:    identity
 /// reduce: sum partial overlaps; emit (pair, similarity) when >= theta.
 
@@ -149,15 +103,15 @@ class IdentityMapper : public mr::Mapper {
   }
 };
 
-/// Shared verification counters.
-struct VerificationContext {
-  FsJoinConfig config;
-  std::mutex mu;
-  uint64_t candidate_pairs = 0;  ///< distinct pairs aggregated
-};
-
-mr::JobConfig MakeVerificationJobConfig(
-    const std::shared_ptr<VerificationContext>& context);
+/// Job config of the verification job. Its operators depend only on the
+/// similarity function and theta, which travel in the task payload of the
+/// registered "core.verification" factory, so its tasks also run in
+/// re-execed worker processes and on cluster workers. Each reduce group is
+/// one candidate pair: the job's JobMetrics::reduce_input_groups counts
+/// them.
+mr::JobConfig MakeVerificationJobConfig(SimilarityFunction function,
+                                        double theta, uint32_t num_map_tasks,
+                                        uint32_t num_reduce_tasks);
 
 /// Parses the verification job's output into join results.
 Result<JoinResultSet> DecodeJoinResults(const mr::Dataset& output);

@@ -139,13 +139,28 @@ SegmentBatch SegmentBatch::FromRecords(
 
 void SegmentSplitter::Split(const TokenRank* ranks, size_t n,
                             const std::vector<TokenRank>& pivots) {
-  if (counts_.size() < pivots.size() + 1) counts_.resize(pivots.size() + 1);
+  SplitBy(ranks, n, static_cast<uint32_t>(pivots.size() + 1),
+          [&pivots](TokenRank r) { return SegmentOfRank(pivots, r); });
+}
+
+void SegmentSplitter::Split(const TokenRank* ranks, size_t n,
+                            const uint32_t* fragment_of_rank,
+                            uint32_t num_fragments) {
+  SplitBy(ranks, n, num_fragments,
+          [fragment_of_rank](TokenRank r) { return fragment_of_rank[r]; });
+}
+
+template <typename FragmentOf>
+void SegmentSplitter::SplitBy(const TokenRank* ranks, size_t n,
+                              uint32_t num_fragments,
+                              FragmentOf fragment_of) {
+  if (counts_.size() < num_fragments) counts_.resize(num_fragments);
   // Counting pass: each rank's fragment, and the touched fragments in
   // first-touch order.
   fragment_of_.resize(n);
   runs_.clear();
   for (size_t i = 0; i < n; ++i) {
-    const uint32_t f = SegmentOfRank(pivots, ranks[i]);
+    const uint32_t f = fragment_of(ranks[i]);
     fragment_of_[i] = f;
     if (counts_[f]++ == 0) runs_.push_back(SegmentRun{f, 0, 0});
   }
@@ -168,6 +183,17 @@ void SegmentSplitter::Split(const TokenRank* ranks, size_t n,
     std::sort(ranks_.begin() + run.begin, ranks_.begin() + run.end);
     counts_[run.fragment] = 0;
   }
+}
+
+std::vector<uint32_t> FragmentTable(const std::vector<TokenRank>& pivots,
+                                    size_t num_ranks) {
+  std::vector<uint32_t> table(num_ranks);
+  uint32_t f = 0;
+  for (size_t r = 0; r < num_ranks; ++r) {
+    while (f < pivots.size() && pivots[f] <= r) ++f;
+    table[r] = f;
+  }
+  return table;
 }
 
 SegmentSplit SplitIntoSegments(const OrderedRecord& record,

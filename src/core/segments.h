@@ -144,17 +144,24 @@ struct SegmentRun {
 
 /// Splits a record's ranks along the pivot boundaries: segment `v` spans
 /// ranks [pivots[v-1], pivots[v]). One counting pass finds each rank's
-/// fragment by binary search over the pivots (O(log F)), a scatter groups
-/// the ranks by fragment, and each group is sorted on its own, so a record
-/// costs F small sorts instead of one full sort. The buffers are reused
-/// across calls: after warm-up a split allocates nothing. This is the one
-/// split routine; the filtering mapper calls it per record and
-/// SplitIntoSegments wraps its result.
+/// fragment, a scatter groups the ranks by fragment, and each group is
+/// sorted on its own, so a record costs F small sorts instead of one full
+/// sort. The buffers are reused across calls: after warm-up a split
+/// allocates nothing. This is the one split routine; the filtering mapper
+/// calls it per record with a FragmentTable and SplitIntoSegments wraps its
+/// result.
 class SegmentSplitter {
  public:
-  /// Splits `ranks` (any order, no repeats) along `pivots`.
+  /// Splits `ranks` (any order, no repeats) along `pivots`, finding each
+  /// rank's fragment by binary search over the pivots (O(log F)).
   void Split(const TokenRank* ranks, size_t n,
              const std::vector<TokenRank>& pivots);
+
+  /// As above, with each rank's fragment read from `fragment_of_rank`
+  /// (FragmentTable's layout) in O(1). Every rank must index the table, and
+  /// no entry may reach `num_fragments`.
+  void Split(const TokenRank* ranks, size_t n,
+             const uint32_t* fragment_of_rank, uint32_t num_fragments);
 
   /// The record's ranks in ascending order: the runs, back to back.
   const std::vector<TokenRank>& ranks() const { return ranks_; }
@@ -162,11 +169,21 @@ class SegmentSplitter {
   const std::vector<SegmentRun>& runs() const { return runs_; }
 
  private:
+  template <typename FragmentOf>
+  void SplitBy(const TokenRank* ranks, size_t n, uint32_t num_fragments,
+               FragmentOf fragment_of);
+
   std::vector<TokenRank> ranks_;
   std::vector<SegmentRun> runs_;
   std::vector<uint32_t> fragment_of_;  ///< per input rank
   std::vector<uint32_t> counts_;       ///< per fragment; all 0 between calls
 };
+
+/// The fragment of every rank below `num_ranks` along `pivots` (sorted
+/// ascending): entry r is SegmentOfRank(pivots, r). One linear sweep of the
+/// ranks beside the pivots; 4 bytes per rank.
+std::vector<uint32_t> FragmentTable(const std::vector<TokenRank>& pivots,
+                                    size_t num_ranks);
 
 /// A record's split into segments, one SegmentRecord per non-empty segment
 /// (tests and benches; the mapper uses SegmentSplitter directly).

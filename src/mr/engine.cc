@@ -355,8 +355,8 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
       if (!shard.spilled()) shard.SortByKey();
       VectorEmitter emit(&out->records);
       std::unique_ptr<Reducer> reducer = config.reducer_factory();
-      FSJOIN_RETURN_NOT_OK(ReduceShard(reducer.get(), shard, &emit,
-                                       &out->metrics.max_group_bytes));
+      FSJOIN_RETURN_NOT_OK(
+          ReduceShard(reducer.get(), shard, &emit, &out->metrics));
       out->metrics.wall_micros = timer.ElapsedMicros();
       out->metrics.output_records = emit.records();
       out->metrics.output_bytes = emit.bytes();
@@ -380,6 +380,7 @@ Status Engine::Run(const JobConfig& config, const Dataset& input,
       tm.spilled_bytes = shards[r].spilled_bytes();
       tm.spill_runs = shards[r].spill_runs();
     }
+    jm.reduce_input_groups += tm.input_groups;
     jm.reduce_output_records += tm.output_records;
     jm.reduce_output_bytes += tm.output_bytes;
     jm.reduce_wall_micros += tm.wall_micros;

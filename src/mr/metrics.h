@@ -18,6 +18,10 @@ struct TaskMetrics {
   /// set a reducer must hold to process one group (an FS-Join fragment).
   /// Drives the cluster simulator's memory/spill model.
   uint64_t max_group_bytes = 0;
+  /// Reduce tasks only: distinct key groups the reducer was handed. The
+  /// verification job's groups are its candidate pairs, so the count
+  /// crosses process boundaries with the other counters.
+  uint64_t input_groups = 0;
   /// Reduce tasks only: key+value bytes this task's shard wrote to spill
   /// run files (0 when the shuffle stayed in memory), and how many runs.
   /// Measured, not inferred; the cluster simulator prefers these over its
@@ -52,6 +56,7 @@ struct JobMetrics {
   uint64_t spilled_bytes = 0;
   uint32_t spill_runs = 0;
 
+  uint64_t reduce_input_groups = 0;  ///< sum of TaskMetrics::input_groups
   uint64_t reduce_output_records = 0;
   uint64_t reduce_output_bytes = 0;
 

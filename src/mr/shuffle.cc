@@ -133,7 +133,7 @@ void ShuffleShard::SortByKey() {
 }
 
 Status ReduceShard(Reducer* reducer, const ShuffleShard& shard, Emitter* out,
-                   uint64_t* max_group_bytes) {
+                   TaskMetrics* metrics) {
   if (shard.spilled()) {
     std::vector<std::unique_ptr<store::RecordStream>> sources;
     sources.reserve(shard.run_paths().size());
@@ -143,7 +143,7 @@ Status ReduceShard(Reducer* reducer, const ShuffleShard& shard, Emitter* out,
       sources.push_back(std::move(reader));
     }
     store::LoserTreeMerge merge(std::move(sources));
-    return ReduceMergedStream(reducer, &merge, out, max_group_bytes);
+    return ReduceMergedStream(reducer, &merge, out, metrics);
   }
   FSJOIN_RETURN_NOT_OK(reducer->Setup());
   std::vector<std::string_view> values;
@@ -159,8 +159,10 @@ Status ReduceShard(Reducer* reducer, const ShuffleShard& shard, Emitter* out,
       group_bytes += shard.RecordBytes(j);
       ++j;
     }
-    if (max_group_bytes != nullptr) {
-      *max_group_bytes = std::max(*max_group_bytes, group_bytes);
+    if (metrics != nullptr) {
+      metrics->max_group_bytes =
+          std::max(metrics->max_group_bytes, group_bytes);
+      ++metrics->input_groups;
     }
     FSJOIN_RETURN_NOT_OK(
         reducer->Reduce(group_key, ValueList(values.data(), values.size()),
@@ -171,7 +173,7 @@ Status ReduceShard(Reducer* reducer, const ShuffleShard& shard, Emitter* out,
 }
 
 Status ReduceMergedStream(Reducer* reducer, store::RecordStream* stream,
-                          Emitter* out, uint64_t* max_group_bytes) {
+                          Emitter* out, TaskMetrics* metrics) {
   FSJOIN_RETURN_NOT_OK(reducer->Setup());
   // One arena holds the current group: its key first, then every value
   // back to back. Spans are offsets, not views — the arena may reallocate
@@ -189,8 +191,10 @@ Status ReduceMergedStream(Reducer* reducer, store::RecordStream* stream,
     for (const auto& [off, len] : spans) {
       values.emplace_back(arena.data() + off, len);
     }
-    if (max_group_bytes != nullptr) {
-      *max_group_bytes = std::max(*max_group_bytes, group_bytes);
+    if (metrics != nullptr) {
+      metrics->max_group_bytes =
+          std::max(metrics->max_group_bytes, group_bytes);
+      ++metrics->input_groups;
     }
     return reducer->Reduce(std::string_view(arena.data(), key_len),
                            ValueList(values.data(), values.size()), out);

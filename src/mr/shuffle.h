@@ -8,6 +8,7 @@
 
 #include "mr/job.h"
 #include "mr/kv.h"
+#include "mr/metrics.h"
 #include "store/memory_budget.h"
 #include "store/record_stream.h"
 #include "util/status.h"
@@ -135,19 +136,20 @@ class ShuffleShard {
 };
 
 /// Runs `reducer` over the key groups of a sorted shard. Values are
-/// string_views into the shard's arenas — zero per-value copies. Tracks the
-/// largest group's key+value byte size in *max_group_bytes when non-null.
+/// string_views into the shard's arenas — zero per-value copies. When
+/// `metrics` is non-null, raises its max_group_bytes to the largest group's
+/// key+value byte size and adds the groups to its input_groups.
 /// A spilled shard is reduced by streaming a loser-tree merge of its run
 /// files instead; the reducer cannot tell the difference.
 Status ReduceShard(Reducer* reducer, const ShuffleShard& shard, Emitter* out,
-                   uint64_t* max_group_bytes = nullptr);
+                   TaskMetrics* metrics = nullptr);
 
 /// Runs `reducer` over the key groups of an already-merged sorted record
 /// stream (run-file merge or any other RecordStream). Group values are
 /// accumulated in one arena per group, so the Reduce() call sees the same
 /// zero-copy span-of-views API as the in-memory path.
 Status ReduceMergedStream(Reducer* reducer, store::RecordStream* stream,
-                          Emitter* out, uint64_t* max_group_bytes = nullptr);
+                          Emitter* out, TaskMetrics* metrics = nullptr);
 
 }  // namespace fsjoin::mr
 

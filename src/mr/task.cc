@@ -66,6 +66,7 @@ void EncodeMetrics(const TaskMetrics& tm, std::string* dst) {
   PutVarint64(dst, tm.output_records);
   PutVarint64(dst, tm.output_bytes);
   PutVarint64(dst, tm.max_group_bytes);
+  PutVarint64(dst, tm.input_groups);
   PutVarint64(dst, tm.spilled_bytes);
   PutVarint32(dst, tm.spill_runs);
 }
@@ -79,6 +80,7 @@ Status DecodeMetrics(Decoder* dec, TaskMetrics* tm) {
   FSJOIN_RETURN_NOT_OK(dec->GetVarint64(&tm->output_records));
   FSJOIN_RETURN_NOT_OK(dec->GetVarint64(&tm->output_bytes));
   FSJOIN_RETURN_NOT_OK(dec->GetVarint64(&tm->max_group_bytes));
+  FSJOIN_RETURN_NOT_OK(dec->GetVarint64(&tm->input_groups));
   FSJOIN_RETURN_NOT_OK(dec->GetVarint64(&tm->spilled_bytes));
   FSJOIN_RETURN_NOT_OK(dec->GetVarint32(&tm->spill_runs));
   return Status::OK();
@@ -251,7 +253,7 @@ Status ExecuteReduceTaskFromRuns(const TaskSpec& spec,
     if (st.ok()) st = reducer->Finish(&emit);
   } else {
     store::LoserTreeMerge merge(std::move(sources));
-    st = ReduceMergedStream(reducer.get(), &merge, &emit, &tm.max_group_bytes);
+    st = ReduceMergedStream(reducer.get(), &merge, &emit, &tm);
   }
   FSJOIN_RETURN_NOT_OK(st);
 

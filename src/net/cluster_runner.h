@@ -47,9 +47,9 @@ inline constexpr int kMaxMissedHeartbeats = 3;
 /// dispatched to workers over the framed RPC protocol (net/frame.h), with
 /// map input streamed from the coordinator's run files and reduce input
 /// pulled worker-to-worker over the network shuffle. Closure-only specs
-/// (jobs without a registered factory: FS-Join's filtering and verification
-/// jobs and the baselines' join jobs) fall back to an internal
-/// SubprocessRunner: same isolation contract, local transport.
+/// (jobs without a registered factory: FS-Join's filtering job and the
+/// baselines' own join jobs) fall back to an internal SubprocessRunner:
+/// same isolation contract, local transport.
 ///
 /// Failure model: a worker is dead when its connection errors or it misses
 /// kMaxMissedHeartbeats probes. The coordinator then re-runs the dead

@@ -259,8 +259,8 @@ Status ExecuteReduceOverSources(const mr::TaskSpec& spec,
       sources.push_back(std::move(stream));
     }
     store::LoserTreeMerge merge(std::move(sources));
-    FSJOIN_RETURN_NOT_OK(mr::ReduceMergedStream(reducer.get(), &merge, &emit,
-                                                &tm.max_group_bytes));
+    FSJOIN_RETURN_NOT_OK(
+        mr::ReduceMergedStream(reducer.get(), &merge, &emit, &tm));
     for (const SourceStream* s : raw) {
       tm.input_records += s->records();
       tm.input_bytes += s->payload_bytes();

@@ -20,13 +20,14 @@ class GlobalOrder {
  public:
   GlobalOrder() = default;
 
-  /// Builds the ordering from explicit (token, frequency) pairs — the output
-  /// of the MapReduce ordering job. `frequency[t]` is the term frequency of
-  /// TokenId t; tokens never seen get frequency 0 and still receive ranks.
-  /// A counting sort over the frequencies: O(V) for a V-token domain.
+  /// Builds the ordering from explicit frequencies: `frequency[t]` is the
+  /// term frequency of TokenId t; tokens never seen get frequency 0 and
+  /// still receive ranks. A counting sort over the frequencies: O(V) for a
+  /// V-token domain.
   static GlobalOrder FromFrequencies(std::vector<uint64_t> frequency);
 
-  /// Convenience: builds directly from a corpus dictionary (serial path).
+  /// Builds from a corpus dictionary's document frequencies: the order
+  /// every join uses.
   static GlobalOrder FromCorpus(const Corpus& corpus);
 
   /// Rank of a token. Requires id < NumTokens().

@@ -167,8 +167,11 @@ TEST(BaselineCostShape, MassJoinLightEmitsLessThanMerge) {
   Result<BaselineOutput> light_out = RunMassJoin(corpus, light);
   ASSERT_TRUE(merge_out.ok());
   ASSERT_TRUE(light_out.ok());
-  EXPECT_LT(light_out->report.jobs[1].map_output_records,
-            merge_out->report.jobs[1].map_output_records);
+  const mr::JobMetrics* light_sig = light_out->report.SignatureJob();
+  const mr::JobMetrics* merge_sig = merge_out->report.SignatureJob();
+  ASSERT_NE(light_sig, nullptr);
+  ASSERT_NE(merge_sig, nullptr);
+  EXPECT_LT(light_sig->map_output_records, merge_sig->map_output_records);
 }
 
 
@@ -182,22 +185,7 @@ struct JobPin {
   uint64_t reduce_output_records, reduce_output_bytes;
 };
 
-/// Same corpus as MetricsRegressionTest (jobs_test.cc).
-Corpus RegressionCorpus() {
-  SyntheticCorpusConfig cfg;
-  cfg.num_records = 300;
-  cfg.vocab_size = 400;
-  cfg.zipf_skew = 1.0;
-  cfg.avg_len = 12;
-  cfg.len_sigma = 0.7;
-  cfg.min_len = 1;
-  cfg.max_len = 56;
-  cfg.near_duplicate_fraction = 0.35;
-  cfg.mutation_rate = 0.12;
-  cfg.seed = 4242;
-  return GenerateCorpus(cfg);
-}
-
+/// Run on MetricsRegressionTest's corpus (test_util.h).
 BaselineConfig RegressionConfig() {
   BaselineConfig config;
   config.theta = 0.8;
@@ -238,17 +226,16 @@ void ExpectHistory(const BaselineReport& report,
 // Drift means a driver changed what its jobs read, shuffle or write.
 TEST(BaselineMetricsRegressionTest, RidPairsPPJoinHistory) {
   Result<BaselineOutput> out =
-      RunVernicaJoin(RegressionCorpus(), RegressionConfig());
+      RunVernicaJoin(testing::MetricsRegressionCorpus(), RegressionConfig());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ExpectHistory(out->report,
-                {{"ordering", 300, 6677, 4, 4, 2008, 1, 759},
-                 {"vernica-kernel", 300, 6677, 1021, 1021, 46248, 71, 1136}},
+                {{"vernica-kernel", 300, 6677, 1021, 1021, 46248, 71, 1136}},
                 402);
 }
 
 TEST(BaselineMetricsRegressionTest, VSmartJoinHistory) {
   Result<BaselineOutput> out =
-      RunVSmartJoin(RegressionCorpus(), RegressionConfig());
+      RunVSmartJoin(testing::MetricsRegressionCorpus(), RegressionConfig());
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ExpectHistory(
       out->report,
@@ -261,14 +248,13 @@ TEST(BaselineMetricsRegressionTest, MassJoinMergeHistory) {
   MassJoinConfig config;
   static_cast<BaselineConfig&>(config) = RegressionConfig();
   config.length_group = 1;
-  Result<BaselineOutput> out = RunMassJoin(RegressionCorpus(), config);
+  Result<BaselineOutput> out = RunMassJoin(testing::MetricsRegressionCorpus(), config);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   // The merge and verify jobs read the previous job's output plus the 300
   // ranked records.
   ExpectHistory(
       out->report,
-      {{"ordering", 300, 6677, 4, 4, 2008, 1, 759},
-       {"massjoin-signatures", 300, 6677, 4688, 4688, 42998, 479, 4311},
+      {{"massjoin-signatures", 300, 6677, 4688, 4688, 42998, 479, 4311},
        {"massjoin-merge", 779, 14364, 779, 779, 13233, 348, 13420},
        {"massjoin-verify", 648, 23473, 648, 648, 23473, 71, 1136}},
       348);

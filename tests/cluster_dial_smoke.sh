@@ -6,7 +6,7 @@
 # binary (rather than a re-execed test binary) executes tasks, so it
 # guards the force-link of the core task factories into that binary — a
 # static archive drops unreferenced objects, and the worker reaches
-# "core.ordering" purely by name over the wire.
+# "core.verification" purely by name over the wire.
 set -euo pipefail
 worker=$1
 cli=$2

@@ -2,7 +2,8 @@
 // `cluster`): record streams crossing real sockets with their trailer
 // cross-checks; result-digest identity between the cluster runner (four
 // spawned loopback workers) and the inline runner for FS-Join and all
-// three baselines; kill-a-worker fault injection for both
+// three baselines; the verification job's pinned counters on every runner;
+// kill-a-worker fault injection on the verification job for both
 // task kinds (a map death re-runs the task, a reduce death additionally
 // re-creates the dead worker's retained shuffle partitions on survivors)
 // with exactly-once metrics; heartbeat-timeout death detection against a
@@ -294,6 +295,51 @@ TEST(ClusterRunnerTest, RsDigestsIdenticalToInlineAcrossAlgorithms) {
   }
 }
 
+// ---- Verification counters across runners ------------------------------
+
+// The verification job runs from its "core.verification" payload in
+// re-execed processes and on cluster workers, and its candidate count is
+// the sum of its reduce tasks' key groups. Both must leave the pinned
+// verification row and candidate count as they are on every runner.
+TEST(ClusterRunnerTest, VerificationPinsIdenticalAcrossRunners) {
+  // MetricsRegressionTest's corpus and config (jobs_test.cc), whose
+  // verification row is pinned there.
+  const Corpus corpus = testing::MetricsRegressionCorpus();
+  for (RunnerKind runner : {RunnerKind::kInline, RunnerKind::kThreads,
+                            RunnerKind::kSubprocess, RunnerKind::kCluster}) {
+    const std::string where = mr::RunnerKindName(runner);
+    FsJoinConfig config;
+    config.theta = 0.8;
+    config.num_vertical_partitions = 6;
+    config.num_horizontal_partitions = 2;
+    config.exec.runner = runner;
+    config.exec.num_map_tasks = 4;
+    config.exec.num_reduce_tasks = 5;
+    config.exec.num_threads = runner == RunnerKind::kThreads ? 4 : 0;
+    if (runner == RunnerKind::kCluster) config.exec.spawn_local_workers = 3;
+    Result<FsJoinOutput> out = FsJoin(config).Run(corpus);
+    ASSERT_TRUE(out.ok()) << where << ": " << out.status().ToString();
+
+    const mr::JobMetrics& ver = out->report.verification_job;
+    uint64_t max_group = 0;
+    for (const mr::TaskMetrics& t : ver.reduce_tasks) {
+      max_group = std::max(max_group, t.max_group_bytes);
+    }
+    EXPECT_EQ(ver.map_input_records, 5628u) << where;
+    EXPECT_EQ(ver.map_input_bytes, 61908u) << where;
+    EXPECT_EQ(ver.map_output_records, 5628u) << where;
+    EXPECT_EQ(ver.map_output_bytes, 61908u) << where;
+    EXPECT_EQ(ver.shuffle_records, 5628u) << where;
+    EXPECT_EQ(ver.shuffle_bytes, 61908u) << where;
+    EXPECT_EQ(ver.reduce_input_groups, 4471u) << where;
+    EXPECT_EQ(ver.reduce_output_records, 71u) << where;
+    EXPECT_EQ(ver.reduce_output_bytes, 1136u) << where;
+    EXPECT_EQ(max_group, 66u) << where;
+    EXPECT_EQ(out->report.candidate_pairs, 4471u) << where;
+    EXPECT_EQ(out->report.result_pairs, 71u) << where;
+  }
+}
+
 // ---- Kill-a-worker fault injection ------------------------------------
 
 /// Runs FS-Join with 4 spawned cluster workers.
@@ -312,17 +358,17 @@ TEST(ClusterFaultTest, KilledMapWorkerTaskLandsExactlyOnceOnSurvivor) {
   auto clean = ClusterFsJoin(corpus);
   ASSERT_TRUE(clean.ok()) << clean.status().ToString();
 
-  // The worker executing the ordering job's map task 1 (attempt 0)
+  // The worker executing the verification job's map task 1 (attempt 0)
   // _Exit(3)s mid-task. The coordinator must see the dead connection, fail
   // the attempt retryably, and the scheduler re-runs it on a survivor —
   // the bumped attempt number keeps the fault from re-firing.
-  ScopedWorkerFault fault("ordering:map:1:0");
+  ScopedWorkerFault fault("verification:map:1:0");
   auto faulted = ClusterFsJoin(corpus);
   ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
 
   EXPECT_EQ(check::ResultDigest(faulted->pairs),
             check::ResultDigest(clean->pairs));
-  const mr::JobMetrics& job = faulted->report.ordering_job;
+  const mr::JobMetrics& job = faulted->report.verification_job;
   ASSERT_GT(job.map_tasks.size(), 1u);
   EXPECT_EQ(job.map_tasks[1].attempts, 2u);
   for (size_t t = 0; t < job.map_tasks.size(); ++t) {
@@ -332,7 +378,7 @@ TEST(ClusterFaultTest, KilledMapWorkerTaskLandsExactlyOnceOnSurvivor) {
   }
   // Exactly-once metrics merge: aggregates match the clean cluster run in
   // spite of the re-executed attempt.
-  const mr::JobMetrics& clean_job = clean->report.ordering_job;
+  const mr::JobMetrics& clean_job = clean->report.verification_job;
   EXPECT_EQ(job.map_output_records, clean_job.map_output_records);
   EXPECT_EQ(job.shuffle_records, clean_job.shuffle_records);
   EXPECT_EQ(job.reduce_output_records, clean_job.reduce_output_records);
@@ -348,13 +394,13 @@ TEST(ClusterFaultTest, KilledReduceWorkerRecoversRetainedMapOutput) {
   // it. Recovery must re-run those map tasks on survivors (internally,
   // without burning scheduler attempts) before the retried reduce
   // re-resolves its shuffle sources.
-  ScopedWorkerFault fault("ordering:reduce:1:0");
+  ScopedWorkerFault fault("verification:reduce:1:0");
   auto faulted = ClusterFsJoin(corpus);
   ASSERT_TRUE(faulted.ok()) << faulted.status().ToString();
 
   EXPECT_EQ(check::ResultDigest(faulted->pairs),
             check::ResultDigest(clean->pairs));
-  const mr::JobMetrics& job = faulted->report.ordering_job;
+  const mr::JobMetrics& job = faulted->report.verification_job;
   ASSERT_GT(job.reduce_tasks.size(), 1u);
   // The killed reduce re-ran; sibling reduces that were fetching from the
   // dead worker's shuffle server at that moment may legitimately have
@@ -364,7 +410,7 @@ TEST(ClusterFaultTest, KilledReduceWorkerRecoversRetainedMapOutput) {
     EXPECT_EQ(job.map_tasks[t].attempts, 1u)
         << "internal map re-runs must not count as scheduler attempts";
   }
-  const mr::JobMetrics& clean_job = clean->report.ordering_job;
+  const mr::JobMetrics& clean_job = clean->report.verification_job;
   EXPECT_EQ(job.shuffle_records, clean_job.shuffle_records);
   EXPECT_EQ(job.reduce_output_records, clean_job.reduce_output_records);
 }
@@ -427,7 +473,7 @@ TEST(ClusterFaultTest, SilentWorkerIsDeclaredDeadAfterMissedHeartbeats) {
   spec.kind = TaskKind::kMap;
   spec.task_index = 0;
   spec.num_partitions = 1;
-  spec.factory = "core.ordering";
+  spec.factory = "core.verification";
   spec.retain_shuffle = true;  // remote-capable: must go to the worker
   mr::TaskOutput out;
   const Status st =
@@ -449,22 +495,14 @@ TEST(ClusterFaultTest, SilentWorkerIsDeclaredDeadAfterMissedHeartbeats) {
 
 // ---- Direct engine runs over the network shuffle ----------------------
 
-/// Token ids of OrderingInput lie below this bound.
-constexpr size_t kOrderingVocab = 80;
-
-mr::Dataset OrderingInput(uint64_t num_records, uint64_t seed) {
-  return MakeCorpusDataset(
-      testing::RandomCorpus(num_records, kOrderingVocab, 0.8, 8.0, seed));
-}
-
 Result<std::unique_ptr<net::ClusterTaskRunner>> SpawnWorkers(int n) {
   net::ClusterOptions options;
   options.spawn_local_workers = n;
   return net::ClusterTaskRunner::Create(options);
 }
 
-Status RunOrderingJob(mr::TaskRunner* runner, const mr::Dataset& input,
-                      mr::Dataset* output, mr::JobMetrics* metrics) {
+Status RunVerificationJob(mr::TaskRunner* runner, const mr::Dataset& input,
+                          mr::Dataset* output, mr::JobMetrics* metrics) {
   mr::EngineOptions options;
   options.runner = runner == nullptr ? RunnerKind::kInline
                                      : RunnerKind::kCluster;
@@ -474,24 +512,25 @@ Status RunOrderingJob(mr::TaskRunner* runner, const mr::Dataset& input,
   // server when a single worker hosts all map output, which regresses into
   // multi-second TCP-retransmission stalls if the listener backlog ever
   // drops below that fan-in again (socket.h Listener::Listen).
-  return engine.Run(MakeOrderingJobConfig(30, 30, kOrderingVocab), input,
-                    output, metrics);
+  return engine.Run(
+      MakeVerificationJobConfig(SimilarityFunction::kJaccard, 0.6, 30, 30),
+      input, output, metrics);
 }
 
 TEST(ClusterRunnerTest, NetworkShuffleMatchesInlineEngineByteForByte) {
-  const mr::Dataset input = OrderingInput(120, 13);
+  const mr::Dataset input = testing::RandomPartialOverlaps(120, 13);
 
   mr::Dataset inline_out;
   mr::JobMetrics inline_metrics;
   ASSERT_TRUE(
-      RunOrderingJob(nullptr, input, &inline_out, &inline_metrics).ok());
+      RunVerificationJob(nullptr, input, &inline_out, &inline_metrics).ok());
 
   auto runner = SpawnWorkers(4);
   ASSERT_TRUE(runner.ok()) << runner.status().ToString();
   mr::Dataset cluster_out;
   mr::JobMetrics cluster_metrics;
   const Status st =
-      RunOrderingJob(runner->get(), input, &cluster_out, &cluster_metrics);
+      RunVerificationJob(runner->get(), input, &cluster_out, &cluster_metrics);
   ASSERT_TRUE(st.ok()) << st.ToString();
 
   ASSERT_EQ(cluster_out.size(), inline_out.size());
@@ -513,9 +552,10 @@ TEST(ClusterRunnerTest, ShutdownAfterNetworkShuffleIsPrompt) {
   ASSERT_TRUE(runner.ok()) << runner.status().ToString();
   mr::Dataset out;
   mr::JobMetrics metrics;
-  ASSERT_TRUE(
-      RunOrderingJob(runner->get(), OrderingInput(120, 13), &out, &metrics)
-          .ok());
+  ASSERT_TRUE(RunVerificationJob(runner->get(),
+                                 testing::RandomPartialOverlaps(120, 13), &out,
+                                 &metrics)
+                  .ok());
   ASSERT_GT(metrics.shuffle_records, 0u);
 
   const auto start = std::chrono::steady_clock::now();
@@ -545,19 +585,19 @@ TEST(ClusterRunnerTest, ReportedWallCoversTheWholeClusterJoin) {
 TEST(ClusterSimCrossCheckTest, PredictedSpeedupTracksMeasuredSpeedup) {
   // A workload heavy enough that per-task time is measurable over the
   // dispatch overhead on a loopback cluster.
-  const mr::Dataset input = OrderingInput(600, 17);
+  const mr::Dataset input = testing::RandomPartialOverlaps(600, 17);
 
   auto one = SpawnWorkers(1);
   ASSERT_TRUE(one.ok()) << one.status().ToString();
   mr::Dataset out1;
   mr::JobMetrics metrics1;
-  ASSERT_TRUE(RunOrderingJob(one->get(), input, &out1, &metrics1).ok());
+  ASSERT_TRUE(RunVerificationJob(one->get(), input, &out1, &metrics1).ok());
 
   auto four = SpawnWorkers(4);
   ASSERT_TRUE(four.ok()) << four.status().ToString();
   mr::Dataset out4;
   mr::JobMetrics metrics4;
-  ASSERT_TRUE(RunOrderingJob(four->get(), input, &out4, &metrics4).ok());
+  ASSERT_TRUE(RunVerificationJob(four->get(), input, &out4, &metrics4).ok());
 
   const double measured_speedup =
       static_cast<double>(std::max<int64_t>(metrics1.total_wall_micros, 1)) /

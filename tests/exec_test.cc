@@ -159,7 +159,7 @@ uint32_t OracleDigest(const Corpus& corpus, double theta) {
 class BackendEquivalence : public ::testing::TestWithParam<CorpusShape> {};
 
 // FS-Join on the backend matches the serial oracle at three thresholds, and
-// its three jobs land in the report under their names.
+// its ordering row and two jobs land in the report under their names.
 TEST_P(BackendEquivalence, FsJoinResultsMatchSerialOracle) {
   const CorpusShape& shape = GetParam();
   Corpus corpus = RandomCorpus(shape.records, shape.vocab, shape.skew,

@@ -1,11 +1,13 @@
 // Unit tests for the MR-facing plumbing of core/: corpus dataset serde,
-// the ordering job and its stripe codec, the counting-sort global order,
-// the fragment partitioner, partial-overlap encoding, verification
-// decoding, config validation and report structure.
+// the driver-side global order and its counting sort, the fragment
+// partitioner, partial-overlap encoding, the verification job and its task
+// payload, config validation and report structure.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,7 +20,6 @@
 #include "mr/engine.h"
 #include "mr/task.h"
 #include "test_util.h"
-#include "text/generator.h"
 #include "util/hash.h"
 #include "util/random.h"
 #include "util/serde.h"
@@ -27,7 +28,9 @@ namespace fsjoin {
 namespace {
 
 using ::fsjoin::testing::CorpusFromTokenSets;
+using ::fsjoin::testing::MetricsRegressionCorpus;
 using ::fsjoin::testing::RandomCorpus;
+using ::fsjoin::testing::RandomPartialOverlaps;
 
 TEST(CorpusDatasetTest, RoundTrip) {
   Corpus corpus = RandomCorpus(40, 60, 1.0, 8, 1);
@@ -51,228 +54,22 @@ TEST(CorpusDatasetTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(DecodeCorpusRecord({"abcd", "\xff\xff\xff"}, &rid, &tokens).ok());
 }
 
-TEST(OrderingJobTest, ComputesExactFrequencies) {
+// ---- Driver-side global order --------------------------------------------
+
+// Every join takes its order from the dictionary's document frequencies,
+// which ingest has already counted: t0 is in one record, t1 in two, t2 in
+// three.
+TEST(DriverOrderTest, ComputesExactFrequencies) {
   Corpus corpus = CorpusFromTokenSets({{0, 1, 2}, {1, 2}, {2}});
-  mr::Engine engine(0);
-  mr::Dataset output;
-  mr::JobMetrics metrics;
-  ASSERT_TRUE(engine
-                  .Run(MakeOrderingJobConfig(2, 3, corpus.dictionary.size()),
-                       MakeCorpusDataset(corpus), &output, &metrics)
-                  .ok())
-      << "ordering job failed";
-  Result<GlobalOrder> order =
-      BuildGlobalOrderFromJobOutput(output, corpus.dictionary.size());
-  ASSERT_TRUE(order.ok());
-  // Frequencies: t0=1, t1=2, t2=3 (token ids match interning order).
+  const GlobalOrder order = GlobalOrder::FromCorpus(corpus);
   TokenId t0 = corpus.dictionary.Lookup("t0").value();
   TokenId t1 = corpus.dictionary.Lookup("t1").value();
   TokenId t2 = corpus.dictionary.Lookup("t2").value();
-  EXPECT_EQ(order->RankOf(t0), 0u);
-  EXPECT_EQ(order->RankOf(t1), 1u);
-  EXPECT_EQ(order->RankOf(t2), 2u);
-  EXPECT_EQ(order->TotalFrequency(), 6u);
-  // One stripe record per (map task, touched stripe): both map tasks touch
-  // stripe 0 only.
-  EXPECT_EQ(metrics.shuffle_records, 2u);
-  EXPECT_EQ(metrics.reduce_output_records, 1u);
-}
-
-TEST(OrderingJobTest, RejectsOutOfVocabularyTokens) {
-  Corpus corpus = CorpusFromTokenSets({{0, 1}});
-  mr::Engine engine(0);
-  mr::Dataset output;
-  mr::JobMetrics metrics;
-  ASSERT_TRUE(engine
-                  .Run(MakeOrderingJobConfig(1, 1, corpus.dictionary.size()),
-                       MakeCorpusDataset(corpus), &output, &metrics)
-                  .ok());
-  // Pretend the vocabulary is smaller than the data claims.
-  EXPECT_FALSE(BuildGlobalOrderFromJobOutput(output, 1).ok());
-}
-
-// A map task given an id at or above the payload vocabulary fails with a
-// Status instead of growing its counters; so does the whole job.
-TEST(OrderingJobTest, MapperRejectsIdOutsidePayloadVocabulary) {
-  Corpus corpus = CorpusFromTokenSets({{0, 1, 2}, {1, 2}});
-  const mr::Dataset input = MakeCorpusDataset(corpus);
-  const mr::JobConfig config = MakeOrderingJobConfig(1, 1, 2);
-  Result<mr::TaskFactories> factories =
-      mr::ResolveTaskFactory(config.task_factory, config.task_payload);
-  ASSERT_TRUE(factories.ok()) << factories.status().ToString();
-  std::unique_ptr<mr::Mapper> mapper = factories->mapper();
-  mr::Dataset sink;
-  mr::VectorEmitter emitter(&sink);
-  ASSERT_TRUE(mapper->Setup().ok());
-  EXPECT_FALSE(mapper->Map(input[0], &emitter).ok());
-
-  mr::Engine engine(0);
-  mr::Dataset output;
-  mr::JobMetrics metrics;
-  EXPECT_FALSE(engine.Run(config, input, &output, &metrics).ok());
-}
-
-TEST(OrderingJobTest, FactoryRejectsBadPayloads) {
-  EXPECT_FALSE(mr::ResolveTaskFactory("core.ordering", "").ok());
-  std::string trailing;
-  PutVarint64(&trailing, 10);
-  trailing.push_back('x');
-  EXPECT_FALSE(mr::ResolveTaskFactory("core.ordering", trailing).ok());
-  std::string too_big;
-  PutVarint64(&too_big, (uint64_t{1} << 32) + 1);
-  EXPECT_FALSE(mr::ResolveTaskFactory("core.ordering", too_big).ok());
-}
-
-// ---- Ordering stripe codec ------------------------------------------------
-
-std::vector<StripeEntry> DecodeOk(const std::string& key,
-                                  const std::string& value, size_t vocab,
-                                  uint32_t want_stripe) {
-  std::vector<StripeEntry> entries;
-  uint32_t stripe = 0;
-  const Status st = DecodeOrderingStripe(key, value, vocab, &stripe, &entries);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  EXPECT_EQ(stripe, want_stripe);
-  return entries;
-}
-
-TEST(OrderingStripeTest, RoundTripsStripeEdges) {
-  constexpr uint32_t kW = kOrderingStripeWidth;
-  const size_t vocab = 3 * kW + 10;
-  const TokenId last = static_cast<TokenId>(vocab - 1);
-  const std::vector<std::pair<uint32_t, std::vector<StripeEntry>>> cases = {
-      {0, {{0, 1}, {kW - 1, 7}}},
-      {1, {{kW, 3}}},
-      {1, {{kW, 1}, {kW + 1, 2}, {2 * kW - 1, uint64_t{1} << 40}}},
-      {3, {{3 * kW, 5}, {last, 9}}},
-      {2, {}},  // empty stripe: just the zero entry count
-  };
-  for (const auto& [stripe, entries] : cases) {
-    std::string key, value;
-    EncodeOrderingStripe(stripe, entries, &key, &value);
-    ASSERT_EQ(key.size(), 4u);
-    EXPECT_EQ(DecodeOk(key, value, vocab, stripe), entries)
-        << "stripe " << stripe;
-  }
-  std::string key, value;
-  EncodeOrderingStripe(2, {}, &key, &value);
-  EXPECT_EQ(value, std::string(1, '\0'));
-}
-
-TEST(OrderingStripeTest, DecodeRejectsMalformedStripes) {
-  constexpr uint32_t kW = kOrderingStripeWidth;
-  const size_t vocab = 2 * kW;
-  uint32_t stripe = 0;
-  std::vector<StripeEntry> entries;
-  auto decodes = [&](std::string_view key, std::string_view value,
-                     size_t vocab_size) {
-    return DecodeOrderingStripe(key, value, vocab_size, &stripe, &entries)
-        .ok();
-  };
-
-  std::string key, value;
-  EncodeOrderingStripe(1, {{kW + 2, 4}, {kW + 300, 1}}, &key, &value);
-  ASSERT_TRUE(decodes(key, value, vocab));
-
-  // Truncated: every strict prefix of the value.
-  for (size_t keep = 0; keep < value.size(); ++keep) {
-    EXPECT_FALSE(decodes(key, value.substr(0, keep), vocab))
-        << "prefix of " << keep << " bytes decoded";
-  }
-  // Trailing bytes.
-  EXPECT_FALSE(decodes(key, value + std::string(1, '\0'), vocab));
-  // Malformed keys.
-  EXPECT_FALSE(decodes(key.substr(0, 3), value, vocab));
-  EXPECT_FALSE(decodes(key + "x", value, vocab));
-
-  // Out of stripe: a first delta of a whole stripe, and a later delta that
-  // runs past the stripe's end.
-  auto raw = [](std::initializer_list<uint64_t> varints) {
-    std::string v;
-    for (uint64_t x : varints) PutVarint64(&v, x);
-    return v;
-  };
-  EXPECT_FALSE(decodes(key, raw({1, kW, 1}), vocab));
-  EXPECT_FALSE(decodes(key, raw({2, kW - 1, 1, 1, 1}), vocab));
-  EXPECT_FALSE(decodes(key, raw({1, uint64_t{1} << 63, 1}), vocab));
-  // Ids that repeat instead of ascending.
-  EXPECT_FALSE(decodes(key, raw({2, 5, 1, 0, 1}), vocab));
-  // More entries than a stripe holds.
-  EXPECT_FALSE(decodes(key, raw({kW + 1}), vocab));
-  // Out of vocabulary: inside the stripe, past the last token id.
-  EXPECT_TRUE(decodes(key, raw({1, 9, 1}), kW + 10));
-  EXPECT_FALSE(decodes(key, raw({1, 10, 1}), kW + 10));
-  EXPECT_FALSE(decodes(key, value, kW));
-}
-
-// ---- Ordering job vs the serial order -------------------------------------
-
-/// A generated corpus whose dictionary spans several ordering stripes.
-Corpus WideVocabularyCorpus(uint64_t seed) {
-  SyntheticCorpusConfig cfg;
-  cfg.num_records = 900;
-  cfg.vocab_size = 30000;
-  cfg.zipf_skew = 0.4;
-  cfg.avg_len = 24;
-  cfg.len_sigma = 0.6;
-  cfg.min_len = 1;
-  cfg.max_len = 120;
-  cfg.near_duplicate_fraction = 0.2;
-  cfg.mutation_rate = 0.1;
-  cfg.seed = seed;
-  return GenerateCorpus(cfg);
-}
-
-void ExpectSameOrder(const GlobalOrder& got, const GlobalOrder& want,
-                     const std::string& cell) {
-  ASSERT_EQ(got.NumTokens(), want.NumTokens()) << cell;
-  EXPECT_EQ(got.TotalFrequency(), want.TotalFrequency()) << cell;
-  for (TokenRank r = 0; r < want.NumTokens(); ++r) {
-    ASSERT_EQ(got.TokenAt(r), want.TokenAt(r)) << cell << " rank " << r;
-    ASSERT_EQ(got.FrequencyAt(r), want.FrequencyAt(r)) << cell << " rank " << r;
-  }
-}
-
-TEST(OrderingJobTest, MatchesSerialOrderAcrossTaskGridsAndRunners) {
-  for (uint64_t seed : {5u, 6u}) {
-    const Corpus corpus = WideVocabularyCorpus(seed);
-    const size_t vocab = corpus.dictionary.size();
-    ASSERT_GT(vocab, 2 * kOrderingStripeWidth) << "needs at least 3 stripes";
-    const GlobalOrder want = GlobalOrder::FromCorpus(corpus);
-    const mr::Dataset input = MakeCorpusDataset(corpus);
-    for (mr::RunnerKind runner :
-         {mr::RunnerKind::kInline, mr::RunnerKind::kThreads,
-          mr::RunnerKind::kSubprocess}) {
-      for (uint32_t maps : {1u, 3u, 8u}) {
-        for (uint32_t reduces : {1u, 5u, 8u}) {
-          const std::string cell =
-              std::string(mr::RunnerKindName(runner)) + " seed " +
-              std::to_string(seed) + " " + std::to_string(maps) + "x" +
-              std::to_string(reduces);
-          mr::EngineOptions options;
-          options.runner = runner;
-          options.num_threads = runner == mr::RunnerKind::kThreads ? 4 : 0;
-          mr::Engine engine(options);
-          mr::Dataset output;
-          mr::JobMetrics metrics;
-          const Status st =
-              engine.Run(MakeOrderingJobConfig(maps, reduces, vocab), input,
-                         &output, &metrics);
-          ASSERT_TRUE(st.ok()) << cell << ": " << st.ToString();
-          // At most one record per (map task, stripe) crosses the shuffle,
-          // and one summed record per stripe comes out.
-          const uint64_t stripes =
-              (vocab + kOrderingStripeWidth - 1) / kOrderingStripeWidth;
-          EXPECT_LE(metrics.shuffle_records, maps * stripes) << cell;
-          EXPECT_EQ(metrics.reduce_output_records, stripes) << cell;
-          Result<GlobalOrder> got =
-              BuildGlobalOrderFromJobOutput(output, vocab);
-          ASSERT_TRUE(got.ok()) << cell << ": " << got.status().ToString();
-          ExpectSameOrder(*got, want, cell);
-        }
-      }
-    }
-  }
+  EXPECT_EQ(order.RankOf(t0), 0u);
+  EXPECT_EQ(order.RankOf(t1), 1u);
+  EXPECT_EQ(order.RankOf(t2), 2u);
+  EXPECT_EQ(order.FrequencyAt(2), 3u);
+  EXPECT_EQ(order.TotalFrequency(), 6u);
 }
 
 // ---- Counting-sort global order -------------------------------------------
@@ -428,6 +225,24 @@ TEST(FilteringMapperTest, RejectsRepeatedToken) {
   EXPECT_TRUE(out.pairs.empty());
 }
 
+// A token id at or above the order's size fails the map task with a Status
+// instead of reading past the order's tables.
+TEST(FilteringMapperTest, RejectsIdOutsideTheOrder) {
+  const Corpus corpus = CorpusFromTokenSets({{0, 1, 2}, {1, 2}});
+  auto ctx = std::make_shared<FilteringContext>();
+  ctx->order =
+      std::make_shared<const GlobalOrder>(GlobalOrder::FromCorpus(corpus));
+  std::unique_ptr<mr::Mapper> mapper =
+      MakeFilteringJobConfig(ctx).mapper_factory();
+  mr::KeyValue kv;
+  PutFixed32BE(&kv.key, 0);
+  const TokenId outside = static_cast<TokenId>(ctx->order->NumTokens());
+  PutUint32Vector(&kv.value, {0, outside});
+  CollectingEmitter out;
+  EXPECT_FALSE(mapper->Map(kv, &out).ok());
+  EXPECT_TRUE(out.pairs.empty());
+}
+
 TEST(FragmentPartitionerTest, SpreadsFragmentsRoundRobin) {
   FragmentPartitioner partitioner(/*num_vertical=*/4);
   auto key = [](uint32_t h, uint32_t v) {
@@ -506,17 +321,13 @@ TEST(VerificationJobTest, AggregatesAcrossFragments) {
     EncodePartialOverlap(p, &kv.key, &kv.value);
     partials.push_back(std::move(kv));
   }
-  auto ctx = std::make_shared<VerificationContext>();
-  ctx->config.theta = 0.7;
-  ctx->config.function = SimilarityFunction::kJaccard;
-  ctx->config.exec.num_map_tasks = 2;
-  ctx->config.exec.num_reduce_tasks = 2;
   mr::Engine engine(0);
   mr::Dataset output;
   mr::JobMetrics metrics;
   ASSERT_TRUE(engine
-                  .Run(MakeVerificationJobConfig(ctx), partials, &output,
-                       &metrics)
+                  .Run(MakeVerificationJobConfig(SimilarityFunction::kJaccard,
+                                                 0.7, 2, 2),
+                       partials, &output, &metrics)
                   .ok());
   Result<JoinResultSet> results = DecodeJoinResults(output);
   ASSERT_TRUE(results.ok());
@@ -524,18 +335,114 @@ TEST(VerificationJobTest, AggregatesAcrossFragments) {
   EXPECT_EQ((*results)[0].a, 1u);
   EXPECT_EQ((*results)[0].b, 2u);
   EXPECT_NEAR((*results)[0].similarity, 0.7, 1e-12);
-  EXPECT_EQ(ctx->candidate_pairs, 1u);
+  // One key group, so one candidate pair.
+  EXPECT_EQ(metrics.reduce_input_groups, 1u);
 
   // Below threshold with only one partial: no output.
-  ctx = std::make_shared<VerificationContext>();
-  ctx->config.theta = 0.7;
-  ctx->config.exec.num_map_tasks = 1;
-  ctx->config.exec.num_reduce_tasks = 1;
   mr::Dataset one(partials.begin(), partials.begin() + 1);
-  ASSERT_TRUE(
-      engine.Run(MakeVerificationJobConfig(ctx), one, &output, &metrics).ok());
+  ASSERT_TRUE(engine
+                  .Run(MakeVerificationJobConfig(SimilarityFunction::kJaccard,
+                                                 0.7, 1, 1),
+                       one, &output, &metrics)
+                  .ok());
   EXPECT_TRUE(output.empty());
-  EXPECT_EQ(ctx->candidate_pairs, 1u);
+  EXPECT_EQ(metrics.reduce_input_groups, 1u);
+}
+
+/// Encodes a verification payload by hand: the function's varint, then
+/// theta's bits as Fixed64BE.
+std::string RawVerificationPayload(uint64_t function, double theta) {
+  std::string payload;
+  PutVarint64(&payload, function);
+  uint64_t bits = 0;
+  std::memcpy(&bits, &theta, sizeof(bits));
+  PutFixed64BE(&payload, bits);
+  return payload;
+}
+
+TEST(VerificationJobTest, FactoryRejectsBadPayloads) {
+  auto resolves = [](const std::string& payload) {
+    return mr::ResolveTaskFactory("core.verification", payload).ok();
+  };
+  const mr::JobConfig config =
+      MakeVerificationJobConfig(SimilarityFunction::kDice, 0.75, 1, 1);
+  EXPECT_EQ(config.task_factory, "core.verification");
+  EXPECT_EQ(config.task_payload,
+            RawVerificationPayload(
+                static_cast<uint64_t>(SimilarityFunction::kDice), 0.75));
+  ASSERT_TRUE(resolves(config.task_payload));
+  // Truncated: every strict prefix, the empty payload included.
+  for (size_t keep = 0; keep < config.task_payload.size(); ++keep) {
+    EXPECT_FALSE(resolves(config.task_payload.substr(0, keep)))
+        << "prefix of " << keep << " bytes resolved";
+  }
+  // Trailing bytes.
+  EXPECT_FALSE(resolves(config.task_payload + "x"));
+  // The edges of theta's range and the last known function.
+  const uint64_t cosine = static_cast<uint64_t>(SimilarityFunction::kCosine);
+  EXPECT_TRUE(resolves(RawVerificationPayload(cosine, 1.0)));
+  EXPECT_TRUE(resolves(RawVerificationPayload(0, 1e-9)));
+  // An unknown function.
+  EXPECT_FALSE(resolves(RawVerificationPayload(cosine + 1, 0.8)));
+  EXPECT_FALSE(resolves(RawVerificationPayload(uint64_t{1} << 40, 0.8)));
+  // Theta outside (0, 1].
+  for (double theta : {0.0, -0.5, 1.0 + 1e-12, 2.0,
+                       std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(resolves(RawVerificationPayload(0, theta)))
+        << "theta " << theta;
+  }
+}
+
+// The verification job gives the same results and the same candidate
+// count (its reduce key groups) on every task grid and local runner. The
+// subprocess runner re-execs this binary and rebuilds the operators from
+// the "core.verification" payload.
+TEST(VerificationJobTest, MatchesAcrossTaskGridsAndRunners) {
+  const mr::Dataset input = RandomPartialOverlaps(300, 31);
+  mr::Dataset want;
+  mr::JobMetrics want_metrics;
+  ASSERT_TRUE(mr::Engine(0)
+                  .Run(MakeVerificationJobConfig(SimilarityFunction::kJaccard,
+                                                 0.6, 1, 1),
+                       input, &want, &want_metrics)
+                  .ok());
+  Result<JoinResultSet> want_pairs = DecodeJoinResults(want);
+  ASSERT_TRUE(want_pairs.ok());
+  ASSERT_GT(want_pairs->size(), 0u);
+  ASSERT_LT(want_pairs->size(), want_metrics.reduce_input_groups);
+  for (mr::RunnerKind runner :
+       {mr::RunnerKind::kInline, mr::RunnerKind::kThreads,
+        mr::RunnerKind::kSubprocess}) {
+    for (uint32_t maps : {1u, 3u, 8u}) {
+      for (uint32_t reduces : {1u, 5u, 8u}) {
+        const std::string cell = std::string(mr::RunnerKindName(runner)) +
+                                 " " + std::to_string(maps) + "x" +
+                                 std::to_string(reduces);
+        mr::EngineOptions options;
+        options.runner = runner;
+        options.num_threads = runner == mr::RunnerKind::kThreads ? 4 : 0;
+        mr::Engine engine(options);
+        mr::Dataset output;
+        mr::JobMetrics metrics;
+        const Status st = engine.Run(
+            MakeVerificationJobConfig(SimilarityFunction::kJaccard, 0.6, maps,
+                                      reduces),
+            input, &output, &metrics);
+        ASSERT_TRUE(st.ok()) << cell << ": " << st.ToString();
+        Result<JoinResultSet> got = DecodeJoinResults(output);
+        ASSERT_TRUE(got.ok()) << cell;
+        EXPECT_EQ(*got, *want_pairs) << cell;
+        EXPECT_EQ(metrics.reduce_input_groups,
+                  want_metrics.reduce_input_groups)
+            << cell;
+        EXPECT_EQ(metrics.shuffle_bytes, want_metrics.shuffle_bytes) << cell;
+        EXPECT_EQ(metrics.reduce_output_bytes,
+                  want_metrics.reduce_output_bytes)
+            << cell;
+      }
+    }
+  }
 }
 
 // ---- Config -----------------------------------------------------------
@@ -585,7 +492,14 @@ TEST(FsJoinReportTest, JobListsAndSummary) {
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->report.AllJobs().size(), 3u);
   EXPECT_EQ(out->report.JoinJobs().size(), 2u);
-  EXPECT_EQ(out->report.AllJobs()[0].job_name, "ordering");
+  // The ordering row is the driver's order build: a wall time, no tasks
+  // and no bytes.
+  const mr::JobMetrics ord = out->report.AllJobs()[0];
+  EXPECT_EQ(ord.job_name, "ordering");
+  EXPECT_TRUE(ord.map_tasks.empty());
+  EXPECT_TRUE(ord.reduce_tasks.empty());
+  EXPECT_EQ(ord.shuffle_bytes, 0u);
+  EXPECT_GE(ord.total_wall_micros, 0);
   EXPECT_EQ(out->report.JoinJobs()[0].job_name, "filtering");
   EXPECT_EQ(out->report.JoinJobs()[1].job_name, "verification");
   std::string summary = out->report.Summary();
@@ -631,21 +545,6 @@ TEST(FsJoinRsTest, IdenticalCollectionsMatchEverywhere) {
 // revisions. Expected counters were captured from the seed implementation on
 // this fixed-seed corpus and configuration; any drift here means the data
 // plane changed what it counts, not just how it stores bytes.
-Corpus MetricsRegressionCorpus() {
-  SyntheticCorpusConfig cfg;
-  cfg.num_records = 300;
-  cfg.vocab_size = 400;
-  cfg.zipf_skew = 1.0;
-  cfg.avg_len = 12;
-  cfg.len_sigma = 0.7;
-  cfg.min_len = 1;
-  cfg.max_len = 56;
-  cfg.near_duplicate_fraction = 0.35;
-  cfg.mutation_rate = 0.12;
-  cfg.seed = 4242;
-  return GenerateCorpus(cfg);
-}
-
 FsJoinConfig MetricsRegressionConfig() {
   FsJoinConfig config;
   config.theta = 0.8;
@@ -669,19 +568,6 @@ TEST(MetricsRegressionTest, CountersMatchSeedEngine) {
     return max_group;
   };
 
-  const mr::JobMetrics& ord = out->report.ordering_job;
-  EXPECT_EQ(ord.map_input_records, 300u);
-  EXPECT_EQ(ord.map_input_bytes, 6677u);
-  // One stripe record per map task (the 375-token vocabulary fits one
-  // 4096-id stripe), summed into one output record.
-  EXPECT_EQ(ord.map_output_records, 4u);
-  EXPECT_EQ(ord.map_output_bytes, 2008u);
-  EXPECT_EQ(ord.shuffle_records, 4u);
-  EXPECT_EQ(ord.shuffle_bytes, 2008u);
-  EXPECT_EQ(ord.reduce_output_records, 1u);
-  EXPECT_EQ(ord.reduce_output_bytes, 759u);
-  EXPECT_EQ(max_group_bytes(ord), 2008u);
-
   const mr::JobMetrics& fil = out->report.filtering_job;
   EXPECT_EQ(fil.map_input_records, 300u);
   EXPECT_EQ(fil.map_input_bytes, 6677u);
@@ -704,6 +590,9 @@ TEST(MetricsRegressionTest, CountersMatchSeedEngine) {
   EXPECT_EQ(ver.reduce_output_records, 71u);
   EXPECT_EQ(ver.reduce_output_bytes, 1136u);
   EXPECT_EQ(max_group_bytes(ver), 66u);
+
+  // Each verification key group is one candidate pair.
+  EXPECT_EQ(ver.reduce_input_groups, 4471u);
 
   EXPECT_EQ(out->report.result_pairs, 71u);
   EXPECT_EQ(out->report.candidate_pairs, 4471u);

@@ -76,7 +76,7 @@ TEST(MultiprocTest, WorkerModeIsInstalledInTestBinaries) {
   // fsjoin_gtest_main.cc routed main() through the --worker-task hook, so
   // the subprocess runner may re-exec this binary for factory-named tasks.
   EXPECT_TRUE(mr::WorkerModeAvailable());
-  EXPECT_TRUE(mr::HasTaskFactory("core.ordering"));
+  EXPECT_TRUE(mr::HasTaskFactory("core.verification"));
 }
 
 // The filter counters a forked task child reports back through the

@@ -267,16 +267,16 @@ TEST(MessageCodecTest, ShuffleFetchRoundTrips) {
 
 mr::TaskSpec ShuffleSpec() {
   mr::TaskSpec spec;
-  spec.job_name = "ordering";
+  spec.job_name = "verification";
   spec.kind = mr::TaskKind::kReduce;
   spec.task_index = 2;
   spec.num_partitions = 4;
-  spec.factory = "core.ordering";
+  spec.factory = "core.verification";
   spec.attempt = 1;
   spec.retain_shuffle = false;
-  spec.shuffle_sources = {{"ordering", 0, "127.0.0.1:41200"},
-                          {"ordering", 1, "127.0.0.1:41201"},
-                          {"ordering", 2, ""}};
+  spec.shuffle_sources = {{"verification", 0, "127.0.0.1:41200"},
+                          {"verification", 1, "127.0.0.1:41201"},
+                          {"verification", 2, ""}};
   return spec;
 }
 
@@ -288,13 +288,13 @@ TEST(TaskSpecWireTest, ShuffleFieldsRoundTrip) {
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->retain_shuffle, false);
   ASSERT_EQ(decoded->shuffle_sources.size(), 3u);
-  EXPECT_EQ(decoded->shuffle_sources[1].job, "ordering");
+  EXPECT_EQ(decoded->shuffle_sources[1].job, "verification");
   EXPECT_EQ(decoded->shuffle_sources[1].map_task, 1u);
   EXPECT_EQ(decoded->shuffle_sources[1].endpoint, "127.0.0.1:41201");
   EXPECT_EQ(decoded->shuffle_sources[2].endpoint, "");
 
   mr::TaskSpec retained;
-  retained.job_name = "ordering";
+  retained.job_name = "verification";
   retained.retain_shuffle = true;
   std::string rbytes;
   retained.EncodeTo(&rbytes);

@@ -31,7 +31,7 @@ TaskSpec SampleSpec() {
   spec.input_end = 2000;
   spec.input_runs = {"/tmp/a.run", "/tmp/b.run", ""};
   spec.output_base = "/tmp/scratch/red-t7";
-  spec.factory = "core.ordering";
+  spec.factory = "core.verification";
   spec.payload = std::string("bin\0ary", 7);
   spec.attempt = 3;
   return spec;

@@ -171,6 +171,35 @@ TEST(SegmentsTest, SplitterMatchesSplitOfSortedRecord) {
   }
 }
 
+// The filtering mapper's rank -> fragment table agrees with the binary
+// search for every rank, also for repeated pivots, a pivot at rank 0 and
+// pivots past the last rank, and a split through it matches one through the
+// pivots.
+TEST(SegmentsTest, FragmentTableMatchesSegmentOfRank) {
+  const size_t num_ranks = 40;
+  const std::vector<std::vector<TokenRank>> cases = {
+      {}, {0}, {5, 5, 9}, {1, 2, 3, 39}, {10, 40, 41}, {0, 0, 20, 20}};
+  SegmentSplitter by_table, by_pivots;
+  for (const std::vector<TokenRank>& pivots : cases) {
+    const std::vector<uint32_t> table = FragmentTable(pivots, num_ranks);
+    ASSERT_EQ(table.size(), num_ranks);
+    for (TokenRank r = 0; r < num_ranks; ++r) {
+      EXPECT_EQ(table[r], SegmentOfRank(pivots, r)) << "rank " << r;
+    }
+    const std::vector<TokenRank> ranks = {39, 0, 5, 20, 9, 1, 10, 4};
+    const uint32_t fragments = static_cast<uint32_t>(pivots.size() + 1);
+    by_table.Split(ranks.data(), ranks.size(), table.data(), fragments);
+    by_pivots.Split(ranks.data(), ranks.size(), pivots);
+    EXPECT_EQ(by_table.ranks(), by_pivots.ranks());
+    ASSERT_EQ(by_table.runs().size(), by_pivots.runs().size());
+    for (size_t i = 0; i < by_table.runs().size(); ++i) {
+      EXPECT_EQ(by_table.runs()[i].fragment, by_pivots.runs()[i].fragment);
+      EXPECT_EQ(by_table.runs()[i].begin, by_pivots.runs()[i].begin);
+      EXPECT_EQ(by_table.runs()[i].end, by_pivots.runs()[i].end);
+    }
+  }
+}
+
 // Wire format: the header, then the first rank and each later rank's gap.
 TEST(SegmentsTest, EncodesRanksAsAscendingGaps) {
   const SegmentRecord seg = {5, 300, 1, {200, 204, 460}};

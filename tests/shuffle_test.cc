@@ -303,8 +303,8 @@ TEST(ReduceShardTest, GroupsByKeyAndTracksLargestGroup) {
 
   RecordingReducer reducer;
   NullEmitter out;
-  uint64_t max_group_bytes = 0;
-  ASSERT_TRUE(ReduceShard(&reducer, shard, &out, &max_group_bytes).ok());
+  TaskMetrics metrics;
+  ASSERT_TRUE(ReduceShard(&reducer, shard, &out, &metrics).ok());
   ASSERT_EQ(reducer.groups().size(), 2u);
   EXPECT_EQ(reducer.groups()[0].first, "aa");
   EXPECT_EQ(reducer.groups()[0].second,
@@ -312,7 +312,8 @@ TEST(ReduceShardTest, GroupsByKeyAndTracksLargestGroup) {
   EXPECT_EQ(reducer.groups()[1].first, "b");
   EXPECT_EQ(reducer.groups()[1].second, std::vector<std::string>{"only"});
   // Largest group: 3 * (2 key bytes) + 5 + 6 + 6 value bytes.
-  EXPECT_EQ(max_group_bytes, 23u);
+  EXPECT_EQ(metrics.max_group_bytes, 23u);
+  EXPECT_EQ(metrics.input_groups, 2u);
 }
 
 // ---- Spill-to-disk edge cases ---------------------------------------
@@ -336,7 +337,11 @@ std::vector<KvBuffer> MakeBuffers(const std::vector<KeyValue>& records,
 Groups ShardGroups(const ShuffleShard& shard, uint64_t* max_group_bytes) {
   RecordingReducer reducer;
   NullEmitter out;
-  EXPECT_TRUE(ReduceShard(&reducer, shard, &out, max_group_bytes).ok());
+  TaskMetrics metrics;
+  EXPECT_TRUE(ReduceShard(&reducer, shard, &out, &metrics).ok());
+  // Both reduce paths count the groups they hand the reducer.
+  EXPECT_EQ(metrics.input_groups, reducer.groups().size());
+  *max_group_bytes = metrics.max_group_bytes;
   return reducer.groups();
 }
 

@@ -60,12 +60,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--listen is required\n");
     return Usage(argv[0]);
   }
-  // Pull the core jobs translation unit (and its static "core.ordering"
-  // task-factory registration) into this binary with a real call: a static
-  // archive only links objects whose symbols are referenced, an unused
-  // address-of constant gets folded away before the linker sees it, and
-  // the worker reaches task factories purely by name over the wire.
-  (void)fsjoin::MakeOrderingJobConfig(1, 1, 1);
+  // Pull the core jobs translation unit (and its static
+  // "core.verification" task-factory registration) into this binary with a
+  // real call: a static archive only links objects whose symbols are
+  // referenced, an unused address-of constant gets folded away before the
+  // linker sees it, and the worker reaches task factories purely by name
+  // over the wire.
+  (void)fsjoin::MakeVerificationJobConfig(fsjoin::SimilarityFunction::kJaccard,
+                                          1.0, 1, 1);
   // Validate up front for a friendly message; ServeWorker re-parses.
   auto ep = fsjoin::ParseEndpoint(options.listen);
   if (!ep.ok()) {
